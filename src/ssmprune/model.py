@@ -413,24 +413,56 @@ class Model:
     def forward(self, tokens: np.ndarray, want_cache: bool = False):
         """tokens (B, T) int -> logits (B, T, vocab). With want_cache, also
         returns per-block decode caches (None rows for bypassed blocks)."""
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2:
-            raise ShapeError(f"forward: tokens shape {tokens.shape}, expected (B, T)")
-        x = self.embedding(tokens)
-        caches: List[object] = []
-        for b in self.blocks:
-            if not b.alive:
-                caches.append(None)
-                continue
-            if want_cache:
-                x, cache = b.forward(x, want_cache=True)
-                caches.append(cache)
-            else:
-                x = b.forward(x)
+        return self.resume(self._embed(tokens), 0, want_cache)
+
+    def block_inputs(self, tokens: np.ndarray, stop: int) -> List[Tensor]:
+        """Residual-stream inputs of blocks 0..stop, in order: runs the
+        embedding and the live blocks before stop. A dead block's input is
+        the same tensor as the next block's."""
+        if not 0 <= stop <= len(self.blocks):
+            raise StateError(f"block inputs up to {stop}; model has {len(self.blocks)}")
+        inputs: List[Tensor] = []
+        x = self._run(self._embed(tokens), 0, stop, inputs=inputs)
+        inputs.append(x)
+        return inputs
+
+    def resume(self, x: Tensor, start: int, want_cache: bool = False):
+        """Runs the live blocks from start on the residual input x, then the
+        final norm and the head. resume(block_inputs(tokens, i)[i], i)
+        returns the same bytes as forward(tokens)."""
+        if not 0 <= start <= len(self.blocks):
+            raise StateError(f"resume at block {start}; model has {len(self.blocks)}")
+        caches: Optional[List[object]] = [] if want_cache else None
+        x = self._run(x, start, len(self.blocks), caches=caches)
         logits = linear(rmsnorm(x, self.final_norm.scale), self.head.weight)
         if want_cache:
             return logits, caches
         return logits
+
+    def _embed(self, tokens: np.ndarray) -> Tensor:
+        tokens = np.asarray(tokens)
+        if tokens.ndim != 2:
+            raise ShapeError(f"forward: tokens shape {tokens.shape}, expected (B, T)")
+        return self.embedding(tokens)
+
+    def _run(self, x: Tensor, start: int, stop: int,
+             inputs: Optional[List[Tensor]] = None,
+             caches: Optional[List[object]] = None) -> Tensor:
+        """The one block loop. inputs collects each block's input; caches,
+        when given, collects decode caches (None rows for bypassed blocks)."""
+        for b in self.blocks[start:stop]:
+            if inputs is not None:
+                inputs.append(x)
+            if not b.alive:
+                if caches is not None:
+                    caches.append(None)
+                continue
+            if caches is not None:
+                x, cache = b.forward(x, want_cache=True)
+                caches.append(cache)
+            else:
+                x = b.forward(x)
+        return x
 
     # -- registry ---------------------------------------------------------
 
@@ -646,6 +678,47 @@ def save_model(model: Model, path: str, meta: Optional[dict] = None) -> None:
             f.write(t.data.astype("<f4").tobytes())
 
 
+_HEADER_KEYS = ("descriptor", "structures", "mlp_hidden_now", "tensors", "meta")
+# registry kinds that each block kind carries
+_ROW_KINDS = {"mamba1": ("mamba_block", "ssm"), "mamba2": ("mamba_block", "ssm"),
+              "transformer": ("transformer_block", "mha", "mlp")}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_rows(path: str, desc: ArchDescriptor, rows, hidden_now) -> None:
+    """One-line CheckpointError for a structures or mlp_hidden_now row that
+    does not fit the descriptor's blocks."""
+    if not isinstance(hidden_now, list) or len(hidden_now) != desc.n_blocks:
+        raise CheckpointError(f"{path}: mlp_hidden_now {hidden_now!r} needs one entry "
+                              f"per block ({desc.n_blocks})")
+    for i, (kind, h) in enumerate(zip(desc.block_kinds, hidden_now)):
+        lo, hi = (1, desc.mlp_hidden[i]) if kind == "transformer" else (0, 0)
+        if not _is_int(h) or not lo <= h <= hi:
+            raise CheckpointError(f"{path}: mlp_hidden_now[{i}] = {h!r} on {kind} "
+                                  f"block {i}, expected {lo}..{hi}")
+    if not isinstance(rows, list):
+        raise CheckpointError(f"{path}: structures {rows!r} is not a list")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 3:
+            raise CheckpointError(f"{path}: structures row {row!r} is not "
+                                  "[kind, block, alive]")
+        kind, i, alive = row
+        if not _is_int(i) or not 0 <= i < desc.n_blocks:
+            raise CheckpointError(f"{path}: structures row {row!r} names block {i!r}; "
+                                  f"model has {desc.n_blocks}")
+        if kind not in _ROW_KINDS["transformer"] + _ROW_KINDS["mamba1"]:
+            raise CheckpointError(f"{path}: structures row {row!r} has unknown kind {kind!r}")
+        if kind not in _ROW_KINDS[desc.block_kinds[i]]:
+            raise CheckpointError(f"{path}: structures row {row!r}: {kind} does not fit "
+                                  f"{desc.block_kinds[i]} block {i}")
+        if not isinstance(alive, bool):
+            raise CheckpointError(f"{path}: structures row {row!r} has alive flag "
+                                  f"{alive!r}, expected true or false")
+
+
 def load_model(path: str):
     """-> (Model, meta dict). Bit-identical round trip with save_model."""
     with open(path, "rb") as f:
@@ -661,8 +734,12 @@ def load_model(path: str):
         header = json.loads(raw[20:20 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
+    missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {missing}")
     desc = ArchDescriptor.from_dict(header["descriptor"])
     desc.validate()
+    _check_rows(path, desc, header["structures"], header["mlp_hidden_now"])
     model = Model._assemble(desc, np.random.default_rng(0),
                             hidden_now=header["mlp_hidden_now"])
     have = model.named_tensors()
@@ -688,7 +765,7 @@ def load_model(path: str):
     for kind, i, alive in header["structures"]:
         if alive:
             continue
-        b = model.blocks[int(i)]
+        b = model.blocks[i]
         if kind in ("mamba_block", "transformer_block"):
             b.alive = False
         elif kind == "ssm":

@@ -1,5 +1,7 @@
 """Registry, removal semantics, accounting, checkpoints, compaction, decode."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,24 @@ def test_forward_validates_tokens():
     with pytest.raises(TokenError) as e:
         m.forward(bad)
     assert "99" in str(e.value) and "(1, 1)" in str(e.value)
+
+
+def test_resume_from_any_block_matches_forward():
+    desc = tiny_desc()
+    m = Model.build(desc, 13)
+    m.remove("mamba_block", 2)
+    m.remove("ssm", 3)
+    toks = tokens_for(desc, np.random.default_rng(13))
+    want = m.forward(toks).data.tobytes()
+    xs = m.block_inputs(toks, len(m.blocks))
+    assert len(xs) == len(m.blocks) + 1
+    assert xs[2] is xs[3]  # dead block 2 hands its input on
+    for i, x in enumerate(xs):
+        assert m.resume(x, i).data.tobytes() == want, i
+    with pytest.raises(StateError):
+        m.resume(xs[0], len(m.blocks) + 1)
+    with pytest.raises(StateError):
+        m.block_inputs(toks, -1)
 
 
 def test_zero_out_projection_makes_removal_free():
@@ -294,6 +314,79 @@ def test_checkpoint_rejects_garbage(tmp_path):
     open(bad, "wb").write(raw[:-64])
     with pytest.raises(CheckpointError, match="truncat"):
         md.load_model(bad)
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header passed through edit(header)."""
+    import json
+    import pathlib
+    import struct
+    raw = pathlib.Path(src).read_bytes()
+    version, hlen = struct.unpack("<IQ", raw[8:20])
+    header = json.loads(raw[20:20 + hlen].decode("utf-8"))
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    pathlib.Path(dst).write_bytes(raw[:8] + struct.pack("<IQ", version, len(blob))
+                                  + blob + raw[20 + hlen:])
+
+
+def _load_edited(tmp_path, edit):
+    m = Model.build(tiny_desc(), 12)  # mamba at 0, 2, 3; a transformer at 1
+    p = str(tmp_path / "m.ckpt")
+    md.save_model(m, p)
+    bad = str(tmp_path / "bad.ckpt")
+    _rewrite_header(p, bad, edit)
+    with pytest.raises(CheckpointError) as err:
+        md.load_model(bad)
+    assert "\n" not in str(err.value)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("row,match", [
+    (["ssm", 4, False], "block 4"),
+    (["ssm", -1, False], "block -1"),
+    (["attention", 0, False], "unknown kind"),
+    (["mlp_channels", 1, False], "unknown kind"),
+    (["ssm", 1, False], "ssm does not fit transformer block 1"),
+    (["mha", 0, False], "mha does not fit mamba1 block 0"),
+    (["transformer_block", 2, False], "transformer_block does not fit mamba1"),
+    (["mamba_block", 1, False], "mamba_block does not fit transformer"),
+    (["ssm", 0], "kind, block, alive"),
+    (["ssm", 0, "no"], "alive flag"),
+], ids=["block-past-end", "negative-block", "unknown-kind", "channels-kind",
+        "ssm-on-transformer", "mha-on-mamba", "transformer-on-mamba",
+        "mamba-on-transformer", "short-row", "non-bool-alive"])
+def test_checkpoint_rejects_structure_rows_that_do_not_fit(tmp_path, row, match):
+    msg = _load_edited(tmp_path, lambda h: h["structures"].append(row))
+    assert re.search(match, msg), msg
+
+
+@pytest.mark.parametrize("block,hidden", [(0, 8), (1, 0), (1, 64), (1, None)],
+                         ids=["width-on-mamba", "zero-width", "wider-than-built",
+                              "missing-entry"])
+def test_checkpoint_rejects_mlp_widths_that_do_not_fit(tmp_path, block, hidden):
+    def edit(h):
+        if hidden is None:
+            h["mlp_hidden_now"].pop()
+        else:
+            h["mlp_hidden_now"][block] = hidden
+    assert "mlp_hidden_now" in _load_edited(tmp_path, edit)
+
+
+def test_checkpoint_rejects_header_without_structures(tmp_path):
+    assert "lacks ['structures']" in _load_edited(tmp_path, lambda h: h.pop("structures"))
+
+
+def test_checkpoint_header_rewrite_alone_loads(tmp_path):
+    # the rewrite helper itself keeps a good checkpoint loadable
+    m = Model.build(tiny_desc(), 12)
+    m.remove("mha", 1)
+    p = str(tmp_path / "m.ckpt")
+    md.save_model(m, p)
+    same = str(tmp_path / "same.ckpt")
+    _rewrite_header(p, same, lambda h: None)
+    m2, _ = md.load_model(same)
+    assert not m2.is_effective("mha", 1)
 
 
 # -- decode -----------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Schedule grammar, candidate scoring, and the greedy removal loop."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from ssmprune.errors import ScheduleError
-from ssmprune.model import KIND_ORDER, Model, toy_descriptor
+from ssmprune.model import KIND_ORDER, MambaBlock, Model, TransformerBlock, toy_descriptor
 from ssmprune.pruning import (CalibrationSet, Candidate, Stage, apply_action,
                               candidates_for, format_stage, parse_schedule,
                               read_jsonl, replay_plan, run_schedule,
@@ -145,6 +147,126 @@ def test_non_finite_score_becomes_inf():
     assert s == math.inf
 
 
+# -- resumed scoring --------------------------------------------------------
+
+
+def dead_around():
+    """Seven blocks, transformers at 2 and 5, with dead blocks before (0),
+    between (4) and after (6) the candidates and dead ssm 3 and mha 5."""
+    desc = toy_descriptor(n_blocks=7, transformer_at=(2, 5), d_model=32,
+                          mlp_hidden=48)
+    model = Model.build(desc, 12)
+    for i in (0, 4, 6):
+        model.remove("mamba_block", i)
+    model.remove("ssm", 3)
+    model.remove("mha", 5)
+    return model
+
+
+def short_cal():
+    return CalibrationSet(Corpus.bundled(), count=7, length=40, batch_size=3)
+
+
+def every_kind(model):
+    cands = candidates_for(model, Stage(KIND_ORDER[:-1], 1))
+    return cands + candidates_for(model, Stage(("mlp_channels",), 1, 16))
+
+
+def count_block_forwards(monkeypatch):
+    calls = []
+    for cls in (MambaBlock, TransformerBlock):
+        def counted(self, x, want_cache=False, _orig=cls.forward):
+            calls.append(1)
+            return _orig(self, x, want_cache)
+        monkeypatch.setattr(cls, "forward", counted)
+    return calls
+
+
+def live_from(model, start):
+    return sum(b.alive for b in model.blocks[start:])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_resumed_scores_equal_the_applied_clone_for_every_kind(threads):
+    model = dead_around()
+    cal = short_cal()  # batches of 3, 3 and 1 windows
+    cands = every_kind(model)
+    assert {c.kind for c in cands} == set(KIND_ORDER)
+    scores = score_all(model, cands, cal, threads=threads)
+    for c, s in zip(cands, scores):
+        applied = model.clone()
+        apply_action(applied, c.kind, c.block, c.g)
+        assert cal.ppl(applied) == s, c
+
+
+def test_score_all_runs_each_prefix_once(monkeypatch):
+    model = dead_around()
+    cal = short_cal()
+    cands = every_kind(model)
+    calls = count_block_forwards(monkeypatch)
+    score_all(model, cands, cal)
+    top = max(c.block for c in cands)
+    want = live_from(model, 0) - live_from(model, top)  # the prefix pass
+    for c in cands:
+        trial = model.clone()
+        apply_action(trial, c.kind, c.block, c.g)
+        want += live_from(trial, c.block)
+    assert len(calls) == 3 * want  # three calibration batches
+
+
+def test_prefix_is_freed_when_score_all_returns(monkeypatch):
+    model = dead_around()
+    cand = Candidate("ssm", 1)
+
+    class _FailsOnce(CalibrationSet):
+        failed = False
+
+        def ppl(self, model):
+            if not self.failed:
+                self.failed = True
+                raise RuntimeError("scoring failed")
+            return super().ppl(model)
+
+    failing, cal = _FailsOnce(Corpus.bundled(), 7, 40, 3), short_cal()
+    with pytest.raises(RuntimeError):
+        score_all(model, [cand], failing)
+    score_all(model, [cand], cal)
+    calls = count_block_forwards(monkeypatch)
+    for c in (failing, cal):  # nothing held any more: the full forward
+        calls.clear()
+        score_candidate(model, cand, c)
+        assert len(calls) == 3 * live_from(model, 0)
+
+
+def test_threaded_resume_under_fast_switching_matches_serial(monkeypatch):
+    model = dead_around()
+    cal = short_cal()
+    cands = every_kind(model)
+    want = score_all(model, cands, cal)
+    flags, data = snapshot(model)
+    held = []
+    block_inputs = Model.block_inputs
+
+    def capture(self, tokens, stop):
+        xs = block_inputs(self, tokens, stop)
+        held.append([(x, x.data.tobytes()) for x in xs])
+        return xs
+
+    monkeypatch.setattr(Model, "block_inputs", capture)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rounds, end = 0, time.perf_counter() + 3.0
+        while rounds < 2 or (rounds < 10 and time.perf_counter() < end):
+            assert score_all(model, cands, cal, threads=4) == want
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert snapshot(model) == (flags, data)
+    assert len(held) == 3 * rounds
+    assert all(x.data.tobytes() == b for row in held for x, b in row)
+
+
 # -- the loop ---------------------------------------------------------------
 
 
@@ -182,6 +304,44 @@ def test_stage_truncates_when_candidates_run_out():
     assert out["stages"][0] == {"spec": "mha:5", "steps_done": 1,
                                 "truncated": True}
     assert out["truncated"]
+
+
+class _FiniteUntil:
+    """Perplexity of `cal` until `limit` ssms are gone, NaN from then on."""
+
+    def __init__(self, cal, limit):
+        self.cal, self.limit = cal, limit
+
+    def ppl(self, model):
+        gone = sum(isinstance(b, MambaBlock) and not b.ssm_alive for b in model.blocks)
+        return math.nan if gone >= self.limit else self.cal.ppl(model)
+
+
+def test_all_inf_iteration_truncates_its_stage_and_applies_nothing():
+    model = hybrid(seed=12)  # mamba at 0, 1, 3; a transformer at 2
+    out = run_schedule(model, "ssm:3 + mha:1", _FiniteUntil(small_cal(), 2))
+    assert [(r["iter"], r["kind"]) for r in out["plan"]] == [(0, "ssm"), (2, "mha")]
+    assert out["stages"] == [
+        {"spec": "ssm:3", "steps_done": 1, "truncated": True},
+        {"spec": "mha:1", "steps_done": 1, "truncated": False}]
+    assert out["truncated"]
+    # iteration 1 scored both remaining ssms +inf; it is in the trace only
+    it1 = [r for r in out["trace"] if r["iter"] == 1]
+    assert len(it1) == 2 and all(r["score"] == math.inf for r in it1)
+    first = out["plan"][0]
+    assert [(s.kind, s.block) for s in model.structures() if not s.alive] == \
+        [("ssm", first["block"]), ("mha", 2)]
+
+
+def test_all_inf_from_the_start_leaves_the_model_as_it_was():
+    model = hybrid(seed=13)
+    flags, data = snapshot(model)
+    out = run_schedule(model, "mamba_block&ssm:2", _FiniteUntil(small_cal(), 0))
+    assert out["plan"] == []
+    assert out["stages"] == [{"spec": "mamba_block&ssm:2", "steps_done": 0,
+                              "truncated": True}]
+    assert len(out["trace"]) == 6 and all(r["iter"] == 0 for r in out["trace"])
+    assert snapshot(model) == (flags, data)
 
 
 def test_channel_stage_slices_repeatedly():
