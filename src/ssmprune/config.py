@@ -218,7 +218,3 @@ def write_resolved(path: str, section: str, values: Dict[str, object]) -> None:
     with open(path, "w") as f:
         cp.write(f)
 
-
-def read_resolved(path: str) -> Dict[str, Dict[str, object]]:
-    """Round-trip reader for resolved.ini files (same schema rules)."""
-    return load_config(path)

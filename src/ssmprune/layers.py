@@ -9,7 +9,6 @@ needs no backward of its own.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Optional
 
 import numpy as np
@@ -104,7 +103,11 @@ def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> Tensor:
-    """Causal multi-head self-attention. x (B, T, d); all weights (d, d)."""
+    """Causal multi-head self-attention. x (B, T, d); all weights (d, d).
+
+    The returned tensor carries the float64 key and value heads, each
+    (B, H, T, hd), in .aux["kv"] so a decode session can extend them.
+    """
     if x.data.ndim != 3:
         raise ShapeError(f"attention: expected (B, T, d), got {x.data.shape}")
     B, T, d = x.data.shape
@@ -126,6 +129,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads
     ctx = (p @ v).transpose(0, 2, 1, 3).reshape(-1, d)  # (B*T, d)
     wo64 = wo.data.astype(np.float64)
     out = Tensor((ctx @ wo64.T).reshape(B, T, d))
+    out.aux = {"kv": (k, v)}
 
     def bwd(g: np.ndarray):
         g2 = g.reshape(-1, d).astype(np.float64)
@@ -356,22 +360,6 @@ class GatedMlp:
         self.down.weight.data = np.ascontiguousarray(self.down.weight.data[:, :-g])
         for t in (self.up.weight, self.gate.weight, self.down.weight):
             t.grad = None
-
-    @contextmanager
-    def trailing_sliced(self, g: int):
-        """Temporarily present the sliced weights; restores the originals
-        bit-identically on exit."""
-        D = self.hidden
-        if g < 1 or g >= D:
-            raise CapacityError(f"trailing_sliced: cannot drop {g} of {D} channels")
-        keep = (self.up.weight.data, self.gate.weight.data, self.down.weight.data)
-        try:
-            self.up.weight.data = np.ascontiguousarray(keep[0][:-g, :])
-            self.gate.weight.data = np.ascontiguousarray(keep[1][:-g, :])
-            self.down.weight.data = np.ascontiguousarray(keep[2][:, :-g])
-            yield self
-        finally:
-            self.up.weight.data, self.gate.weight.data, self.down.weight.data = keep
 
     def tensors(self) -> Dict[str, Tensor]:
         out: Dict[str, Tensor] = {}

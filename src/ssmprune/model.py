@@ -5,6 +5,13 @@ kinds mixed per the descriptor), a final norm, and an lm head. Every removable
 structure sits in a registry; removal flips an alive flag and the forward pass
 takes the residual bypass, so weights stay in memory until compact() rebuilds
 without the dead blocks.
+
+Each block class declares its removable parts once, in its PARTS table:
+registry kind -> the tensors that part owns outright, parent block first
+(mamba: mamba_block, ssm; transformer: transformer_block, mha, mlp).
+ALIVE_FLAG names the block attribute each kind flips. The registry,
+removal, parameter traversal, compaction and the checkpoint flag rows all
+loop over these two tables, in their order.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import copy as _copy
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +36,11 @@ BLOCK_KINDS = ("mamba1", "mamba2", "transformer")
 
 # candidate kinds, in tie-break order (earlier wins on equal scores)
 KIND_ORDER = ("mamba_block", "transformer_block", "ssm", "mha", "mlp", "mlp_channels")
+
+# registry kind -> the alive flag it sets on its block; a parent block's flag
+# is `alive`, and it shadows the flags of the parts after it
+ALIVE_FLAG = {"mamba_block": "alive", "transformer_block": "alive",
+              "ssm": "ssm_alive", "mha": "mha_alive", "mlp": "mlp_alive"}
 
 
 @dataclass(frozen=True)
@@ -252,6 +265,9 @@ class MambaBlock:
         out.update(self.out.tensors())
         return out
 
+    # removable parts, parent first: registry kind -> its exclusive tensors
+    PARTS = {"mamba_block": shell_tensors, "ssm": lambda b: b.ssm.tensors()}
+
 
 class TransformerBlock:
     """Pre-norm attention and gated-mlp residual branches."""
@@ -282,17 +298,9 @@ class TransformerBlock:
     def forward(self, x: Tensor, want_cache: bool = False):
         kv = None
         if self.mha_alive:
-            hn = self.norm1(x)
-            x = tn.add(x, self.mha(hn))
-            if want_cache:
-                B, T, d = hn.data.shape
-                H = self.mha.n_heads
-                hd = d // H
-                h2 = hn.data.reshape(-1, d).astype(np.float64)
-                k = h2 @ self.mha.k.weight.data.astype(np.float64).T
-                v = h2 @ self.mha.v.weight.data.astype(np.float64).T
-                kv = (k.reshape(B, T, H, hd).transpose(0, 2, 1, 3),
-                      v.reshape(B, T, H, hd).transpose(0, 2, 1, 3))
+            att = self.mha(self.norm1(x))
+            x = tn.add(x, att)
+            kv = att.aux["kv"]
         if self.mlp_alive:
             x = tn.add(x, self.mlp(self.norm2(x)))
         if not want_cache:
@@ -342,6 +350,9 @@ class TransformerBlock:
         out.update(self.norm2.tensors())
         out.update(self.mlp.tensors())
         return out
+
+    # removable parts, parent first; the block itself owns no tensors
+    PARTS = {"transformer_block": lambda b: {}, "mha": mha_tensors, "mlp": mlp_tensors}
 
 
 # ---------------------------------------------------------------------------
@@ -467,83 +478,41 @@ class Model:
     # -- registry ---------------------------------------------------------
 
     def structures(self) -> List[Structure]:
-        out: List[Structure] = []
-        for i, b in enumerate(self.blocks):
-            if isinstance(b, MambaBlock):
-                out.append(Structure("mamba_block", i, b.alive, _count(b.shell_tensors())))
-                out.append(Structure("ssm", i, b.ssm_alive, _count(b.ssm.tensors())))
-            else:
-                out.append(Structure("transformer_block", i, b.alive, 0))
-                out.append(Structure("mha", i, b.mha_alive, _count(b.mha_tensors())))
-                out.append(Structure("mlp", i, b.mlp_alive, _count(b.mlp_tensors())))
-        return out
+        return [Structure(kind, i, getattr(b, ALIVE_FLAG[kind]), _count(tensors(b)))
+                for i, b in enumerate(self.blocks) for kind, tensors in b.PARTS.items()]
 
     def _block(self, i: int):
         if not 0 <= i < len(self.blocks):
             raise StateError(f"no block {i}; model has {len(self.blocks)}")
         return self.blocks[i]
 
+    def _flag(self, kind: str, i: int):
+        """-> (block i, the alive flag kind sets on it)."""
+        b = self._block(i)
+        if kind not in ALIVE_FLAG:
+            raise ValueError(f"unknown structure kind {kind!r}")
+        return b, ALIVE_FLAG[kind]
+
     def is_effective(self, kind: str, i: int) -> bool:
         """Alive, and not shadowed by a removed parent."""
-        b = self._block(i)
-        if kind == "mamba_block":
-            return isinstance(b, MambaBlock) and b.alive
-        if kind == "transformer_block":
-            return isinstance(b, TransformerBlock) and b.alive
-        if kind == "ssm":
-            return isinstance(b, MambaBlock) and b.alive and b.ssm_alive
-        if kind == "mha":
-            return isinstance(b, TransformerBlock) and b.alive and b.mha_alive
-        if kind == "mlp":
-            return isinstance(b, TransformerBlock) and b.alive and b.mlp_alive
-        raise ValueError(f"unknown structure kind {kind!r}")
+        b, flag = self._flag(kind, i)
+        return kind in b.PARTS and b.alive and getattr(b, flag)
 
     def remove(self, kind: str, i: int) -> None:
         """Flip the alive flag; weights stay until compact()."""
-        b = self._block(i)
-        if kind == "mamba_block":
-            if not isinstance(b, MambaBlock):
-                raise StateError(f"block {i} is not a mamba block")
-            if not b.alive:
-                raise StateError(f"mamba_block {i} already removed")
-            b.alive = False
-        elif kind == "transformer_block":
-            if not isinstance(b, TransformerBlock):
-                raise StateError(f"block {i} is not a transformer block")
-            if not b.alive:
-                raise StateError(f"transformer_block {i} already removed")
-            b.alive = False
-        elif kind == "ssm":
-            if not isinstance(b, MambaBlock):
-                raise StateError(f"block {i} has no ssm")
-            if not b.alive:
-                raise StateError(f"ssm {i}: parent block already removed")
-            if not b.ssm_alive:
-                raise StateError(f"ssm {i} already removed")
-            b.ssm_alive = False
-        elif kind in ("mha", "mlp"):
-            if not isinstance(b, TransformerBlock):
-                raise StateError(f"block {i} is not a transformer block")
-            if not b.alive:
-                raise StateError(f"{kind} {i}: parent block already removed")
-            if kind == "mha":
-                if not b.mha_alive:
-                    raise StateError(f"mha {i} already removed")
-                b.mha_alive = False
-            else:
-                if not b.mlp_alive:
-                    raise StateError(f"mlp {i} already removed")
-                b.mlp_alive = False
-        else:
-            raise ValueError(f"unknown structure kind {kind!r}")
+        b, flag = self._flag(kind, i)
+        if kind not in b.PARTS:
+            raise StateError(f"block {i} has no {kind}")
+        if not b.alive and flag != "alive":
+            raise StateError(f"{kind} {i}: parent block already removed")
+        if not getattr(b, flag):
+            raise StateError(f"{kind} {i} already removed")
+        setattr(b, flag, False)
 
     def slice_mlp(self, i: int, g: int) -> None:
-        b = self._block(i)
-        if not isinstance(b, TransformerBlock):
-            raise StateError(f"block {i} has no mlp to slice")
-        if not b.alive or not b.mlp_alive:
-            raise StateError(f"mlp {i} is removed; nothing to slice")
-        b.mlp.slice_trailing(g)
+        if not self.is_effective("mlp", i):
+            raise StateError(f"block {i} has no live mlp to slice")
+        self.blocks[i].mlp.slice_trailing(g)
 
     # -- accounting -------------------------------------------------------
 
@@ -564,12 +533,8 @@ class Model:
         out: Dict[str, Tensor] = {}
         out.update(self.embedding.tensors())
         for b in self.blocks:
-            if isinstance(b, MambaBlock):
-                out.update(b.shell_tensors())
-                out.update(b.ssm.tensors())
-            else:
-                out.update(b.mha_tensors())
-                out.update(b.mlp_tensors())
+            for tensors in b.PARTS.values():
+                out.update(tensors(b))
         out.update(self.final_norm.tensors())
         out.update(self.head.tensors())
         return out
@@ -580,15 +545,9 @@ class Model:
         for b in self.blocks:
             if not b.alive:
                 continue
-            if isinstance(b, MambaBlock):
-                out.extend(b.shell_tensors().values())
-                if b.ssm_alive:
-                    out.extend(b.ssm.tensors().values())
-            else:
-                if b.mha_alive:
-                    out.extend(b.mha_tensors().values())
-                if b.mlp_alive:
-                    out.extend(b.mlp_tensors().values())
+            for kind, tensors in b.PARTS.items():
+                if getattr(b, ALIVE_FLAG[kind]):
+                    out.extend(tensors(b).values())
         out.extend(self.final_norm.tensors().values())
         out.extend(self.head.tensors().values())
         return out
@@ -624,15 +583,9 @@ class Model:
         out = Model._assemble(desc2, np.random.default_rng(0))
         _copy_group(self.embedding.tensors(), out.embedding.tensors())
         for old, new in zip(survivors, out.blocks):
-            if isinstance(old, MambaBlock):
-                _copy_group(old.shell_tensors(), new.shell_tensors())
-                _copy_group(old.ssm.tensors(), new.ssm.tensors())
-                new.ssm_alive = old.ssm_alive
-            else:
-                _copy_group(old.mha_tensors(), new.mha_tensors())
-                _copy_group(old.mlp_tensors(), new.mlp_tensors())
-                new.mha_alive = old.mha_alive
-                new.mlp_alive = old.mlp_alive
+            for kind, tensors in old.PARTS.items():
+                _copy_group(tensors(old), tensors(new))
+                setattr(new, ALIVE_FLAG[kind], getattr(old, ALIVE_FLAG[kind]))
         _copy_group(self.final_norm.tensors(), out.final_norm.tensors())
         _copy_group(self.head.tensors(), out.head.tensors())
         return out
@@ -679,18 +632,15 @@ def save_model(model: Model, path: str, meta: Optional[dict] = None) -> None:
 
 
 _HEADER_KEYS = ("descriptor", "structures", "mlp_hidden_now", "tensors", "meta")
-# registry kinds that each block kind carries
-_ROW_KINDS = {"mamba1": ("mamba_block", "ssm"), "mamba2": ("mamba_block", "ssm"),
-              "transformer": ("transformer_block", "mha", "mlp")}
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_rows(path: str, desc: ArchDescriptor, rows, hidden_now) -> None:
-    """One-line CheckpointError for a structures or mlp_hidden_now row that
-    does not fit the descriptor's blocks."""
+def _check_widths(path: str, desc: ArchDescriptor, hidden_now) -> None:
+    """One-line CheckpointError for mlp_hidden_now entries that do not fit
+    the descriptor's blocks."""
     if not isinstance(hidden_now, list) or len(hidden_now) != desc.n_blocks:
         raise CheckpointError(f"{path}: mlp_hidden_now {hidden_now!r} needs one entry "
                               f"per block ({desc.n_blocks})")
@@ -699,6 +649,12 @@ def _check_rows(path: str, desc: ArchDescriptor, rows, hidden_now) -> None:
         if not _is_int(h) or not lo <= h <= hi:
             raise CheckpointError(f"{path}: mlp_hidden_now[{i}] = {h!r} on {kind} "
                                   f"block {i}, expected {lo}..{hi}")
+
+
+def _check_rows(path: str, model: Model, rows) -> None:
+    """One-line CheckpointError unless the structures rows hold exactly one
+    well-formed row per part of the built skeleton."""
+    n_blocks = len(model.blocks)
     if not isinstance(rows, list):
         raise CheckpointError(f"{path}: structures {rows!r} is not a list")
     for row in rows:
@@ -706,17 +662,23 @@ def _check_rows(path: str, desc: ArchDescriptor, rows, hidden_now) -> None:
             raise CheckpointError(f"{path}: structures row {row!r} is not "
                                   "[kind, block, alive]")
         kind, i, alive = row
-        if not _is_int(i) or not 0 <= i < desc.n_blocks:
+        if not _is_int(i) or not 0 <= i < n_blocks:
             raise CheckpointError(f"{path}: structures row {row!r} names block {i!r}; "
-                                  f"model has {desc.n_blocks}")
-        if kind not in _ROW_KINDS["transformer"] + _ROW_KINDS["mamba1"]:
+                                  f"model has {n_blocks}")
+        if not isinstance(kind, str) or kind not in ALIVE_FLAG:
             raise CheckpointError(f"{path}: structures row {row!r} has unknown kind {kind!r}")
-        if kind not in _ROW_KINDS[desc.block_kinds[i]]:
+        if kind not in model.blocks[i].PARTS:
             raise CheckpointError(f"{path}: structures row {row!r}: {kind} does not fit "
-                                  f"{desc.block_kinds[i]} block {i}")
+                                  f"{model.desc.block_kinds[i]} block {i}")
         if not isinstance(alive, bool):
             raise CheckpointError(f"{path}: structures row {row!r} has alive flag "
                                   f"{alive!r}, expected true or false")
+    seen = Counter((kind, i) for kind, i, _ in rows)
+    for s in model.structures():
+        n = seen[s.kind, s.block]
+        if n != 1:
+            raise CheckpointError(f"{path}: structures row {s.kind} {s.block} is "
+                                  f"{'missing' if n == 0 else 'duplicated'}")
 
 
 def load_model(path: str):
@@ -739,9 +701,10 @@ def load_model(path: str):
         raise CheckpointError(f"{path}: header lacks {missing}")
     desc = ArchDescriptor.from_dict(header["descriptor"])
     desc.validate()
-    _check_rows(path, desc, header["structures"], header["mlp_hidden_now"])
+    _check_widths(path, desc, header["mlp_hidden_now"])
     model = Model._assemble(desc, np.random.default_rng(0),
                             hidden_now=header["mlp_hidden_now"])
+    _check_rows(path, model, header["structures"])
     have = model.named_tensors()
     want = {name: tuple(shape) for name, shape in header["tensors"]}
     if set(have) != set(want):
@@ -763,17 +726,7 @@ def load_model(path: str):
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
     for kind, i, alive in header["structures"]:
-        if alive:
-            continue
-        b = model.blocks[i]
-        if kind in ("mamba_block", "transformer_block"):
-            b.alive = False
-        elif kind == "ssm":
-            b.ssm_alive = False
-        elif kind == "mha":
-            b.mha_alive = False
-        elif kind == "mlp":
-            b.mlp_alive = False
+        setattr(model.blocks[i], ALIVE_FLAG[kind], alive)
     return model, header["meta"]
 
 

@@ -212,6 +212,38 @@ def test_removal_errors():
         m.slice_mlp(1, 4)  # removed mlp cannot be sliced
 
 
+@pytest.mark.parametrize("kind", ["mamba_block", "transformer_block", "ssm", "mha", "mlp"])
+@pytest.mark.parametrize("block_kind", ["mamba1", "mamba2", "transformer"])
+def test_removal_follows_structures_rows(tmp_path, block_kind, kind):
+    desc = tiny_desc(variant="mamba2" if block_kind == "mamba2" else "mamba1")
+    i = 1 if block_kind == "transformer" else 0
+    m = Model.build(desc, 16)
+    parts = [s.kind for s in m.structures() if s.block == i]
+    assert m.is_effective(kind, i) == (kind in parts)
+    if kind not in parts:
+        with pytest.raises(StateError):
+            m.remove(kind, i)
+        return
+    m.remove(kind, i)
+    # removing the parent (listed first) shadows every part; a part, only itself
+    assert [m.is_effective(k, i) for k in parts] == \
+           [k != kind and kind != parts[0] for k in parts]
+    with pytest.raises(StateError, match="already removed"):
+        m.remove(kind, i)
+    if kind == parts[0]:
+        for child in parts[1:]:
+            with pytest.raises(StateError, match="parent"):
+                m.remove(child, i)
+
+    p = str(tmp_path / "m.ckpt")
+    md.save_model(m, p)
+    m2, _ = md.load_model(p)
+    assert [(s.kind, s.block, s.alive) for s in m2.structures()] == \
+           [(s.kind, s.block, s.alive) for s in m.structures()]
+    toks = tokens_for(desc, np.random.default_rng(16))
+    np.testing.assert_array_equal(m.forward(toks).data, m2.forward(toks).data)
+
+
 def test_is_effective_tracks_parents():
     m = Model.build(tiny_desc(), 6)
     assert m.is_effective("ssm", 2)
@@ -371,6 +403,27 @@ def test_checkpoint_rejects_mlp_widths_that_do_not_fit(tmp_path, block, hidden):
         else:
             h["mlp_hidden_now"][block] = hidden
     assert "mlp_hidden_now" in _load_edited(tmp_path, edit)
+
+
+def _drop_row(kind, block):
+    def edit(h):
+        h["structures"] = [r for r in h["structures"] if r[:2] != [kind, block]]
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h["structures"].clear(), "mamba_block 0 is missing"),
+    (_drop_row("ssm", 0), "ssm 0 is missing"),
+    (_drop_row("mlp", 1), "mlp 1 is missing"),
+    (lambda h: h["structures"].append(["ssm", 0, False]), "ssm 0 is duplicated"),
+    (lambda h: h["structures"].append(["ssm", 0, True]), "ssm 0 is duplicated"),
+    (lambda h: h["structures"].append(["transformer_block", 1, True]),
+     "transformer_block 1 is duplicated"),
+], ids=["no-rows", "missing-ssm", "missing-mlp", "contradicting-duplicate",
+        "same-duplicate", "duplicate-parent"])
+def test_checkpoint_rejects_missing_or_duplicated_structure_rows(tmp_path, edit, match):
+    msg = _load_edited(tmp_path, edit)
+    assert re.search(match, msg), msg
 
 
 def test_checkpoint_rejects_header_without_structures(tmp_path):
