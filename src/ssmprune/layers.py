@@ -122,7 +122,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads
     q, k, v = heads(wq), heads(wk), heads(wv)           # (B, H, T, hd)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)  # (B, H, T, T)
     mask = np.triu(np.ones((T, T), dtype=bool), k=1)
-    scores[:, :, mask] = -np.inf
+    np.copyto(scores, -np.inf, where=mask)
     scores -= scores.max(axis=-1, keepdims=True)
     p = np.exp(scores)
     p /= p.sum(axis=-1, keepdims=True)

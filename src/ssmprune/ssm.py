@@ -9,6 +9,13 @@ State update per token: h = exp(dt*A) * h + (dt*x) outer B, readout
 y = h . C + D * x, with dt = softplus(x W_dt + dt_bias), B = x W_B, C = x W_C.
 The carried state is float64; stored per-token states round to float32 and the
 readout contraction accumulates in float64.
+
+The batch scan runs time in chunks of a fixed element budget. Each chunk builds
+its own decay exp(dt*A) and input term (dt*x) outer B, runs the recurrence over
+them, and stores its states; only those float32 per-token states are kept for
+the whole sequence, never the (B, T, c, N) decay or input terms. The backward
+walks the chunks in reverse and recomputes each chunk's decay from dt. Chunking
+changes no operation or its order, so the bytes equal a one-step-at-a-time scan.
 """
 
 from __future__ import annotations
@@ -107,6 +114,22 @@ def _decay(p: SsmParams, dt: np.ndarray) -> np.ndarray:
     return np.exp(dt * A)[..., None]
 
 
+# Elements of one chunk's (B, L, c, N) terms: the scan builds its decay and
+# input terms L time steps at a time so they stay in cache, never whole.
+_CHUNK_ELEMS = 1 << 15
+
+
+def _chunk_len(B_: int, c: int, N: int) -> int:
+    return max(1, _CHUNK_ELEMS // (B_ * c * N))
+
+
+def _chunk_terms(p: SsmParams, dt: np.ndarray, dtx: np.ndarray,
+                 Bm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Decay and input term of a run of steps: dt, dtx = dt*x (..., c) and
+    Bm (..., N) -> abar as `_decay` gives it, and dbx = dtx outer Bm (..., c, N)."""
+    return _decay(p, dt), dtx[..., None] * Bm[..., None, :]
+
+
 def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
     """Run the scan over a batch of sequences. x (B, T, c) -> (B, T, c).
 
@@ -118,15 +141,19 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
     B_, T, c = x.data.shape
     N = p.n_state
     dtp, dt, Bm, Cm = _project(p, x.data)
-    abar = _decay(p, dt)                                   # (B,T,c,N) or (B,T,c,1)
     dtx = dt * x.data                                      # (B,T,c)
-    dbx = dtx[..., None] * Bm[:, :, None, :]               # (B,T,c,N) f32
+    L = _chunk_len(B_, c, N)
     h = np.zeros((B_, c, N), dtype=np.float64)
     hs = np.empty((B_, T, c, N), dtype=np.float32)
-    for t in range(T):
-        h = abar[:, t] * h + dbx[:, t]
-        hs[:, t] = h
-    del dbx
+    for t0 in range(0, T, L):
+        s = slice(t0, t0 + L)
+        abar, dbx = _chunk_terms(p, dt[:, s], dtx[:, s], Bm[:, s])
+        hc = dbx.astype(np.float64)                        # becomes the chunk's states
+        for i in range(hc.shape[1]):
+            hc[:, i] += abar[:, i] * h                     # h = abar*h + dbx
+            h = hc[:, i]
+        hs[:, s] = hc
+    h = h.copy()                                           # not a view of the last chunk
     y = np.einsum("btcn,btn->btc", hs, Cm, dtype=np.float64)
     y += p.D_skip.data.astype(np.float64) * x.data
     out = Tensor(y)
@@ -145,24 +172,38 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
         else:
             dA = np.zeros(c, dtype=np.float64)
         lam = np.zeros((B_, c, N), dtype=np.float64)
-        for t in range(T - 1, -1, -1):
-            if t < T - 1:
-                lam *= abar[:, t + 1]
-            lam += g64[:, t, :, None] * Cm[:, t, None, :]
-            h_prev = hs[:, t - 1].astype(np.float64) if t > 0 else 0.0
-            d_abar = lam * h_prev                          # (B,c,N)
+        a_next = None
+        # Chunks in reverse; each recomputes its decay instead of keeping it.
+        # Only lam's recurrence runs step by step. The terms it feeds are
+        # elementwise or reduce per step, so they run over the whole chunk.
+        for t0 in reversed(range(0, T, L)):
+            s = slice(t0, t0 + L)
+            abar = _decay(p, dt[:, s])
+            lams = g64[:, s, :, None] * Cm[:, s, None, :]  # becomes lam per step
+            n = lams.shape[1]
+            for i in range(n - 1, -1, -1):
+                # the last step adds the zero lam too: 0 + g*C turns -0 into +0
+                lams[:, i] += lam if a_next is None else lam * a_next
+                lam, a_next = lams[:, i], abar[:, i]
+            h_prev = np.empty_like(lams)
+            h_prev[:, 0] = hs[:, t0 - 1] if t0 else 0.0
+            h_prev[:, 1:] = hs[:, t0:t0 + n - 1]
+            d_abar = lams * h_prev                         # (B,n,c,N)
             if p.variant == "s6":
-                d_arg = d_abar * abar[:, t]
-                d_dt[:, t] = (d_arg * A).sum(axis=-1)
-                dA += (d_arg * dt[:, t, :, None]).sum(axis=0)
+                d_arg = d_abar * abar
+                d_dt[:, s] = (d_arg * A).sum(axis=-1)
+                dA_t = (d_arg * dt[:, s, :, None]).sum(axis=0)
             else:
-                d_red = d_abar.sum(axis=-1) * abar[:, t, :, 0]
-                d_dt[:, t] = d_red * A
-                dA += (d_red * dt[:, t]).sum(axis=0)
-            lam_b = (lam * Bm[:, t, None, :]).sum(axis=-1)  # (B,c)
-            d_dt[:, t] += lam_b * x.data[:, t]
-            dBm[:, t] = (lam * dtx[:, t, :, None]).sum(axis=1)
-            dx[:, t] += lam_b * dt[:, t]
+                d_red = d_abar.sum(axis=-1) * abar[..., 0]
+                d_dt[:, s] = d_red * A
+                dA_t = (d_red * dt[:, s]).sum(axis=0)
+            # one step at a time, latest first: the float64 sum rounds as before
+            for i in range(n - 1, -1, -1):
+                dA += dA_t[i]
+            lam_b = (lams * Bm[:, s, None, :]).sum(axis=-1)  # (B,n,c)
+            d_dt[:, s] += lam_b * x.data[:, s]
+            dBm[:, s] = (lams * dtx[:, s, :, None]).sum(axis=2)
+            dx[:, s] += lam_b * dt[:, s]
         d_dtp = d_dt * sigmoid_f(dtp).astype(np.float64)
         x2 = x.data.reshape(-1, c).astype(np.float64)
         dW = {}
@@ -201,8 +242,8 @@ def scan_step(p: SsmParams, h: np.ndarray, x_t: np.ndarray) -> Tuple[np.ndarray,
     if x_t.ndim != 2 or x_t.shape[1] != p.channels:
         raise ShapeError(f"scan_step: input {x_t.shape}, expected (B, {p.channels})")
     _, dt, Bm, Cm = _project(p, x_t)
-    abar = _decay(p, dt)                                   # (B,c,N) or (B,c,1)
-    h = abar * h + ((dt * x_t)[:, :, None] * Bm[:, None, :])
+    abar, dbx = _chunk_terms(p, dt, dt * x_t, Bm)          # a one-step chunk
+    h = abar * h + dbx
     y = np.einsum("bcn,bn->bc", h.astype(np.float32), Cm, dtype=np.float64)
     y += p.D_skip.data.astype(np.float64) * x_t
     return f32(y), h

@@ -175,13 +175,17 @@ def record(out: Tensor, inputs: Sequence[Tensor], bwd: Callable) -> Tensor:
 
 
 def sigmoid_f(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid on a raw ndarray (keeps caller's dtype)."""
-    out = np.empty_like(x)
+    """Numerically stable sigmoid on a raw ndarray (keeps caller's dtype).
+
+    With e = exp(-|x|) and d = 1 + e this is 1/d where x >= 0 and e/d elsewhere,
+    so exp never overflows. Both branches are computed on the whole array and
+    picked by multiplying with the sign mask: the numerator is exactly 1 or e,
+    so every element rounds as if its own branch alone had run. min(x, -x)
+    stands in for -|x| because it keeps a NaN's sign bit.
+    """
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return (pos + e * ~pos) / (1.0 + e)
 
 
 def f32(x: np.ndarray) -> np.ndarray:

@@ -135,3 +135,119 @@ def naive_cross_entropy(logits, targets):
 def naive_perplexity(nlls):
     """exp of the mean of per-token NLLs, float64."""
     return float(np.exp(np.mean(np.asarray(nlls, dtype=np.float64))))
+
+
+# ---------------------------------------------------------------------------
+# Frozen kernels. Unlike the references above, these are verbatim copies of
+# the package's earlier numpy kernels: the masked sigmoid, the selective scan
+# that built its whole (B, T, c, N) decay and input terms before the
+# recurrence, and attention's boolean-index causal mask. The current kernels
+# rearrange the same arithmetic and must reproduce these to the byte.
+
+
+def frozen_sigmoid(x):
+    """Masked-branch sigmoid: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _frozen_f32(x):
+    x = np.asarray(x, dtype=np.float32)
+    return np.ascontiguousarray(x) if x.ndim else x
+
+
+def frozen_selective_scan(x, p, g):
+    """Unchunked scan of x (B, T, c) float32 under SsmParams p, and its
+    backward for the output grad g (B, T, c) float32.
+
+    Returns (y float64, final state float64, grads) where grads is the tuple
+    the scan's backward closure returns: x, A_log, x_to_B, x_to_C, x_to_dt,
+    dt_bias, D_skip.
+    """
+    B_, T, c = x.shape
+    N = p.n_state
+    x2 = x.reshape(-1, c).astype(np.float64)
+    dtp = _frozen_f32((x2 @ p.x_to_dt.weight.data.astype(np.float64).T
+                       + p.dt_bias.data.astype(np.float64)).reshape(B_, T, c))
+    safe = np.minimum(dtp, np.float32(30.0))
+    dt = np.where(dtp > 30.0, dtp, np.log1p(np.exp(safe)))
+    Bm = _frozen_f32((x2 @ p.x_to_B.weight.data.astype(np.float64).T).reshape(B_, T, N))
+    Cm = _frozen_f32((x2 @ p.x_to_C.weight.data.astype(np.float64).T).reshape(B_, T, N))
+    A = -np.exp(p.A_log.data)
+    if p.variant == "s6":
+        abar = np.exp(dt[..., None] * A)
+    else:
+        abar = np.exp(dt * A)[..., None]
+    dtx = dt * x
+    dbx = dtx[..., None] * Bm[:, :, None, :]
+    h = np.zeros((B_, c, N), dtype=np.float64)
+    hs = np.empty((B_, T, c, N), dtype=np.float32)
+    for t in range(T):
+        h = abar[:, t] * h + dbx[:, t]
+        hs[:, t] = h
+    y = np.einsum("btcn,btn->btc", hs, Cm, dtype=np.float64)
+    y += p.D_skip.data.astype(np.float64) * x
+
+    g64 = g.astype(np.float64)
+    A = A.astype(np.float64)
+    dD = (g64 * x).sum(axis=(0, 1))
+    dCm = np.einsum("btc,btcn->btn", g64, hs)
+    dx = g64 * p.D_skip.data.astype(np.float64)
+    d_dt = np.zeros((B_, T, c), dtype=np.float64)
+    dBm = np.zeros((B_, T, N), dtype=np.float64)
+    dA = np.zeros((c, N) if p.variant == "s6" else c, dtype=np.float64)
+    lam = np.zeros((B_, c, N), dtype=np.float64)
+    for t in range(T - 1, -1, -1):
+        if t < T - 1:
+            lam *= abar[:, t + 1]
+        lam += g64[:, t, :, None] * Cm[:, t, None, :]
+        h_prev = hs[:, t - 1].astype(np.float64) if t > 0 else 0.0
+        d_abar = lam * h_prev
+        if p.variant == "s6":
+            d_arg = d_abar * abar[:, t]
+            d_dt[:, t] = (d_arg * A).sum(axis=-1)
+            dA += (d_arg * dt[:, t, :, None]).sum(axis=0)
+        else:
+            d_red = d_abar.sum(axis=-1) * abar[:, t, :, 0]
+            d_dt[:, t] = d_red * A
+            dA += (d_red * dt[:, t]).sum(axis=0)
+        lam_b = (lam * Bm[:, t, None, :]).sum(axis=-1)
+        d_dt[:, t] += lam_b * x[:, t]
+        dBm[:, t] = (lam * dtx[:, t, :, None]).sum(axis=1)
+        dx[:, t] += lam_b * dt[:, t]
+    d_dtp = d_dt * frozen_sigmoid(dtp).astype(np.float64)
+    dW = {}
+    for name, gout, lin in (("dt", d_dtp.reshape(-1, c), p.x_to_dt),
+                            ("B", dBm.reshape(-1, N), p.x_to_B),
+                            ("C", dCm.reshape(-1, N), p.x_to_C)):
+        dW[name] = gout.T @ x2
+        dx += (gout @ lin.weight.data.astype(np.float64)).reshape(B_, T, c)
+    grads = (_frozen_f32(dx), _frozen_f32(dA * A), _frozen_f32(dW["B"]),
+             _frozen_f32(dW["C"]), _frozen_f32(dW["dt"]),
+             _frozen_f32(d_dtp.sum(axis=(0, 1))), _frozen_f32(dD))
+    return y, h, grads
+
+
+def frozen_attention(x, wq, wk, wv, wo, n_heads):
+    """Attention forward with the boolean-index causal mask. x (B, T, d)
+    float32, weights (d, d) float32 -> (y float64, k, v float64 heads)."""
+    B, T, d = x.shape
+    hd = d // n_heads
+    x2 = x.reshape(-1, d).astype(np.float64)
+
+    def heads(w):
+        return (x2 @ w.astype(np.float64).T).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
+
+    q, k, v = heads(wq), heads(wk), heads(wv)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
+    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
+    scores[:, :, mask] = -np.inf
+    scores -= scores.max(axis=-1, keepdims=True)
+    p = np.exp(scores)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = (p @ v).transpose(0, 2, 1, 3).reshape(-1, d)
+    return (ctx @ wo.astype(np.float64).T).reshape(B, T, d), k, v

@@ -9,6 +9,7 @@ from ssmprune.errors import CapacityError, ShapeError, TokenError
 
 from oracles import (
     finite_diff,
+    frozen_attention,
     naive_attention,
     naive_causal_conv,
     naive_cross_entropy,
@@ -137,6 +138,18 @@ def test_attention_is_causal():
     x_mut[0, 7:, :] += 3.0
     out = ly.attention(tn.Tensor(x_mut), *ws, n_heads=2).data
     np.testing.assert_allclose(out[0, :7], base[0, :7], atol=1e-7)
+
+
+@pytest.mark.parametrize("B,T", [(1, 1), (2, 9), (3, 33)])
+def test_attention_mask_matches_frozen_to_the_byte(B, T):
+    rng = np.random.default_rng(20)
+    x = rnd(rng, B, T, 8, scale=0.5)
+    ws = [rnd(rng, 8, 8, scale=0.4) for _ in range(4)]
+    out = ly.attention(tn.Tensor(x), *[tn.Tensor(w) for w in ws], n_heads=2)
+    y, k, v = frozen_attention(x, *ws, n_heads=2)
+    assert out.data.tobytes() == np.asarray(y, dtype=np.float32).tobytes()
+    assert out.aux["kv"][0].tobytes() == k.tobytes()
+    assert out.aux["kv"][1].tobytes() == v.tobytes()
 
 
 def test_attention_gradients():

@@ -7,7 +7,7 @@ from ssmprune import ssm
 from ssmprune import tensor as tn
 from ssmprune.errors import ShapeError
 
-from oracles import finite_diff, naive_selective_scan, rel_err
+from oracles import finite_diff, frozen_selective_scan, naive_selective_scan, rel_err
 
 
 def build_params(rng, variant="s6", c=4, N=3, hot_dt=False):
@@ -146,6 +146,32 @@ def test_scan_gradients(variant):
     for q, fd in zip(params, fds):
         err = rel_err(q.grad, fd)
         assert err < 1e-3, f"{variant} {q.name}: rel err {err:.2e}"
+
+
+@pytest.mark.parametrize("variant", ["s6", "ssd"])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("steps", ["one", "chunk", "chunk+1"])
+def test_chunked_scan_matches_unchunked_to_the_byte(variant, B, steps):
+    # the chunked forward and backward rearrange the unchunked arithmetic
+    # without changing any operation, so every output byte must agree
+    rng = np.random.default_rng(49)
+    c, N = 32, 16
+    chunk = ssm._chunk_len(B, c, N)
+    assert chunk > 1
+    T = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[steps]
+    p = build_params(rng, variant, c, N, hot_dt=True)
+    x = rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32)
+    g = rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32)
+    with tn.tape() as graph:
+        out = ssm.selective_scan(tn.Tensor(x, requires_grad=True), p)
+    (node,) = graph._nodes
+    grads = node.bwd(g)
+    y, state, want = frozen_selective_scan(x, p, g)
+    assert out.data.tobytes() == np.asarray(y, dtype=np.float32).tobytes()
+    assert out.aux["state"].tobytes() == state.tobytes()
+    names = ["x", "A_log", "x_to_B", "x_to_C", "x_to_dt", "dt_bias", "D_skip"]
+    for name, got, ref in zip(names, grads, want):
+        assert got.tobytes() == ref.tobytes(), f"grad of {name} differs"
 
 
 def test_scan_shape_validation():

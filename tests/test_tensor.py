@@ -6,7 +6,7 @@ import pytest
 from ssmprune import tensor as tn
 from ssmprune.errors import ShapeError, StateError
 
-from oracles import finite_diff, rel_err
+from oracles import finite_diff, frozen_sigmoid, rel_err
 
 
 def rnd(rng, *shape):
@@ -206,3 +206,25 @@ def test_softplus_and_silu_stay_finite_at_extremes():
     si = tn.silu(x).data
     assert np.isfinite(si).all()
     assert si[0] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_masked_branches_to_the_byte(dtype):
+    info = np.finfo(dtype)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, info.tiny, -info.tiny,
+                      info.smallest_subnormal, -info.smallest_subnormal,
+                      info.max, -info.max, 400.0, -400.0, 88.5, -88.5,
+                      710.0, -710.0, 1e-8, -1e-8], dtype=dtype)
+    nan = np.array([np.nan], dtype=dtype)
+    nans = np.concatenate([nan, -nan])  # sign bit set and clear
+    rng = np.random.default_rng(21)
+    x = np.concatenate([nans, edges, (rng.standard_normal(4096) * 40).astype(dtype),
+                        np.linspace(-120, 120, 2001, dtype=dtype), nans, edges])
+    # every length up to 40 exercises the vector loops' remainder handling
+    for n in list(range(1, 41)) + [x.size]:
+        got = tn.sigmoid_f(x[:n])
+        want = frozen_sigmoid(x[:n])
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes(), f"first {n} elements differ"
+    grid = x[:2048].reshape(2, 8, 128)
+    assert tn.sigmoid_f(grid).tobytes() == frozen_sigmoid(grid).tobytes()
