@@ -4,22 +4,25 @@ A schedule is a list of stages. Each stage names the structure kinds in
 play, how many removals to perform, and, for hidden-channel slicing, the
 group width. One iteration scores every eligible candidate by the
 calibration perplexity of the model with that candidate gone, then applies
-the cheapest one. Candidates are scored on clones, so the model under
+the cheapest one. Each candidate is scored on a trial that copies only the
+candidate's own block and shares every other part, so the model under
 search is never perturbed by scoring, and a thread pool can fan the
 scoring out without changing any byte of the resulting plan or trace.
 
-A removal in block i leaves blocks 0..i-1 as they were. So score_all runs
-the model once per calibration batch up to its highest candidate block,
-holds the residual-stream input of each candidate block, and lets every
-candidate resume at its own block. The same ops run on the same inputs,
-so scores are bit-identical to full forwards. The held inputs cost
-count x length x d_model x 4 bytes per candidate block for one score_all
-call: at most 3 MiB for 8x128 windows at d_model 64 with 12 blocks, and
-16.8 MB per block (about 200 MB for 12) at the CLI's 256x256 default.
+A removal in block i leaves blocks 0..i-1 as they were. So the search
+holds, per calibration batch, the residual-stream input of blocks 0..k and
+lets every candidate resume at its own block. The same ops run on the same
+inputs, so scores are bit-identical to full forwards. The inputs live for
+the whole run_schedule: a removal at block b drops the inputs after b, and
+the next score_all runs each batch on from block b only up to its highest
+candidate block. They cost count x length x d_model x 4 bytes per block:
+at most 3 MiB for 8x128 windows at d_model 64 with 12 blocks, and 16.8 MB
+per block (about 200 MB for 12) at the CLI's 256x256 default.
 """
 
 from __future__ import annotations
 
+import copy as _copy
 import json
 import math
 import os
@@ -143,11 +146,12 @@ def apply_action(model: Model, kind: str, block: int, g: Optional[int] = None) -
         model.remove(kind, int(block))
 
 
-# Block inputs held for the model under search while score_all runs, keyed by
-# (id(model), id(cal)). score_candidate keeps its (model, cand, cal) signature
-# and receives the caller's own cal, so the held inputs reach it through this
-# table. A held prefix keeps its model and cal alive, so a key match means the
-# very same objects.
+# Block inputs held for the model under search, keyed by (id(model), id(cal)).
+# run_schedule holds one for the whole search; a score_all call on a pair
+# nobody holds builds its own and frees it on return. score_candidate keeps its
+# (model, cand, cal) signature and receives the caller's own cal, so the held
+# inputs reach it through this table. A held prefix keeps its model and cal
+# alive, so a key match means the very same objects.
 _HELD: Dict[Tuple[int, int], "_Prefix"] = {}
 
 
@@ -156,56 +160,85 @@ def _batch_key(tokens: np.ndarray) -> tuple:
 
 
 class _Prefix:
-    """The current model's residual-stream input to each candidate block, for
-    every calibration batch, keyed by the batch's tokens."""
+    """For every calibration batch, keyed by the batch's tokens, a row with
+    the current model's residual-stream inputs of blocks 0..k. A removal in
+    block b leaves the inputs of blocks 0..b as they were, so after one the
+    rows keep those and drop the rest (`drop_after`); `grow` runs each row
+    on from its last input. Rows are replaced, never edited, so a reader
+    sees a whole row."""
 
-    def __init__(self, model: Model, cal: CalibrationSet, blocks: Sequence[int],
-                 map_: Callable):
+    def __init__(self, model: Model, cal: CalibrationSet):
         self.model, self.cal = model, cal
-        self.blocks = frozenset(blocks)
         n, bs = cal.tokens.shape[0], cal.batch_size
-        batches = [cal.tokens[i:i + bs] for i in range(0, n, bs)]
-        stop = max(blocks)
+        self.batches = [cal.tokens[i:i + bs] for i in range(0, n, bs)]
+        self.rows: Dict[tuple, List[Tensor]] = {}
 
-        def inputs(toks: np.ndarray) -> Dict[int, Tensor]:
-            xs = model.block_inputs(toks, stop)
-            return {b: xs[b] for b in self.blocks}
+    def grow(self, stop: int, map_: Callable) -> None:
+        """Extend every row to the inputs of blocks 0..stop, one batch per
+        map_ item; a row that reaches stop already is kept as it is."""
+        def grown(toks: np.ndarray) -> List[Tensor]:
+            row = self.rows.get(_batch_key(toks))
+            if row is None:
+                return self.model.block_inputs(toks, stop)
+            k = len(row) - 1
+            if k >= stop:
+                return row
+            out = row[:k]
+            out.append(self.model._run(row[k], k, stop, inputs=out))
+            return out
 
-        self.rows = {_batch_key(t): row for t, row in zip(batches, map_(inputs, batches))}
+        rows = list(map_(grown, self.batches))
+        self.rows = {_batch_key(t): row for t, row in zip(self.batches, rows)}
+
+    def drop_after(self, block: int) -> None:
+        """Forget every input after `block`, whose structure just changed."""
+        self.rows = {k: row[:block + 1] for k, row in self.rows.items()}
+
+    def last(self) -> int:
+        """The highest block whose input every row holds (0 with no rows)."""
+        return min((len(row) for row in self.rows.values()), default=1) - 1
 
 
 class _Resumed:
     """Stands in for a trial model inside cal.ppl: forward(tokens) resumes the
     trial at `start` from the held input of that batch, or runs the trial's
-    full forward on tokens the prefix does not hold."""
+    full forward on tokens the prefix does not hold up to `start`."""
 
     def __init__(self, trial: Model, start: int, prefix: _Prefix):
         self.trial, self.start, self.prefix = trial, start, prefix
 
     def forward(self, tokens: np.ndarray) -> Tensor:
         row = self.prefix.rows.get(_batch_key(np.asarray(tokens)))
-        if row is None:
+        if row is None or len(row) <= self.start:
             return self.trial.forward(tokens)
         return self.trial.resume(row[self.start], self.start)
+
+
+def _trial(model: Model, block: int) -> Model:
+    """A model that shares every part with `model` except block `block`,
+    which is its own deep copy: an action applied to that block leaves the
+    model under search as it was."""
+    trial = _copy.copy(model)
+    trial.blocks = list(model.blocks)
+    trial.blocks[block] = _copy.deepcopy(model.blocks[block])
+    return trial
 
 
 def score_candidate(model: Model, cand: Candidate, cal: CalibrationSet) -> float:
     """Calibration perplexity of the model with the candidate removed.
 
-    Runs on a clone; the model is untouched. Non-finite perplexity scores
-    as +inf so a destabilizing removal can never win the argmin. Inside
-    score_all, the clone resumes at the candidate's block from the held
-    inputs of that block, since a change in block i leaves blocks before i
-    as they were; called on its own, it runs the full forward. The two give
-    the same bytes.
+    Applies the action to a trial that copies only the candidate's block and
+    shares the rest; the model is untouched. Non-finite perplexity scores
+    as +inf so a destabilizing removal can never win the argmin. When inputs
+    are held for (model, cal), the trial resumes at the candidate's block
+    from the held input of that block, since a change in block i leaves
+    blocks before i as they were; otherwise it runs the full forward. The
+    two give the same bytes.
     """
-    trial = model.clone()
+    trial = _trial(model, cand.block)
     apply_action(trial, cand.kind, cand.block, cand.g)
     prefix = _HELD.get((id(model), id(cal)))
-    if prefix is not None and cand.block in prefix.blocks:
-        p = cal.ppl(_Resumed(trial, cand.block, prefix))
-    else:
-        p = cal.ppl(trial)
+    p = cal.ppl(trial if prefix is None else _Resumed(trial, cand.block, prefix))
     return p if math.isfinite(p) else math.inf
 
 
@@ -214,10 +247,12 @@ def score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
     """Scores in candidate order. threads > 1 fans out; results are
     reduced in candidate order either way, so traces match byte for byte.
 
-    First runs the model once per calibration batch up to its highest
-    candidate block and holds the input of each candidate block; every
-    candidate then runs only from its own block on. The held inputs cost
-    count x length x d_model x 4 bytes per candidate block and are freed on
+    First brings the held inputs of every calibration batch up to the
+    highest candidate block, one batch per worker; every candidate then
+    runs only from its own block on. Inside run_schedule the inputs live
+    for the whole search and each call runs only the blocks a removal
+    invalidated; called on its own, it runs the model up to that block,
+    holds count x length x d_model x 4 bytes per block, and frees them on
     return.
     """
     if threads > 1 and len(cands) > 1:
@@ -228,16 +263,23 @@ def score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
 
 def _score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
                map_: Callable) -> List[float]:
-    # Concurrent calls on one (model, cal) pair may replace or drop each
-    # other's prefix; a candidate left without one runs the full forward,
-    # which gives the same bytes.
+    # Concurrent calls on one (model, cal) pair may replace, shorten or drop
+    # each other's prefix; a candidate whose batch row does not reach its
+    # block runs the full forward, which gives the same bytes.
+    if not cands:
+        return []
     key = (id(model), id(cal))
-    if cands and isinstance(cal, CalibrationSet):
-        _HELD[key] = _Prefix(model, cal, sorted({c.block for c in cands}), map_)
+    prefix = _HELD.get(key)
+    owned = prefix is None and isinstance(cal, CalibrationSet)
+    if owned:
+        prefix = _HELD[key] = _Prefix(model, cal)
     try:
+        if prefix is not None:
+            prefix.grow(max(c.block for c in cands), map_)
         return list(map_(lambda c: score_candidate(model, c, cal), cands))
     finally:
-        _HELD.pop(key, None)
+        if owned:
+            _HELD.pop(key, None)
 
 
 def write_jsonl(path: str, rows: Sequence[dict]) -> None:
@@ -259,24 +301,9 @@ def _row(it: int, si: int, c: Candidate, score: float) -> dict:
     return row
 
 
-def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
-                 cal: CalibrationSet, out_dir: Optional[str] = None,
-                 threads: int = 1, emit_trace: bool = False,
-                 plan_only: bool = False) -> dict:
-    """Greedy search over the whole schedule.
-
-    Mutates the model stage by stage unless plan_only, in which case the
-    search runs on an internal clone and the input model is returned
-    unchanged. A stage that runs out of eligible candidates before its step
-    count is marked truncated and the schedule moves on; so is a stage
-    whose iteration scores every candidate +inf, which applies nothing and
-    leaves that iteration in the trace only. Returns a summary
-    with the applied plan, the full candidate trace, per-stage bookkeeping,
-    and the final ratio and calibration perplexity. With out_dir set, the
-    plan (and the trace, when emit_trace) are written as jsonl.
-    """
-    stages = parse_schedule(schedule) if isinstance(schedule, str) else list(schedule)
-    work = model.clone() if plan_only else model
+def _search(work: Model, stages: Sequence[Stage], cal: CalibrationSet,
+            threads: int, prefix: Optional[_Prefix]) -> Tuple[list, list, list]:
+    """The greedy loop of run_schedule -> (plan, trace, stage_infos)."""
     plan: List[dict] = []
     trace: List[dict] = []
     stage_infos: List[dict] = []
@@ -299,6 +326,8 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
                     key=lambda k: (scores[k], cands[k].block, _RANK[cands[k].kind]))
             c = cands[j]
             apply_action(work, c.kind, c.block, c.g)
+            if prefix is not None:
+                prefix.drop_after(c.block)
             entry = _row(it, si, c, scores[j])
             entry["ratio"] = work.prune_ratio()
             plan.append(entry)
@@ -306,13 +335,47 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
             done += 1
         stage_infos.append({"spec": format_stage(st), "steps_done": done,
                             "truncated": truncated})
+    return plan, trace, stage_infos
+
+
+def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
+                 cal: CalibrationSet, out_dir: Optional[str] = None,
+                 threads: int = 1, emit_trace: bool = False,
+                 plan_only: bool = False) -> dict:
+    """Greedy search over the whole schedule.
+
+    Mutates the model stage by stage unless plan_only, in which case the
+    search runs on an internal clone and the input model is returned
+    unchanged. A stage that runs out of eligible candidates before its step
+    count is marked truncated and the schedule moves on; so is a stage
+    whose iteration scores every candidate +inf, which applies nothing and
+    leaves that iteration in the trace only. Returns a summary
+    with the applied plan, the full candidate trace, per-stage bookkeeping,
+    and the final ratio and calibration perplexity. With out_dir set, the
+    plan (and the trace, when emit_trace) are written as jsonl.
+    """
+    stages = parse_schedule(schedule) if isinstance(schedule, str) else list(schedule)
+    work = model.clone() if plan_only else model
+    # the block inputs live for the whole search; each removal drops those
+    # it invalidated, and the final perplexity resumes from what is left
+    key = (id(work), id(cal))
+    prefix = _Prefix(work, cal) if isinstance(cal, CalibrationSet) else None
+    if prefix is not None:
+        _HELD[key] = prefix
+    try:
+        plan, trace, stage_infos = _search(work, stages, cal, threads, prefix)
+        final = work if prefix is None else _Resumed(work, prefix.last(), prefix)
+        final_ppl = cal.ppl(final)
+    finally:
+        if prefix is not None:
+            _HELD.pop(key, None)
     summary = {
         "plan": plan,
         "trace": trace,
         "stages": stage_infos,
         "truncated": any(s["truncated"] for s in stage_infos),
         "final_ratio": work.prune_ratio(),
-        "final_cal_ppl": cal.ppl(work),
+        "final_cal_ppl": final_ppl,
     }
     if out_dir is not None:
         write_jsonl(os.path.join(out_dir, "plan.jsonl"), plan)

@@ -7,12 +7,15 @@ import time
 import numpy as np
 import pytest
 
+from ssmprune import pruning
 from ssmprune.errors import ScheduleError
+from ssmprune.layers import Linear
 from ssmprune.model import KIND_ORDER, MambaBlock, Model, TransformerBlock, toy_descriptor
 from ssmprune.pruning import (CalibrationSet, Candidate, Stage, apply_action,
                               candidates_for, format_stage, parse_schedule,
                               read_jsonl, replay_plan, run_schedule,
                               score_all, score_candidate)
+from ssmprune.tensor import Tensor
 from ssmprune.training import Corpus
 
 
@@ -150,11 +153,11 @@ def test_non_finite_score_becomes_inf():
 # -- resumed scoring --------------------------------------------------------
 
 
-def dead_around():
+def dead_around(variant="mamba1"):
     """Seven blocks, transformers at 2 and 5, with dead blocks before (0),
     between (4) and after (6) the candidates and dead ssm 3 and mha 5."""
-    desc = toy_descriptor(n_blocks=7, transformer_at=(2, 5), d_model=32,
-                          mlp_hidden=48)
+    desc = toy_descriptor(n_blocks=7, variant=variant, transformer_at=(2, 5),
+                          d_model=32, mlp_hidden=48)
     model = Model.build(desc, 12)
     for i in (0, 4, 6):
         model.remove("mamba_block", i)
@@ -265,6 +268,172 @@ def test_threaded_resume_under_fast_switching_matches_serial(monkeypatch):
     assert snapshot(model) == (flags, data)
     assert len(held) == 3 * rounds
     assert all(x.data.tobytes() == b for row in held for x, b in row)
+
+
+def components(model):
+    """The blocks list, then every object reachable from the model's
+    attributes (blocks, layers, Linears, Tensors), in a fixed order."""
+    out = [model.blocks]
+
+    def walk(obj):
+        for v in vars(obj).values():
+            for item in (v if isinstance(v, list) else [v]):
+                if isinstance(item, Tensor):
+                    out.append(item)
+                elif hasattr(item, "__dict__") and not isinstance(item, type):
+                    out.append(item)
+                    walk(item)
+
+    walk(model)
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_trials_leave_the_model_under_search_as_it_was(threads):
+    model = dead_around()
+    cal = short_cal()
+    cands = every_kind(model)
+    assert {c.kind for c in cands} == set(KIND_ORDER)
+    flags, data = snapshot(model)
+    before = components(model)
+    assert sum(isinstance(o, Linear) for o in before) > 0
+    hidden = [b.mlp.hidden for b in model.blocks if isinstance(b, TransformerBlock)]
+    want = score_all(model, cands, cal)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert score_all(model, cands, cal, threads=threads) == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert snapshot(model) == (flags, data)
+    after = components(model)
+    assert len(after) == len(before)
+    assert all(a is b for a, b in zip(after, before))
+    assert [b.mlp.hidden for b in model.blocks
+            if isinstance(b, TransformerBlock)] == hidden
+
+
+# -- inputs held across the search ------------------------------------------
+
+
+EVERY_KIND_SCHEDULE = ("mlp_channels:2:16+ssm:1+mha&mlp:2+mamba_block:1"
+                       "+transformer_block:1")
+
+
+def reference_search(model, schedule, cal):
+    """run_schedule's greedy loop, scoring each candidate by cal.ppl on an
+    applied model.clone(): -> (plan, trace, final_cal_ppl)."""
+    rank = {k: i for i, k in enumerate(KIND_ORDER)}
+    plan, trace, it = [], [], 0
+    for si, st in enumerate(parse_schedule(schedule)):
+        for _ in range(st.steps):
+            cands = candidates_for(model, st)
+            if not cands:
+                break
+            scores = []
+            for c in cands:
+                applied = model.clone()
+                apply_action(applied, c.kind, c.block, c.g)
+                p = cal.ppl(applied)
+                scores.append(p if math.isfinite(p) else math.inf)
+            trace.extend(pruning._row(it, si, c, s) for c, s in zip(cands, scores))
+            j = min(range(len(cands)),
+                    key=lambda k: (scores[k], cands[k].block, rank[cands[k].kind]))
+            c = cands[j]
+            apply_action(model, c.kind, c.block, c.g)
+            row = pruning._row(it, si, c, scores[j])
+            row["ratio"] = model.prune_ratio()
+            plan.append(row)
+            it += 1
+    return plan, trace, cal.ppl(model)
+
+
+def prefix_passes(monkeypatch):
+    """Counts block forwards and wraps pruning.score_all on short_cal's
+    three batches. For each call, appends (the forwards of its prefix pass,
+    its top candidate block, the model's alive flags, the forward count on
+    return); the candidates' own forwards are taken out of the first entry.
+    -> (forwards, passes)"""
+    calls = count_block_forwards(monkeypatch)
+    passes = []
+    inner = pruning.score_all
+
+    def counted(model, cands, cal, threads=1):
+        n = len(calls)
+        alive = [b.alive for b in model.blocks]
+        trials = 0
+        for c in cands:
+            trial = model.clone()
+            apply_action(trial, c.kind, c.block, c.g)
+            trials += live_from(trial, c.block)
+        out = inner(model, cands, cal, threads)
+        passes.append((len(calls) - n - 3 * trials, max(c.block for c in cands),
+                       alive, len(calls)))
+        return out
+
+    monkeypatch.setattr(pruning, "score_all", counted)
+    return calls, passes
+
+
+@pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_held_inputs_give_the_reference_search(variant, threads, monkeypatch):
+    cal = short_cal()  # three batches
+    plan, trace, final = reference_search(dead_around(variant),
+                                          EVERY_KIND_SCHEDULE, cal)
+    assert {r["kind"] for r in trace} == set(KIND_ORDER)
+    model = dead_around(variant)
+    calls, passes = prefix_passes(monkeypatch)
+    out = run_schedule(model, EVERY_KIND_SCHEDULE, cal, threads=threads)
+    assert (out["plan"], out["trace"], out["final_cal_ppl"]) == (plan, trace, final)
+    assert len(passes) == len(plan)
+    prev = 0  # the first pass starts at the embedding
+    for (ran, top, alive, _), row in zip(passes, plan):
+        assert ran == 3 * sum(alive[prev:top])
+        prev = row["block"]
+    # the final perplexity resumes at the last removal's block
+    assert len(calls) - passes[-1][3] == 3 * live_from(model, prev)
+    assert pruning._HELD == {}
+
+
+def test_a_removal_reruns_only_the_blocks_from_its_own(monkeypatch):
+    model = dead_around()  # live: mamba 1 and 3, transformers 2 and 5
+    cal = short_cal()
+    _, passes = prefix_passes(monkeypatch)
+    out = run_schedule(model, "mha:1+mlp_channels:1:16+ssm:1", cal)
+    assert [r["kind"] for r in out["plan"]] == ["mha", "mlp_channels", "ssm"]
+    assert out["plan"][0]["block"] == 2
+    assert [p[:2] for p in passes] == [
+        (3 * 1, 2),  # from the embedding: live 1 of [0, 2)
+        (3 * 2, 5),  # after mha 2: live 2 and 3 of [2, 5)
+        (0, 1),      # after a slice at 2 or 5, past the top block: none
+    ]
+    assert pruning._HELD == {}
+
+
+class _RaisesOn(CalibrationSet):
+    """Calibration set whose k-th perplexity raises."""
+
+    def __init__(self, k):
+        super().__init__(Corpus.bundled(), count=7, length=40, batch_size=3)
+        self.k, self.calls = k, 0
+
+    def ppl(self, model):
+        self.calls += 1
+        if self.calls == self.k:
+            raise RuntimeError(f"perplexity {self.k} failed")
+        return super().ppl(model)
+
+
+def test_held_inputs_are_freed_when_run_schedule_raises():
+    done = _RaisesOn(0)
+    run_schedule(dead_around(), "ssm:1+mha&mlp:1", done)
+    assert pruning._HELD == {}
+    for k in (1, 4, done.calls):  # the first, one mid-search, the final ppl
+        with pytest.raises(RuntimeError, match=f"perplexity {k} failed"):
+            run_schedule(dead_around(), "ssm:1+mha&mlp:1", _RaisesOn(k))
+        assert pruning._HELD == {}
 
 
 # -- the loop ---------------------------------------------------------------
