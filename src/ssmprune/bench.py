@@ -13,12 +13,15 @@ import math
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import DecodeSession, Model
+
+# (max - min) / median of any timing series above this flags a report unstable
+UNSTABLE_SPREAD = 0.25
 
 
 @dataclass
@@ -30,7 +33,6 @@ class BenchConfig:
     new_tokens: int = 16
     batches: int = 10
     warmup: int = 2
-    unstable_spread: float = 0.25
 
     def validate(self) -> None:
         for name in ("prompt", "new_tokens", "batches"):
@@ -38,8 +40,6 @@ class BenchConfig:
                 raise ConfigError(f"bench {name} must be positive")
         if self.warmup < 0:
             raise ConfigError("bench warmup must be nonnegative")
-        if self.unstable_spread <= 0:
-            raise ConfigError("bench unstable_spread must be positive")
 
 
 @dataclass
@@ -108,7 +108,7 @@ def bench(dense: Model, pruned: Model, cfg: BenchConfig, seed: int = 0,
     The pruned model should be physically compacted; a bypass overlay would
     time dead-structure dispatch instead of real savings. Warmup batches run
     first and are discarded. If any timing series has (max - min) / median
-    above cfg.unstable_spread the report is flagged unstable but still
+    above UNSTABLE_SPREAD the report is flagged unstable but still
     returned in full.
     """
     cfg.validate()
@@ -133,7 +133,7 @@ def bench(dense: Model, pruned: Model, cfg: BenchConfig, seed: int = 0,
         raw=raw, medians=medians, throughput=throughput,
         prefill_speedup=medians["dense.prefill"] / medians["pruned.prefill"],
         decode_speedup=medians["dense.decode"] / medians["pruned.decode"],
-        unstable=any(s > cfg.unstable_spread for s in spreads.values()),
+        unstable=any(s > UNSTABLE_SPREAD for s in spreads.values()),
         spreads=spreads, plan_summary=plan_summary,
         ppl_before=ppl_before, ppl_after=ppl_after,
     )
@@ -154,16 +154,3 @@ def write_bench_csv(path: str, report: BenchReport) -> None:
             w.writerow([model, phase, "median", f"{report.medians[key]:.9f}",
                         f"{report.throughput[key]:.3f}"])
 
-
-def read_bench_csv(path: str) -> Tuple[Dict[str, List[float]], Dict[str, float]]:
-    """-> (raw seconds per series, median seconds per series)."""
-    raw: Dict[str, List[float]] = {k: [] for k in _SERIES}
-    medians: Dict[str, float] = {}
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            key = f"{row['model']}.{row['phase']}"
-            if row["batch"] == "median":
-                medians[key] = float(row["seconds"])
-            else:
-                raw[key].append(float(row["seconds"]))
-    return raw, medians

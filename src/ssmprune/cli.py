@@ -14,6 +14,7 @@ for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ.setdefault(_v, "1")
 
 import argparse
+import csv
 import json
 import sys
 from typing import Optional
@@ -28,7 +29,8 @@ from .errors import (CapacityError, CheckpointError, ConfigError,
 from .model import Model, load_model, save_model, toy_descriptor
 from .pruning import CalibrationSet, read_jsonl, run_schedule
 from .study import StudyConfig, read_curves_csv, study_sensitivity
-from .training import (VOCAB, Corpus, TrainConfig, split_perplexity, train)
+from .training import (LOSS_COLUMNS, VOCAB, Corpus, TrainConfig,
+                       split_perplexity, train)
 
 _ERRORS = (ConfigError, ScheduleError, CheckpointError, StateError,
            CapacityError, TokenError, ShapeError, DivergenceError, OSError)
@@ -232,9 +234,15 @@ def cmd_report(args) -> int:
         found = True
     loss_path = os.path.join(out, "loss.csv")
     if os.path.exists(loss_path):
-        lines = [ln for ln in open(loss_path) if ln.strip()]
-        last = lines[-1].split(",")
-        print(f"loss curve: {len(lines) - 1} steps, last loss {last[2]}")
+        with open(loss_path, newline="") as f:
+            rows = [(n, r) for n, r in enumerate(csv.reader(f), 1) if r]
+        for n, r in rows:
+            if len(r) != len(LOSS_COLUMNS):
+                raise ConfigError(f"{loss_path}: line {n} has {len(r)} fields, "
+                                  f"expected {len(LOSS_COLUMNS)}")
+        steps = rows[1:]
+        tail = f", last loss {steps[-1][1][2]}" if steps else ""
+        print(f"loss curve: {len(steps)} steps{tail}")
         found = True
     bench_path = os.path.join(out, "bench_report.json")
     if os.path.exists(bench_path):

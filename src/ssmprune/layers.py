@@ -9,7 +9,7 @@ needs no backward of its own.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import CapacityError, ShapeError, TokenError
 from .tensor import Tensor, f32, record
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor) -> Tensor:
     """x (..., k) @ weight (n, k).T -> (..., n); float64 accumulation."""
     k = weight.data.shape[1]
     if x.data.shape[-1] != k:
@@ -27,21 +27,15 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     x2 = x.data.reshape(-1, k).astype(np.float64)
     w64 = weight.data.astype(np.float64)
     y = x2 @ w64.T
-    if bias is not None:
-        y += bias.data.astype(np.float64)
     out = Tensor(y.reshape(lead + (weight.data.shape[0],)))
 
     def bwd(g: np.ndarray):
         g2 = g.reshape(-1, weight.data.shape[0]).astype(np.float64)
         gx = f32((g2 @ w64).reshape(x.data.shape)) if x.requires_grad else None
         gw = f32(g2.T @ x2) if weight.requires_grad else None
-        if bias is not None:
-            gb = f32(g2.sum(axis=0)) if bias.requires_grad else None
-            return gx, gw, gb
         return gx, gw
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return record(out, inputs, bwd)
+    return record(out, (x, weight), bwd)
 
 
 def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-5) -> Tensor:
@@ -238,30 +232,21 @@ def per_token_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 class Linear:
-    """weight (out, in), optional bias (out)."""
+    """weight (out, in)."""
 
-    def __init__(self, weight: Tensor, bias: Optional[Tensor] = None):
+    def __init__(self, weight: Tensor):
         self.weight = weight
-        self.bias = bias
 
     @staticmethod
-    def build(rng: np.random.Generator, d_in: int, d_out: int, prefix: str,
-              bias: bool = False) -> "Linear":
-        w = Tensor(rng.normal(0.0, d_in ** -0.5, (d_out, d_in)),
-                   requires_grad=True, name=f"{prefix}.weight")
-        b = None
-        if bias:
-            b = Tensor(np.zeros(d_out), requires_grad=True, name=f"{prefix}.bias")
-        return Linear(w, b)
+    def build(rng: np.random.Generator, d_in: int, d_out: int, prefix: str) -> "Linear":
+        return Linear(Tensor(rng.normal(0.0, d_in ** -0.5, (d_out, d_in)),
+                             requires_grad=True, name=f"{prefix}.weight"))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
+        return linear(x, self.weight)
 
     def tensors(self) -> Dict[str, Tensor]:
-        out = {self.weight.name: self.weight}
-        if self.bias is not None:
-            out[self.bias.name] = self.bias
-        return out
+        return {self.weight.name: self.weight}
 
 
 class RmsNorm:

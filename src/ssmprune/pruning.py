@@ -289,8 +289,15 @@ def write_jsonl(path: str, rows: Sequence[dict]) -> None:
 
 
 def read_jsonl(path: str) -> List[dict]:
+    rows = []
     with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]
+        for n, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as e:
+                    raise ScheduleError(f"{path}: line {n} is not JSON ({e.msg})") from None
+    return rows
 
 
 def _row(it: int, si: int, c: Candidate, score: float) -> dict:

@@ -229,10 +229,6 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
                         p.x_to_dt.weight, p.dt_bias, p.D_skip), bwd)
 
 
-def init_state(p: SsmParams, batch: int) -> np.ndarray:
-    return np.zeros((batch, p.channels, p.n_state), dtype=np.float64)
-
-
 def scan_step(p: SsmParams, h: np.ndarray, x_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """One decode step. h (B, c, N) float64 carried state, x_t (B, c) float32.
 

@@ -1,21 +1,21 @@
 """Reverse-mode autodiff on numpy float32 arrays.
 
-Storage is float32 throughout. Matmul products and scalar reductions accumulate
-in float64 and round once on write; everything else runs in float32. Elementwise
-ops broadcast only between same-shape operands or a scalar -- anything richer
-has to live inside a fused op that brings its own backward closure.
+Ops run under `tape()` record a backward closure through `record`. The only
+primitive ops here are `add`, `mul` and `silu`; every other op is fused in
+`layers` or `ssm` and records its own backward through the same hook.
+Storage is float32 throughout. Elementwise ops broadcast only between
+same-shape operands or a scalar -- anything richer has to live inside a
+fused op.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ShapeError, StateError
-
-Number = Union[int, float]
 
 
 class Tensor:
@@ -37,18 +37,6 @@ class Tensor:
         # fused ops may stash inference-path extras here (e.g. scan state)
         self.aux: Optional[dict] = None
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor of shape {self.data.shape} is not a scalar")
@@ -65,27 +53,6 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the module-level functions do the real work
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __radd__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __sub__(self, other) -> "Tensor":
-        return add(self, neg(other) if isinstance(other, Tensor) else -other)
 
 
 class _Node:
@@ -197,25 +164,6 @@ def f32(x: np.ndarray) -> np.ndarray:
 # primitive ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m, k) @ (k, n) -> (m, n); products accumulate in float64."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: need 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree, {a.data.shape} @ {b.data.shape}")
-    a64 = a.data.astype(np.float64)
-    b64 = b.data.astype(np.float64)
-    out = Tensor(a64 @ b64)
-
-    def bwd(g: np.ndarray):
-        g64 = g.astype(np.float64)
-        ga = f32(g64 @ b64.T) if a.requires_grad else None
-        gb = f32(a64.T @ g64) if b.requires_grad else None
-        return ga, gb
-
-    return record(out, (a, b), bwd)
-
-
 def _scalar_operand(x) -> bool:
     return isinstance(x, Tensor) and x.data.ndim == 0
 
@@ -269,16 +217,6 @@ def mul(a: Tensor, b) -> Tensor:
     return record(out, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return record(out, (a,), lambda g: (-g,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return record(out, (a,), lambda g: (g * out.data,))
-
-
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x), elementwise."""
     s = sigmoid_f(a.data)
@@ -290,30 +228,8 @@ def silu(a: Tensor) -> Tensor:
     return record(out, (a,), bwd)
 
 
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed without overflow for large x."""
-    out = Tensor(softplus_f(a.data))
-
-    def bwd(g: np.ndarray):
-        return (g * sigmoid_f(a.data),)
-
-    return record(out, (a,), bwd)
-
-
 def softplus_f(x: np.ndarray) -> np.ndarray:
     # log1p(exp(x)) overflows past ~88 in float32; clamp where exp saturates,
     # the linear branch is exact to float32 there anyway
     safe = np.minimum(x, np.float32(30.0))
     return np.where(x > 30.0, x, np.log1p(np.exp(safe)))
-
-
-def tsum(a: Tensor) -> Tensor:
-    """Sum of all elements -> 0-d tensor; accumulates in float64."""
-    total = a.data.astype(np.float64).sum()
-    out = Tensor(np.float32(total))
-    out.hi = float(total)
-
-    def bwd(g: np.ndarray):
-        return (np.full_like(a.data, np.float32(g.reshape(()))),)
-
-    return record(out, (a,), bwd)

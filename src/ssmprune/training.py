@@ -61,34 +61,27 @@ def bundled_text() -> str:
 
 
 _SPLITS = ("train", "val", "cal")
+_FRACTIONS = (0.70, 0.15, 0.15)  # share of the text in each split, in order
 
 
 class Corpus:
     """Contiguous train/val/cal character splits over one text."""
 
-    def __init__(self, text: str, fractions: Sequence[float] = (0.70, 0.15, 0.15)):
-        fractions = tuple(fractions)
-        if len(fractions) != 3 or any(f <= 0 for f in fractions):
-            raise ConfigError(
-                f"corpus fractions must be three positive numbers, got {fractions!r}")
-        if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ConfigError(
-                f"corpus fractions must sum to 1, got {sum(fractions)!r}")
+    def __init__(self, text: str):
         ids = encode(text)
-        a = int(ids.size * fractions[0])
-        b = a + int(ids.size * fractions[1])
+        a = int(ids.size * _FRACTIONS[0])
+        b = a + int(ids.size * _FRACTIONS[1])
         self._ids: Dict[str, np.ndarray] = {
             "train": ids[:a], "val": ids[a:b], "cal": ids[b:]}
 
     @classmethod
-    def bundled(cls, fractions: Sequence[float] = (0.70, 0.15, 0.15)) -> "Corpus":
-        return cls(bundled_text(), fractions)
+    def bundled(cls) -> "Corpus":
+        return cls(bundled_text())
 
     @classmethod
-    def from_file(cls, path: str,
-                  fractions: Sequence[float] = (0.70, 0.15, 0.15)) -> "Corpus":
+    def from_file(cls, path: str) -> "Corpus":
         with open(path, "r", encoding="utf-8") as f:
-            return cls(f.read(), fractions)
+            return cls(f.read())
 
     def split(self, name: str) -> np.ndarray:
         if name not in self._ids:
@@ -269,10 +262,13 @@ def train(model, corpus: Corpus, cfg: TrainConfig, out_dir: Optional[str] = None
     return rows
 
 
+LOSS_COLUMNS = ("step", "lr", "loss", "grad_norm", "val_ppl")
+
+
 def write_loss_csv(path: str, rows: Sequence[dict]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["step", "lr", "loss", "grad_norm", "val_ppl"])
+        w.writerow(LOSS_COLUMNS)
         for r in rows:
             w.writerow([r["step"], f"{r['lr']:.8g}", f"{r['loss']:.8g}",
                         f"{r['grad_norm']:.8g}",

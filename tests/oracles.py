@@ -2,9 +2,13 @@
 
 Everything here is deliberately naive: float64, explicit loops, no code shared
 with the package under test. Expected values in the test files come from these.
+The one exception is `tape_sum`, a scalar test loss recorded on the package's
+tape so gradient tests can call backward.
 """
 
 import numpy as np
+
+from ssmprune import tensor as tn
 
 
 def finite_diff(f, arrays, h=1e-3):
@@ -135,6 +139,20 @@ def naive_cross_entropy(logits, targets):
 def naive_perplexity(nlls):
     """exp of the mean of per-token NLLs, float64."""
     return float(np.exp(np.mean(np.asarray(nlls, dtype=np.float64))))
+
+
+# ---------------------------------------------------------------------------
+# Test loss. The package records no bare reduction, so gradient tests reduce
+# an op's output to a scalar with this sum, recorded on the package's tape.
+
+
+def tape_sum(a):
+    """Sum of all elements of Tensor a -> 0-d Tensor, accumulated in float64,
+    with the float64 total in .hi; its backward spreads the grad to every element."""
+    total = a.data.astype(np.float64).sum()
+    out = tn.Tensor(np.float32(total))
+    out.hi = float(total)
+    return tn.record(out, (a,), lambda g: (np.full_like(a.data, g.reshape(())),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Timing harness: medians over raw batches, speedups, the unstable flag."""
 
+import csv
 import statistics
 
 import numpy as np
 import pytest
 
 from ssmprune import bench as bench_mod
-from ssmprune.bench import (BenchConfig, bench, read_bench_csv,
-                            write_bench_csv)
+from ssmprune.bench import BenchConfig, bench, write_bench_csv
 from ssmprune.errors import ConfigError
 from ssmprune.model import Model, toy_descriptor
 
@@ -26,7 +26,6 @@ def small_cfg(**kw):
 
 @pytest.mark.parametrize("kw", [
     {"prompt": 0}, {"new_tokens": 0}, {"batches": 0}, {"warmup": -1},
-    {"unstable_spread": 0.0},
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
@@ -110,7 +109,15 @@ def test_bench_csv_round_trip(tmp_path):
     rep = bench(model, model, small_cfg(batches=4), seed=2)
     path = str(tmp_path / "bench.csv")
     write_bench_csv(path, rep)
-    raw, medians = read_bench_csv(path)
+    raw = {key: [] for key in rep.raw}
+    medians = {}
+    with open(path, newline="") as f:
+        for row in csv.DictReader(f):
+            key = f"{row['model']}.{row['phase']}"
+            if row["batch"] == "median":
+                medians[key] = float(row["seconds"])
+            else:
+                raw[key].append(float(row["seconds"]))
     for key, series in rep.raw.items():
         assert raw[key] == pytest.approx(series, abs=1e-9)
         assert medians[key] == pytest.approx(rep.medians[key], abs=1e-9)

@@ -229,3 +229,24 @@ def test_report_on_empty_dir_exits_nonzero(tmp_path, capsys):
     empty.mkdir()
     assert cli(["report", "--out", str(empty)]) == 2
     assert "no run artifacts" in capsys.readouterr().err
+
+
+def test_report_header_only_loss_csv(tmp_path, capsys):
+    (tmp_path / "loss.csv").write_text("step,lr,loss,grad_norm,val_ppl\n")
+    assert cli(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == "loss curve: 0 steps"
+
+
+@pytest.mark.parametrize("name,text,where", [
+    ("loss.csv", "step,lr,loss,grad_norm,val_ppl\n0,0.001,4.5,1.0,\n1,0.001\n",
+     "line 3"),
+    ("plan.jsonl", '{"kind": "ssm", "block": 0, "ratio": 0.9}\n{"kind": \n',
+     "line 2"),
+], ids=["loss.csv", "plan.jsonl"])
+def test_report_corrupt_artifact_is_one_error_line(tmp_path, capsys, name,
+                                                    text, where):
+    (tmp_path / name).write_text(text)
+    assert cli(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert name in err and where in err

@@ -7,7 +7,8 @@ from ssmprune import ssm
 from ssmprune import tensor as tn
 from ssmprune.errors import ShapeError
 
-from oracles import finite_diff, frozen_selective_scan, naive_selective_scan, rel_err
+from oracles import (finite_diff, frozen_selective_scan, naive_selective_scan,
+                     rel_err, tape_sum)
 
 
 def build_params(rng, variant="s6", c=4, N=3, hot_dt=False):
@@ -83,7 +84,7 @@ def test_step_matches_batch(variant):
     p = build_params(rng, variant, c, N)
     x = rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32)
     batch = ssm.selective_scan(tn.Tensor(x), p).data
-    h = ssm.init_state(p, B)
+    h = np.zeros((B, c, N))
     for t in range(T):
         y, h = ssm.scan_step(p, h, x[:, t])
         assert np.abs(y - batch[:, t]).max() < 1e-5, f"t={t}"
@@ -137,7 +138,7 @@ def test_scan_gradients(variant):
               p.dt_bias, p.D_skip]
 
     def build():
-        return tn.tsum(tn.mul(ssm.selective_scan(x, p), r))
+        return tape_sum(tn.mul(ssm.selective_scan(x, p), r))
 
     with tn.tape() as g:
         loss = build()
@@ -180,7 +181,7 @@ def test_scan_shape_validation():
     with pytest.raises(ShapeError):
         ssm.selective_scan(tn.Tensor(np.zeros((2, 5, 7))), p)
     with pytest.raises(ShapeError):
-        ssm.scan_step(p, ssm.init_state(p, 1), np.zeros((1, 7), dtype=np.float32))
+        ssm.scan_step(p, np.zeros((1, 4, 3)), np.zeros((1, 7), dtype=np.float32))
     with pytest.raises(ShapeError):
         # ssd A_log must be per-channel, not per-channel-per-state
         ssm.SsmParams("ssd", tn.Tensor(np.zeros((4, 3))), p.x_to_B, p.x_to_C,
