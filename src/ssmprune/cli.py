@@ -27,7 +27,7 @@ from .errors import (CapacityError, CheckpointError, ConfigError,
                      DivergenceError, ScheduleError, ShapeError, StateError,
                      TokenError)
 from .model import Model, load_model, save_model, toy_descriptor
-from .pruning import CalibrationSet, read_jsonl, run_schedule
+from .pruning import CalibrationSet, check_rows, read_jsonl, run_schedule
 from .study import StudyConfig, read_curves_csv, study_sensitivity
 from .training import (LOSS_COLUMNS, VOCAB, Corpus, TrainConfig,
                        split_perplexity, train)
@@ -213,6 +213,7 @@ def cmd_report(args) -> int:
     plan_path = os.path.join(out, "plan.jsonl")
     if os.path.exists(plan_path):
         plan = read_jsonl(plan_path)
+        check_rows(plan, ("kind", "ratio"), plan_path)
         kinds: dict = {}
         for r in plan:
             kinds[r["kind"]] = kinds.get(r["kind"], 0) + 1
@@ -223,6 +224,7 @@ def cmd_report(args) -> int:
     trace_path = os.path.join(out, "trace.jsonl")
     if os.path.exists(trace_path):
         rows = read_jsonl(trace_path)
+        check_rows(rows, ("iter", "stage", "kind", "block", "score"), trace_path)
         csv_path = os.path.join(out, "trace.csv")
         with open(csv_path, "w") as f:
             f.write("iter,stage,kind,block,g,score\n")
@@ -247,7 +249,14 @@ def cmd_report(args) -> int:
     bench_path = os.path.join(out, "bench_report.json")
     if os.path.exists(bench_path):
         with open(bench_path) as f:
-            rep = json.load(f)
+            try:
+                rep = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{bench_path}: not JSON ({e.msg})") from None
+        missing = [k for k in ("prefill_speedup", "decode_speedup")
+                   if not isinstance(rep, dict) or k not in rep]
+        if missing:
+            raise ConfigError(f"{bench_path}: lacks {missing}")
         flag = "  UNSTABLE" if rep.get("unstable") else ""
         print(f"bench: prefill speedup {rep['prefill_speedup']:.3f}x, "
               f"decode speedup {rep['decode_speedup']:.3f}x{flag}")

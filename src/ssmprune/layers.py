@@ -3,13 +3,16 @@ multi-head attention, gated mlp, embedding, cross-entropy.
 
 Each fused op computes forward in numpy (float64 where sums accumulate) and
 registers a single backward closure on the tape, instead of decomposing into
-primitive ops. The gated mlp is the exception: it composes linear/silu/mul and
-needs no backward of its own.
+primitive ops. Linear, rmsnorm, conv and attention split in two: an array
+kernel (`linear_f`, ...) that decode runs directly, and the tape wrapper,
+which calls it and records the backward. The stateful kernels take what came
+before their input: conv the last inputs, attention a key/value prefix. The
+gated mlp composes linear/silu/mul and needs no backward of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,38 +21,53 @@ from .errors import CapacityError, ShapeError, TokenError
 from .tensor import Tensor, f32, record
 
 
+def linear_f(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (..., k) @ w (n, k).T -> float32 (..., n); float64 accumulation."""
+    k = w.shape[1]
+    if x.shape[-1] != k:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    y = x.reshape(-1, k).astype(np.float64) @ w.astype(np.float64).T
+    return y.astype(np.float32).reshape(x.shape[:-1] + (w.shape[0],))
+
+
 def linear(x: Tensor, weight: Tensor) -> Tensor:
-    """x (..., k) @ weight (n, k).T -> (..., n); float64 accumulation."""
-    k = weight.data.shape[1]
-    if x.data.shape[-1] != k:
-        raise ShapeError(f"linear: input {x.data.shape} does not match weight {weight.data.shape}")
-    lead = x.data.shape[:-1]
-    x2 = x.data.reshape(-1, k).astype(np.float64)
-    w64 = weight.data.astype(np.float64)
-    y = x2 @ w64.T
-    out = Tensor(y.reshape(lead + (weight.data.shape[0],)))
+    xd, wd = x.data, weight.data
+    out = Tensor(linear_f(xd, wd))
 
     def bwd(g: np.ndarray):
-        g2 = g.reshape(-1, weight.data.shape[0]).astype(np.float64)
-        gx = f32((g2 @ w64).reshape(x.data.shape)) if x.requires_grad else None
-        gw = f32(g2.T @ x2) if weight.requires_grad else None
+        n, k = wd.shape
+        g2 = g.reshape(-1, n).astype(np.float64)
+        gx = f32((g2 @ wd.astype(np.float64)).reshape(xd.shape)) if x.requires_grad else None
+        gw = f32(g2.T @ xd.reshape(-1, k).astype(np.float64)) if weight.requires_grad else None
         return gx, gw
 
     return record(out, (x, weight), bwd)
 
 
-def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-5) -> Tensor:
+def _inv_rms(x64: np.ndarray, eps: float) -> np.ndarray:
+    # sum / d is what mean computes, without its Python-level wrapper
+    return 1.0 / np.sqrt((x64 * x64).sum(axis=-1, keepdims=True) / x64.shape[-1] + eps)
+
+
+def rmsnorm_f(x: np.ndarray, scale: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Root-mean-square norm over the last dim, then elementwise scale."""
-    d = x.data.shape[-1]
-    if scale.data.shape != (d,):
-        raise ShapeError(f"rmsnorm: scale {scale.data.shape} does not match feature dim {d}")
-    x64 = x.data.astype(np.float64)
-    inv = 1.0 / np.sqrt((x64 * x64).mean(axis=-1, keepdims=True) + eps)
-    out = Tensor(x64 * inv * scale.data.astype(np.float64))
+    d = x.shape[-1]
+    if scale.shape != (d,):
+        raise ShapeError(f"rmsnorm: scale {scale.shape} does not match feature dim {d}")
+    x64 = x.astype(np.float64)
+    return (x64 * _inv_rms(x64, eps) * scale.astype(np.float64)).astype(np.float32)
+
+
+def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-5) -> Tensor:
+    xd, sd = x.data, scale.data
+    out = Tensor(rmsnorm_f(xd, sd, eps))
 
     def bwd(g: np.ndarray):
+        d = xd.shape[-1]
+        x64 = xd.astype(np.float64)
+        inv = _inv_rms(x64, eps)
         g64 = g.astype(np.float64)
-        gs64 = g64 * scale.data.astype(np.float64)
+        gs64 = g64 * sd.astype(np.float64)
         gx = None
         if x.requires_grad:
             dot = (gs64 * x64).sum(axis=-1, keepdims=True)
@@ -62,32 +80,43 @@ def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-5) -> Tensor:
     return record(out, (x, scale), bwd)
 
 
-def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Depthwise causal conv. x (B, T, c), kernel (c, w); left zero padding,
-    so position t sees x[t-w+1 .. t] only."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"causal_conv1d: expected (B, T, c), got {x.data.shape}")
-    B, T, c = x.data.shape
-    cw, w = kernel.data.shape
+def causal_conv1d_f(x: np.ndarray, kernel: np.ndarray,
+                    tail: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Depthwise causal conv. x (B, T, c) float32, kernel (c, w); position t
+    sees x[t-w+1 .. t] only. tail (B, w-1, c) holds the inputs before x, most
+    recent last; None means zeros. -> (y (B, T, c), the tail after x)."""
+    if x.ndim != 3:
+        raise ShapeError(f"causal_conv1d: expected (B, T, c), got {x.shape}")
+    B, T, c = x.shape
+    cw, w = kernel.shape
     if cw != c:
-        raise ShapeError(f"causal_conv1d: kernel {kernel.data.shape} does not match channels {c}")
-    xp = np.zeros((B, T + w - 1, c), dtype=np.float32)
-    xp[:, w - 1:, :] = x.data
+        raise ShapeError(f"causal_conv1d: kernel {kernel.shape} does not match channels {c}")
+    if tail is None:
+        tail = np.zeros((B, w - 1, c), dtype=np.float32)
+    xp = np.concatenate([tail, x], axis=1)
     y = np.zeros((B, T, c), dtype=np.float32)
     for j in range(w):
-        y += kernel.data[:, j] * xp[:, j:j + T, :]
-    out = Tensor(y)
+        y += kernel[:, j] * xp[:, j:j + T, :]
+    return y, xp[:, T:].copy()
+
+
+def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+    xd, kd = x.data, kernel.data
+    out = Tensor(causal_conv1d_f(xd, kd)[0])
 
     def bwd(g: np.ndarray):
+        B, T, c = g.shape
+        w = kd.shape[1]
+        xp = np.concatenate([np.zeros((B, w - 1, c), dtype=np.float32), xd], axis=1)
         gx = None
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(w):
-                gxp[:, j:j + T, :] += kernel.data[:, j] * g
+                gxp[:, j:j + T, :] += kd[:, j] * g
             gx = np.ascontiguousarray(gxp[:, w - 1:, :])
         gk = None
         if kernel.requires_grad:
-            gk = np.zeros_like(kernel.data, dtype=np.float64)
+            gk = np.zeros_like(kd, dtype=np.float64)
             for j in range(w):
                 gk[:, j] = (g.astype(np.float64) * xp[:, j:j + T, :]).sum(axis=(0, 1))
             gk = f32(gk)
@@ -96,38 +125,63 @@ def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     return record(out, (x, kernel), bwd)
 
 
-def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> Tensor:
-    """Causal multi-head self-attention. x (B, T, d); all weights (d, d).
+def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+                wo: np.ndarray, n_heads: int, kv: Optional[tuple] = None):
+    """Causal multi-head self-attention. x (B, T, d) float32; weights (d, d).
 
-    The returned tensor carries the float64 key and value heads, each
-    (B, H, T, hd), in .aux["kv"] so a decode session can extend them.
+    x attends to the prefix kv and to itself. kv is (k, v, n): float64 key
+    and value buffers (B, H, capacity, hd) whose first n positions hold the
+    earlier tokens, or None for none. x's keys and values go in after them,
+    and full buffers grow. Without a prefix the returned one is x's own
+    heads, exactly full. -> (y (B, T, d) float32, the prefix after x, and
+    the float64 (q, k, v, p, ctx) the backward reuses).
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"attention: expected (B, T, d), got {x.data.shape}")
-    B, T, d = x.data.shape
+    if x.ndim != 3:
+        raise ShapeError(f"attention: expected (B, T, d), got {x.shape}")
+    B, T, d = x.shape
     if d % n_heads:
         raise ShapeError(f"attention: d={d} not divisible by n_heads={n_heads}")
     hd = d // n_heads
-    x2 = x.data.reshape(-1, d).astype(np.float64)
+    x2 = x.reshape(-1, d).astype(np.float64)
 
     def heads(w):
-        return (x2 @ w.data.astype(np.float64).T).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
+        return (x2 @ w.astype(np.float64).T).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
 
     q, k, v = heads(wq), heads(wk), heads(wv)           # (B, H, T, hd)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)  # (B, H, T, T)
-    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
-    np.copyto(scores, -np.inf, where=mask)
+    if kv is None:
+        n, kv = 0, (k, v, T)
+    else:
+        kb, vb, n = kv
+        if n + T > kb.shape[2]:  # grow when the capacity ran out
+            pad = np.zeros(kb.shape[:2] + (max(kb.shape[2], n + T - kb.shape[2]), hd))
+            kb = np.concatenate([kb, pad], axis=2)
+            vb = np.concatenate([vb, pad], axis=2)
+        kb[:, :, n:n + T], vb[:, :, n:n + T] = k, v
+        kv = (kb, vb, n + T)
+        if n:
+            k, v = kb[:, :, :n + T], vb[:, :, :n + T]
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)  # (B, H, T, n + T)
+    later = np.arange(n + T) > np.arange(n, n + T)[:, None]  # key after query
+    np.copyto(scores, -np.inf, where=later)
     scores -= scores.max(axis=-1, keepdims=True)
     p = np.exp(scores)
     p /= p.sum(axis=-1, keepdims=True)
     ctx = (p @ v).transpose(0, 2, 1, 3).reshape(-1, d)  # (B*T, d)
-    wo64 = wo.data.astype(np.float64)
-    out = Tensor((ctx @ wo64.T).reshape(B, T, d))
-    out.aux = {"kv": (k, v)}
+    y = (ctx @ wo.astype(np.float64).T).astype(np.float32).reshape(B, T, d)
+    return y, kv, (q, k, v, p, ctx)
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> Tensor:
+    y, _, (q, k, v, p, ctx) = attention_f(x.data, wq.data, wk.data, wv.data, wo.data,
+                                          n_heads)
+    out = Tensor(y)
+    B, T, d = y.shape
+    hd = d // n_heads
 
     def bwd(g: np.ndarray):
+        x2 = x.data.reshape(-1, d).astype(np.float64)
         g2 = g.reshape(-1, d).astype(np.float64)
-        gctx = (g2 @ wo64).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
+        gctx = (g2 @ wo.data.astype(np.float64)).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
         gp = gctx @ v.transpose(0, 1, 3, 2)
         gv = p.transpose(0, 1, 3, 2) @ gctx
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) / np.sqrt(hd)
@@ -242,9 +296,6 @@ class Linear:
         return Linear(Tensor(rng.normal(0.0, d_in ** -0.5, (d_out, d_in)),
                              requires_grad=True, name=f"{prefix}.weight"))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight)
-
     def tensors(self) -> Dict[str, Tensor]:
         return {self.weight.name: self.weight}
 
@@ -257,9 +308,6 @@ class RmsNorm:
     @staticmethod
     def build(d: int, prefix: str) -> "RmsNorm":
         return RmsNorm(Tensor(np.ones(d), requires_grad=True, name=f"{prefix}.scale"))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return rmsnorm(x, self.scale, self.eps)
 
     def tensors(self) -> Dict[str, Tensor]:
         return {self.scale.name: self.scale}
@@ -278,13 +326,6 @@ class CausalConv1d:
                    requires_grad=True, name=f"{prefix}.kernel")
         return CausalConv1d(k)
 
-    @property
-    def width(self) -> int:
-        return self.kernel.data.shape[1]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return causal_conv1d(x, self.kernel)
-
     def tensors(self) -> Dict[str, Tensor]:
         return {self.kernel.name: self.kernel}
 
@@ -298,10 +339,6 @@ class MultiHeadAttention:
     def build(rng: np.random.Generator, d: int, n_heads: int, prefix: str) -> "MultiHeadAttention":
         mk = lambda nm: Linear.build(rng, d, d, f"{prefix}.{nm}")
         return MultiHeadAttention(mk("q"), mk("k"), mk("v"), mk("o"), n_heads)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return attention(x, self.q.weight, self.k.weight, self.v.weight,
-                         self.o.weight, self.n_heads)
 
     def tensors(self) -> Dict[str, Tensor]:
         out: Dict[str, Tensor] = {}
@@ -333,7 +370,8 @@ class GatedMlp:
         return self.up.weight.data.shape[0]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(tn.mul(tn.silu(self.gate(x)), self.up(x)), self.down.weight)
+        gated = tn.mul(tn.silu(linear(x, self.gate.weight)), linear(x, self.up.weight))
+        return linear(gated, self.down.weight)
 
     def slice_trailing(self, g: int) -> None:
         """Permanently drop the last g hidden channels."""

@@ -6,6 +6,10 @@ structure sits in a registry; removal flips an alive flag and the forward pass
 takes the residual bypass, so weights stay in memory until compact() rebuilds
 without the dead blocks.
 
+Each block class writes its body once, over an ops table: `forward` runs it
+with TAPE (Tensors, backward recorded), `decode_step(x, state)` with ARRAYS
+(array kernels that carry the conv tail, scan state and key/value prefix).
+
 Each block class declares its removable parts once, in its PARTS table:
 registry kind -> the tensors that part owns outright, parent block first
 (mamba: mamba_block, ssm; transformer: transformer_block, mha, mlp).
@@ -21,16 +25,19 @@ import json
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import layers
 from . import tensor as tn
-from .errors import CheckpointError, ConfigError, ShapeError, StateError, TokenError
+from .errors import CheckpointError, ConfigError, ShapeError, StateError
 from .layers import (CausalConv1d, Embedding, GatedMlp, Linear, MultiHeadAttention,
-                     RmsNorm, linear, rmsnorm)
-from .ssm import SsmParams, scan_step, selective_scan
-from .tensor import Tensor, f32, sigmoid_f
+                     RmsNorm, attention_f, causal_conv1d_f, linear, linear_f, rmsnorm, rmsnorm_f)
+# scan_step is unused here; perfbench/tracing.py patches it under this name too
+from .ssm import SsmParams, scan_f, scan_step, selective_scan  # noqa: F401
+from .tensor import Tensor, sigmoid_f
 
 BLOCK_KINDS = ("mamba1", "mamba2", "transformer")
 
@@ -137,38 +144,38 @@ def _count(tensors: Dict[str, Tensor]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# decode caches and numpy step helpers
+# block ops: each block body is written once, over one of these tables
 
 
-class MambaCache:
-    __slots__ = ("conv", "state")
+# On Tensors under the tape: training and scoring. Every function is looked up
+# at call time, in its module or as this module's selective_scan. Stateful ops
+# start from an empty state and return None for the state after.
+TAPE = SimpleNamespace(
+    add=lambda a, b: tn.add(a, b),
+    mul=lambda a, b: tn.mul(a, b),
+    silu=lambda a: tn.silu(a),
+    linear=lambda x, lin: layers.linear(x, lin.weight),
+    rmsnorm=lambda x, norm: layers.rmsnorm(x, norm.scale, norm.eps),
+    conv=lambda x, conv, tail: (layers.causal_conv1d(x, conv.kernel), None),
+    scan=lambda x, p, h: (selective_scan(x, p), None),
+    attention=lambda x, mha, kv: (layers.attention(
+        x, mha.q.weight, mha.k.weight, mha.v.weight, mha.o.weight, mha.n_heads), None),
+)
 
-    def __init__(self, conv: np.ndarray, state: Optional[np.ndarray]):
-        self.conv = conv      # (B, w-1, di) float32, most recent last
-        self.state = state    # (B, di, N) float64, None when the scan is bypassed
-
-
-class AttnCache:
-    __slots__ = ("k", "v", "n")
-
-    def __init__(self, k: np.ndarray, v: np.ndarray, n: int):
-        self.k = k            # (B, H, cap, hd) float64
-        self.v = v
-        self.n = n
-
-
-def _rms_np(x: np.ndarray, scale: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    x64 = x.astype(np.float64)
-    inv = 1.0 / np.sqrt((x64 * x64).mean(axis=-1, keepdims=True) + eps)
-    return f32(x64 * inv * scale.astype(np.float64))
-
-
-def _lin_np(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return f32(x.astype(np.float64) @ w.astype(np.float64).T)
-
-
-def _silu_np(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid_f(x)
+# On float32 arrays, no tape: decode. The stateful ops carry the conv tail,
+# the scan state and the key/value prefix from one call to the next.
+ARRAYS = SimpleNamespace(
+    add=np.add,
+    mul=np.multiply,
+    silu=lambda a: a * sigmoid_f(a),
+    linear=lambda x, lin: linear_f(x, lin.weight.data),
+    rmsnorm=lambda x, norm: rmsnorm_f(x, norm.scale.data, norm.eps),
+    conv=lambda x, conv, tail: causal_conv1d_f(x, conv.kernel.data, tail),
+    scan=lambda x, p, h: scan_f(x, p, h)[:2],
+    attention=lambda x, mha, kv: attention_f(
+        x, mha.q.weight.data, mha.k.weight.data, mha.v.weight.data,
+        mha.o.weight.data, mha.n_heads, kv)[:2],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -209,50 +216,32 @@ class MambaBlock:
             ssm, inner, Linear.build(rng, di, d, f"{px}.out"),
         )
 
-    def forward(self, x: Tensor, want_cache: bool = False):
-        h = self.norm(x)
-        xb = self.in_x(h)
-        zb = self.in_z(h)
-        xs = tn.silu(self.conv(xb))
-        state = None
+    def _body(self, ops, x, state):
+        tail, h = state
+        hn = ops.rmsnorm(x, self.norm)
+        xb = ops.linear(hn, self.in_x)
+        zb = ops.linear(hn, self.in_z)
+        xc, tail = ops.conv(xb, self.conv, tail)
+        xs = ops.silu(xc)
         if self.ssm_alive:
-            y = selective_scan(xs, self.ssm)
-            if want_cache:
-                state = y.aux["state"]
+            y, h = ops.scan(xs, self.ssm, h)
         else:
             y = xs  # scan bypassed: the gated conv path carries the block
-        y = tn.mul(y, tn.silu(zb))
+        y = ops.mul(y, ops.silu(zb))
         if self.inner_norm is not None:
-            y = self.inner_norm(y)
-        res = tn.add(x, self.out(y))
-        if not want_cache:
-            return res
-        B, T, di = xb.data.shape
-        w = self.conv.width
-        tail = np.zeros((B, w - 1, di), dtype=np.float32)
-        take = min(T, w - 1)
-        if take:
-            tail[:, w - 1 - take:] = xb.data[:, T - take:]
-        return res, MambaCache(tail, state)
+            y = ops.rmsnorm(y, self.inner_norm)
+        return ops.add(x, ops.linear(y, self.out)), (tail, h)
 
-    def decode_step(self, x_t: np.ndarray, cache: MambaCache) -> np.ndarray:
-        h = _rms_np(x_t, self.norm.scale.data)
-        xb = _lin_np(h, self.in_x.weight.data)
-        zb = _lin_np(h, self.in_z.weight.data)
-        window = np.concatenate([cache.conv, xb[:, None, :]], axis=1)  # (B, w, di)
-        cache.conv = window[:, 1:]
-        yc = np.zeros_like(xb)
-        for j in range(self.conv.width):  # same float32 tap order as the batch conv
-            yc += self.conv.kernel.data[:, j] * window[:, j]
-        xs = _silu_np(yc)
-        if self.ssm_alive:
-            y, cache.state = scan_step(self.ssm, cache.state, xs)
-        else:
-            y = xs
-        y = y * _silu_np(zb)
-        if self.inner_norm is not None:
-            y = _rms_np(y, self.inner_norm.scale.data)
-        return x_t + _lin_np(y, self.out.weight.data)
+    def forward(self, x: Tensor) -> Tensor:
+        return self._body(TAPE, x, (None, None))[0]
+
+    def decode_step(self, x: np.ndarray, state) -> Tuple[np.ndarray, tuple]:
+        """x (B, T, d) float32 after `state` -> (output, state after x)."""
+        return self._body(ARRAYS, x, state)
+
+    def empty_state(self, batch: int, capacity: int) -> tuple:
+        """(conv tail, scan state) before the first token: zeros for both."""
+        return None, None
 
     def shell_tensors(self) -> Dict[str, Tensor]:
         out: Dict[str, Tensor] = {}
@@ -295,49 +284,28 @@ class TransformerBlock:
             GatedMlp.build(rng, d, D, f"{px}.mlp"),
         )
 
-    def forward(self, x: Tensor, want_cache: bool = False):
-        kv = None
+    def _body(self, ops, x, kv):
         if self.mha_alive:
-            att = self.mha(self.norm1(x))
-            x = tn.add(x, att)
-            kv = att.aux["kv"]
+            att, kv = ops.attention(ops.rmsnorm(x, self.norm1), self.mha, kv)
+            x = ops.add(x, att)
         if self.mlp_alive:
-            x = tn.add(x, self.mlp(self.norm2(x)))
-        if not want_cache:
-            return x
+            h, m = ops.rmsnorm(x, self.norm2), self.mlp
+            gated = ops.mul(ops.silu(ops.linear(h, m.gate)), ops.linear(h, m.up))
+            x = ops.add(x, ops.linear(gated, m.down))
         return x, kv
 
-    def decode_step(self, x_t: np.ndarray, cache: Optional[AttnCache]) -> np.ndarray:
-        if self.mha_alive:
-            hn = _rms_np(x_t, self.norm1.scale.data)
-            B, d = hn.shape
-            H = self.mha.n_heads
-            hd = d // H
-            h64 = hn.astype(np.float64)
-            q = (h64 @ self.mha.q.weight.data.astype(np.float64).T).reshape(B, H, hd)
-            k = (h64 @ self.mha.k.weight.data.astype(np.float64).T).reshape(B, H, hd)
-            v = (h64 @ self.mha.v.weight.data.astype(np.float64).T).reshape(B, H, hd)
-            if cache.n == cache.k.shape[2]:  # grow when the capacity hint ran out
-                pad = np.zeros_like(cache.k)
-                cache.k = np.concatenate([cache.k, pad], axis=2)
-                cache.v = np.concatenate([cache.v, pad], axis=2)
-            cache.k[:, :, cache.n] = k
-            cache.v[:, :, cache.n] = v
-            cache.n += 1
-            ks = cache.k[:, :, :cache.n]
-            vs = cache.v[:, :, :cache.n]
-            scores = np.einsum("bhd,bhnd->bhn", q, ks) / np.sqrt(hd)
-            scores -= scores.max(axis=-1, keepdims=True)
-            p = np.exp(scores)
-            p /= p.sum(axis=-1, keepdims=True)
-            ctx = np.einsum("bhn,bhnd->bhd", p, vs).reshape(B, d)
-            x_t = x_t + f32(ctx @ self.mha.o.weight.data.astype(np.float64).T)
-        if self.mlp_alive:
-            hn = _rms_np(x_t, self.norm2.scale.data)
-            gate = _silu_np(_lin_np(hn, self.mlp.gate.weight.data))
-            up = _lin_np(hn, self.mlp.up.weight.data)
-            x_t = x_t + _lin_np(gate * up, self.mlp.down.weight.data)
-        return x_t
+    def forward(self, x: Tensor) -> Tensor:
+        return self._body(TAPE, x, None)[0]
+
+    def decode_step(self, x: np.ndarray, kv: tuple) -> Tuple[np.ndarray, tuple]:
+        """x (B, T, d) float32 after key/value prefix kv -> (output, kv after x)."""
+        return self._body(ARRAYS, x, kv)
+
+    def empty_state(self, batch: int, capacity: int) -> tuple:
+        """Key/value buffers for capacity positions, none filled."""
+        H = self.mha.n_heads
+        shape = (batch, H, capacity, self.norm1.scale.data.shape[0] // H)
+        return np.zeros(shape), np.zeros(shape), 0
 
     def mha_tensors(self) -> Dict[str, Tensor]:
         out: Dict[str, Tensor] = {}
@@ -421,10 +389,9 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, tokens: np.ndarray, want_cache: bool = False):
-        """tokens (B, T) int -> logits (B, T, vocab). With want_cache, also
-        returns per-block decode caches (None rows for bypassed blocks)."""
-        return self.resume(self._embed(tokens), 0, want_cache)
+    def forward(self, tokens: np.ndarray) -> Tensor:
+        """tokens (B, T) int -> logits (B, T, vocab)."""
+        return self.resume(self._embed(tokens), 0)
 
     def block_inputs(self, tokens: np.ndarray, stop: int) -> List[Tensor]:
         """Residual-stream inputs of blocks 0..stop, in order: runs the
@@ -437,18 +404,14 @@ class Model:
         inputs.append(x)
         return inputs
 
-    def resume(self, x: Tensor, start: int, want_cache: bool = False):
+    def resume(self, x: Tensor, start: int) -> Tensor:
         """Runs the live blocks from start on the residual input x, then the
         final norm and the head. resume(block_inputs(tokens, i)[i], i)
         returns the same bytes as forward(tokens)."""
         if not 0 <= start <= len(self.blocks):
             raise StateError(f"resume at block {start}; model has {len(self.blocks)}")
-        caches: Optional[List[object]] = [] if want_cache else None
-        x = self._run(x, start, len(self.blocks), caches=caches)
-        logits = linear(rmsnorm(x, self.final_norm.scale), self.head.weight)
-        if want_cache:
-            return logits, caches
-        return logits
+        x = self._run(x, start, len(self.blocks))
+        return linear(rmsnorm(x, self.final_norm.scale), self.head.weight)
 
     def _embed(self, tokens: np.ndarray) -> Tensor:
         tokens = np.asarray(tokens)
@@ -457,21 +420,12 @@ class Model:
         return self.embedding(tokens)
 
     def _run(self, x: Tensor, start: int, stop: int,
-             inputs: Optional[List[Tensor]] = None,
-             caches: Optional[List[object]] = None) -> Tensor:
-        """The one block loop. inputs collects each block's input; caches,
-        when given, collects decode caches (None rows for bypassed blocks)."""
+             inputs: Optional[List[Tensor]] = None) -> Tensor:
+        """The one block loop. inputs collects each block's input."""
         for b in self.blocks[start:stop]:
             if inputs is not None:
                 inputs.append(x)
-            if not b.alive:
-                if caches is not None:
-                    caches.append(None)
-                continue
-            if caches is not None:
-                x, cache = b.forward(x, want_cache=True)
-                caches.append(cache)
-            else:
+            if b.alive:
                 x = b.forward(x)
         return x
 
@@ -735,59 +689,39 @@ def load_model(path: str):
 
 
 class DecodeSession:
-    """Single-token generation against per-block caches.
-
-    prefill() runs the batch forward once and harvests conv tails, scan states,
-    and kv caches; step() advances one token with pure numpy block steps and
-    matches the batch forward within float32 rounding.
-    """
+    """Generation on the blocks' `decode_step`, the body `Model.forward` runs,
+    on array kernels. prefill() runs the prompt from an empty state, so its
+    logits are the bytes of the forward's last position; step() is the
+    one-token case. capacity_hint presizes the key/value buffers, which
+    grow past it."""
 
     def __init__(self, model: Model, capacity_hint: int = 0):
         self.model = model
         self.capacity_hint = capacity_hint
-        self._caches: Optional[List[object]] = None
+        self._state: Optional[list] = None
         self._batch = 0
 
     def prefill(self, tokens: np.ndarray) -> np.ndarray:
         """tokens (B, T) -> logits at the last position (B, vocab)."""
-        tokens = np.asarray(tokens)
-        logits, caches = self.model.forward(tokens, want_cache=True)
-        B, T = tokens.shape
+        x = self.model._embed(tokens).data
+        self._batch, T, _ = x.shape
         cap = max(self.capacity_hint, T + 1)
-        cooked: List[object] = []
-        for b, c in zip(self.model.blocks, caches):
-            if isinstance(b, TransformerBlock) and b.alive and c is not None:
-                k, v = c
-                H, hd = k.shape[1], k.shape[3]
-                ks = np.zeros((B, H, cap, hd), dtype=np.float64)
-                vs = np.zeros_like(ks)
-                ks[:, :, :T] = k
-                vs[:, :, :T] = v
-                cooked.append(AttnCache(ks, vs, T))
-            else:
-                cooked.append(c)
-        self._caches = cooked
-        self._batch = B
-        return logits.data[:, -1, :].copy()
+        self._state = [b.empty_state(self._batch, cap) for b in self.model.blocks]
+        return self._advance(x)[:, -1].copy()
 
     def step(self, tokens: np.ndarray) -> np.ndarray:
         """tokens (B,) -> next-position logits (B, vocab)."""
-        if self._caches is None:
+        if self._state is None:
             raise StateError("step before prefill")
         tokens = np.asarray(tokens)
         if tokens.shape != (self._batch,):
             raise ShapeError(f"step: tokens shape {tokens.shape}, expected ({self._batch},)")
-        vocab = self.model.desc.vocab
-        bad = (tokens < 0) | (tokens >= vocab)
-        if bad.any():
-            i = int(np.argwhere(bad)[0][0])
-            raise TokenError(
-                f"step: token id {int(tokens[i])} at batch row {i} outside vocab of {vocab}"
-            )
-        x = self.model.embedding.table.data[tokens]
-        for b, cache in zip(self.model.blocks, self._caches):
-            if not b.alive:
-                continue
-            x = b.decode_step(x, cache)
-        x = _rms_np(x, self.model.final_norm.scale.data)
-        return _lin_np(x, self.model.head.weight.data)
+        return self._advance(self.model._embed(tokens[:, None]).data)[:, 0]
+
+    def _advance(self, x: np.ndarray) -> np.ndarray:
+        """x (B, T, d) -> logits (B, T, vocab); moves every live block's state past x."""
+        m = self.model
+        for i, b in enumerate(m.blocks):
+            if b.alive:
+                x, self._state[i] = b.decode_step(x, self._state[i])
+        return ARRAYS.linear(ARRAYS.rmsnorm(x, m.final_norm), m.head)

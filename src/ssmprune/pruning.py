@@ -391,7 +391,23 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
     return summary
 
 
+def check_rows(rows: Sequence, keys: Sequence[str], where: str) -> None:
+    """ScheduleError naming the first row (counted from 1) that is not an
+    object holding every key."""
+    for n, row in enumerate(rows, 1):
+        if not isinstance(row, dict):
+            raise ScheduleError(f"{where}: row {n} is not an object: {row!r}")
+        missing = [k for k in keys if k not in row]
+        if missing:
+            raise ScheduleError(f"{where}: row {n} lacks {missing}")
+
+
 def replay_plan(model: Model, plan: Sequence[dict]) -> None:
     """Apply recorded actions in order; nothing is rescored."""
-    for row in plan:
+    check_rows(plan, ("kind", "block"), "plan")
+    for n, row in enumerate(plan, 1):
+        for key in ("block", "g"):
+            v = row.get(key, 0)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ScheduleError(f"plan: row {n} has {key} {v!r}, expected an integer")
         apply_action(model, row["kind"], row["block"], row.get("g"))

@@ -10,7 +10,11 @@ y = h . C + D * x, with dt = softplus(x W_dt + dt_bias), B = x W_B, C = x W_C.
 The carried state is float64; stored per-token states round to float32 and the
 readout contraction accumulates in float64.
 
-The batch scan runs time in chunks of a fixed element budget. Each chunk builds
+`scan_f` runs the scan on arrays from a given state and returns the state
+after it; `selective_scan` is its taped call from zero, a decode step its
+T=1 call.
+
+The scan runs time in chunks of a fixed element budget. Each chunk builds
 its own decay exp(dt*A) and input term (dt*x) outer B, runs the recurrence over
 them, and stores its states; only those float32 per-token states are kept for
 the whole sequence, never the (B, T, c, N) decay or input terms. The backward
@@ -123,41 +127,44 @@ def _chunk_len(B_: int, c: int, N: int) -> int:
     return max(1, _CHUNK_ELEMS // (B_ * c * N))
 
 
-def _chunk_terms(p: SsmParams, dt: np.ndarray, dtx: np.ndarray,
-                 Bm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Decay and input term of a run of steps: dt, dtx = dt*x (..., c) and
-    Bm (..., N) -> abar as `_decay` gives it, and dbx = dtx outer Bm (..., c, N)."""
-    return _decay(p, dt), dtx[..., None] * Bm[..., None, :]
+def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None):
+    """Run the scan over a batch of sequences. x (B, T, c) float32, h0 the
+    (B, c, N) float64 state before x (None: zeros).
 
-
-def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
-    """Run the scan over a batch of sequences. x (B, T, c) -> (B, T, c).
-
-    The returned tensor carries the final float64 state in .aux["state"]
-    (B, c, N) so a decode session can pick up where prefill stopped.
+    -> (y (B, T, c) float32, the float64 state after x, and the pieces the
+    backward reuses: dtp, dt, Bm, Cm, dt*x and the float32 per-token states).
     """
-    if x.data.ndim != 3 or x.data.shape[-1] != p.channels:
-        raise ShapeError(f"selective_scan: input {x.data.shape}, expected (B, T, {p.channels})")
-    B_, T, c = x.data.shape
+    if x.ndim != 3 or x.shape[-1] != p.channels:
+        raise ShapeError(f"selective_scan: input {x.shape}, expected (B, T, {p.channels})")
+    B_, T, c = x.shape
     N = p.n_state
-    dtp, dt, Bm, Cm = _project(p, x.data)
-    dtx = dt * x.data                                      # (B,T,c)
+    dtp, dt, Bm, Cm = _project(p, x)
+    dtx = dt * x                                           # (B,T,c)
     L = _chunk_len(B_, c, N)
-    h = np.zeros((B_, c, N), dtype=np.float64)
+    h = np.zeros((B_, c, N), dtype=np.float64) if h0 is None else h0
     hs = np.empty((B_, T, c, N), dtype=np.float32)
     for t0 in range(0, T, L):
         s = slice(t0, t0 + L)
-        abar, dbx = _chunk_terms(p, dt[:, s], dtx[:, s], Bm[:, s])
-        hc = dbx.astype(np.float64)                        # becomes the chunk's states
+        abar = _decay(p, dt[:, s])
+        # the input term dt*x outer B, in float32; becomes the chunk's states
+        hc = (dtx[:, s, :, None] * Bm[:, s, None, :]).astype(np.float64)
         for i in range(hc.shape[1]):
-            hc[:, i] += abar[:, i] * h                     # h = abar*h + dbx
+            hc[:, i] += abar[:, i] * h                     # h = abar*h + input term
             h = hc[:, i]
         hs[:, s] = hc
     h = h.copy()                                           # not a view of the last chunk
     y = np.einsum("btcn,btn->btc", hs, Cm, dtype=np.float64)
-    y += p.D_skip.data.astype(np.float64) * x.data
+    y += p.D_skip.data.astype(np.float64) * x
+    return y.astype(np.float32), h, (dtp, dt, Bm, Cm, dtx, hs)
+
+
+def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
+    """`scan_f` from a zero state, on the tape."""
+    y, _, (dtp, dt, Bm, Cm, dtx, hs) = scan_f(x.data, p)
     out = Tensor(y)
-    out.aux = {"state": h}
+    B_, T, c = y.shape
+    N = p.n_state
+    L = _chunk_len(B_, c, N)
 
     def bwd(g: np.ndarray):
         g64 = g.astype(np.float64)
@@ -230,16 +237,7 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
 
 
 def scan_step(p: SsmParams, h: np.ndarray, x_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One decode step. h (B, c, N) float64 carried state, x_t (B, c) float32.
-
-    Returns (y_t float32 (B, c), new state). Matches the batch scan's rounding:
-    stored state reads back through float32, readout accumulates in float64.
-    """
-    if x_t.ndim != 2 or x_t.shape[1] != p.channels:
-        raise ShapeError(f"scan_step: input {x_t.shape}, expected (B, {p.channels})")
-    _, dt, Bm, Cm = _project(p, x_t)
-    abar, dbx = _chunk_terms(p, dt, dt * x_t, Bm)          # a one-step chunk
-    h = abar * h + dbx
-    y = np.einsum("bcn,bn->bc", h.astype(np.float32), Cm, dtype=np.float64)
-    y += p.D_skip.data.astype(np.float64) * x_t
-    return f32(y), h
+    """One decode step, the T=1 call of `scan_f`. h (B, c, N) float64 carried
+    state, x_t (B, c) float32 -> (y_t float32 (B, c), new state)."""
+    y, h, _ = scan_f(x_t[:, None], p, h)
+    return y[:, 0], h

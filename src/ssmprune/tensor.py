@@ -6,6 +6,9 @@ primitive ops here are `add`, `mul` and `silu`; every other op is fused in
 Storage is float32 throughout. Elementwise ops broadcast only between
 same-shape operands or a scalar -- anything richer has to live inside a
 fused op.
+
+Decode runs the same block bodies untaped, on the fused ops' array kernels,
+which return their state (conv tail, scan state, key/value prefix).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import ShapeError, StateError
 class Tensor:
     """A float32 array, an optional grad buffer, and a name for checkpoints."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "hi", "aux")
+    __slots__ = ("data", "grad", "requires_grad", "name", "hi")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data, dtype=np.float32)
@@ -34,8 +37,6 @@ class Tensor:
         # float64 readout for scalar reductions; oracles and loss logging use
         # it because the float32 copy quantizes away ~1e-7 of signal.
         self.hi: Optional[float] = None
-        # fused ops may stash inference-path extras here (e.g. scan state)
-        self.aux: Optional[dict] = None
 
     def item(self) -> float:
         if self.data.size != 1:

@@ -250,3 +250,20 @@ def test_report_corrupt_artifact_is_one_error_line(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert name in err and where in err
+
+
+@pytest.mark.parametrize("name,text,where", [
+    ("plan.jsonl", '{"kind": "ssm", "block": 0, "ratio": 0.1}\n[1, 2]\n',
+     "row 2 is not an object"),
+    ("plan.jsonl", '{"kind": "ssm", "block": 0}\n', "row 1 lacks ['ratio']"),
+    ("trace.jsonl", '{"iter": 0, "kind": "ssm", "block": 0, "score": 1.5}\n',
+     "row 1 lacks ['stage']"),
+    ("bench_report.json", '{"decode_speedup": 1.2}\n', "lacks ['prefill_speedup']"),
+], ids=["plan-not-object", "plan-no-ratio", "trace-no-stage", "bench-no-speedup"])
+def test_report_malformed_artifact_is_one_error_line(tmp_path, capsys, name, text,
+                                                     where):
+    (tmp_path / name).write_text(text)
+    assert cli(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert name in err and where in err

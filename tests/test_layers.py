@@ -145,10 +145,12 @@ def test_attention_mask_matches_frozen_to_the_byte(B, T):
     x = rnd(rng, B, T, 8, scale=0.5)
     ws = [rnd(rng, 8, 8, scale=0.4) for _ in range(4)]
     out = ly.attention(tn.Tensor(x), *[tn.Tensor(w) for w in ws], n_heads=2)
+    _, (ks, vs, n), _ = ly.attention_f(x, *ws, n_heads=2)
     y, k, v = frozen_attention(x, *ws, n_heads=2)
     assert out.data.tobytes() == np.asarray(y, dtype=np.float32).tobytes()
-    assert out.aux["kv"][0].tobytes() == k.tobytes()
-    assert out.aux["kv"][1].tobytes() == v.tobytes()
+    assert n == T
+    assert ks.tobytes() == k.tobytes()
+    assert vs.tobytes() == v.tobytes()
 
 
 def test_attention_gradients():

@@ -459,20 +459,63 @@ def test_decode_matches_batch(variant):
         assert rel_err(logits, full[:, t]) < 1e-5, f"t={t}"
 
 
+# removal sets on tiny_desc(n_blocks=5, transformer_at=(2,)); ints after a
+# kind are its block and, for mlp_channels, the channels sliced off
+DEAD_SETS = {
+    "ssm-mha-block": (("ssm", 0), ("mha", 2), ("mamba_block", 3)),
+    "mlp": (("ssm", 4), ("mlp", 2), ("mamba_block", 1)),
+    "mlp_channels": (("mlp_channels", 2, 20), ("ssm", 3)),
+}
+
+
+def dead_model(removals, seed=13):
+    m = Model.build(tiny_desc(n_blocks=5, transformer_at=(2,)), seed)
+    for kind, i, *g in removals:
+        if kind == "mlp_channels":
+            m.slice_mlp(i, *g)
+        else:
+            m.remove(kind, i)
+    return m
+
+
 def test_decode_with_dead_structures():
-    desc = tiny_desc(n_blocks=5, transformer_at=(2,))
-    m = Model.build(desc, 13)
-    m.remove("ssm", 0)
-    m.remove("mha", 2)
-    m.remove("mamba_block", 3)
-    rng = np.random.default_rng(13)
-    toks = rng.integers(0, desc.vocab, size=(1, 12))
+    for name, removals in DEAD_SETS.items():
+        m = dead_model(removals)
+        rng = np.random.default_rng(13)
+        toks = rng.integers(0, m.desc.vocab, size=(1, 12))
+        full = m.forward(toks).data
+        sess = DecodeSession(m)
+        sess.prefill(toks[:, :6])
+        for t in range(6, 12):
+            logits = sess.step(toks[:, t])
+            assert rel_err(logits, full[:, t]) < 1e-5, f"{name} t={t}"
+
+
+@pytest.mark.parametrize("case", ["mamba1", "mamba2", *DEAD_SETS])
+def test_prefill_equals_forward_last_position_to_the_byte(case):
+    if case in DEAD_SETS:
+        m = dead_model(DEAD_SETS[case], seed=16)
+    else:
+        m = Model.build(tiny_desc(n_blocks=5, transformer_at=(2,), variant=case), 16)
+    toks = np.random.default_rng(16).integers(0, m.desc.vocab, size=(2, 11))
+    got = DecodeSession(m).prefill(toks)
+    assert got.tobytes() == m.forward(toks).data[:, -1].tobytes()
+
+
+def test_decode_grows_kv_buffers_past_the_capacity_hint():
+    # a live mha and a hint far below the decoded length: the key/value
+    # buffers fill and grow several times, and decode still matches batch
+    m = Model.build(tiny_desc(n_blocks=3, transformer_at=(0, 2)), 17)
+    toks = np.random.default_rng(17).integers(0, m.desc.vocab, size=(2, 30))
     full = m.forward(toks).data
-    sess = DecodeSession(m)
-    sess.prefill(toks[:, :6])
-    for t in range(6, 12):
+    sess = DecodeSession(m, capacity_hint=2)
+    sess.prefill(toks[:, :3])
+    caps = {sess._state[0][0].shape[2]}
+    for t in range(3, 30):
         logits = sess.step(toks[:, t])
-        assert rel_err(logits, full[:, t]) < 1e-5
+        assert rel_err(logits, full[:, t]) < 1e-5, f"t={t}"
+        caps.add(sess._state[0][0].shape[2])
+    assert min(caps) == 4 and len(caps) > 2 and sess._state[0][2] == 30
 
 
 def test_decode_errors():

@@ -178,9 +178,9 @@ def every_kind(model):
 def count_block_forwards(monkeypatch):
     calls = []
     for cls in (MambaBlock, TransformerBlock):
-        def counted(self, x, want_cache=False, _orig=cls.forward):
+        def counted(self, x, _orig=cls.forward):
             calls.append(1)
-            return _orig(self, x, want_cache)
+            return _orig(self, x)
         monkeypatch.setattr(cls, "forward", counted)
     return calls
 
@@ -547,6 +547,18 @@ def test_serial_and_parallel_runs_emit_identical_bytes(tmp_path):
     assert (a_dir / "trace.jsonl").read_bytes() == (b_dir / "trace.jsonl").read_bytes()
     rows = read_jsonl(str(a_dir / "trace.jsonl"))
     assert all(set(r) >= {"iter", "stage", "kind", "block", "score"} for r in rows)
+
+
+@pytest.mark.parametrize("plan,match", [
+    ([{"kind": "ssm", "block": 0}, ["ssm", 1]], "row 2 is not an object"),
+    ([{"block": 0}], r"row 1 lacks \['kind'\]"),
+    ([{"kind": "ssm"}], r"row 1 lacks \['block'\]"),
+    ([{"kind": "ssm", "block": "0"}], "row 1 has block '0', expected an integer"),
+    ([{"kind": "mlp_channels", "block": 2, "g": 1.5}], "row 1 has g 1.5"),
+], ids=["not-object", "no-kind", "no-block", "str-block", "float-g"])
+def test_replay_rejects_malformed_rows_by_number(plan, match):
+    with pytest.raises(ScheduleError, match=match):
+        replay_plan(hybrid(seed=11), plan)
 
 
 def test_replay_reproduces_the_final_state():

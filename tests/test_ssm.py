@@ -97,8 +97,7 @@ def test_step_resumes_from_batch_state():
     p = build_params(rng, "s6", c, N)
     x = rng.uniform(-2.0, 2.0, (1, T, c)).astype(np.float32)
     full = ssm.selective_scan(tn.Tensor(x), p).data
-    half = ssm.selective_scan(tn.Tensor(x[:, :T // 2]), p)
-    h = half.aux["state"]
+    _, h, _ = ssm.scan_f(x[:, :T // 2], p)
     for t in range(T // 2, T):
         y, h = ssm.scan_step(p, h, x[:, t])
         assert np.abs(y - full[:, t]).max() < 1e-5
@@ -167,9 +166,10 @@ def test_chunked_scan_matches_unchunked_to_the_byte(variant, B, steps):
         out = ssm.selective_scan(tn.Tensor(x, requires_grad=True), p)
     (node,) = graph._nodes
     grads = node.bwd(g)
+    _, h, _ = ssm.scan_f(x, p)
     y, state, want = frozen_selective_scan(x, p, g)
     assert out.data.tobytes() == np.asarray(y, dtype=np.float32).tobytes()
-    assert out.aux["state"].tobytes() == state.tobytes()
+    assert h.tobytes() == state.tobytes()
     names = ["x", "A_log", "x_to_B", "x_to_C", "x_to_dt", "dt_bias", "D_skip"]
     for name, got, ref in zip(names, grads, want):
         assert got.tobytes() == ref.tobytes(), f"grad of {name} differs"
