@@ -7,7 +7,8 @@ primitive ops. Linear, rmsnorm, conv and attention split in two: an array
 kernel (`linear_f`, ...) that decode runs directly, and the tape wrapper,
 which calls it and records the backward. The stateful kernels take what came
 before their input: conv the last inputs, attention a key/value prefix. The
-gated mlp composes linear/silu/mul and needs no backward of its own.
+gated mlp is one body over an ops table, the blocks' tape or array ops, and
+needs no backward of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import tensor as tn
 from .errors import CapacityError, ShapeError, TokenError
 from .tensor import Tensor, f32, record
 
@@ -369,9 +369,10 @@ class GatedMlp:
     def hidden(self) -> int:
         return self.up.weight.data.shape[0]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        gated = tn.mul(tn.silu(linear(x, self.gate.weight)), linear(x, self.up.weight))
-        return linear(gated, self.down.weight)
+    def body(self, ops, x):
+        """The mlp over an ops table (model.TAPE on Tensors, model.ARRAYS on arrays)."""
+        return ops.linear(ops.mul(ops.silu(ops.linear(x, self.gate)), ops.linear(x, self.up)),
+                          self.down)
 
     def slice_trailing(self, g: int) -> None:
         """Permanently drop the last g hidden channels."""

@@ -289,9 +289,7 @@ class TransformerBlock:
             att, kv = ops.attention(ops.rmsnorm(x, self.norm1), self.mha, kv)
             x = ops.add(x, att)
         if self.mlp_alive:
-            h, m = ops.rmsnorm(x, self.norm2), self.mlp
-            gated = ops.mul(ops.silu(ops.linear(h, m.gate)), ops.linear(h, m.up))
-            x = ops.add(x, ops.linear(gated, m.down))
+            x = ops.add(x, self.mlp.body(ops, ops.rmsnorm(x, self.norm2)))
         return x, kv
 
     def forward(self, x: Tensor) -> Tensor:
@@ -301,8 +299,11 @@ class TransformerBlock:
         """x (B, T, d) float32 after key/value prefix kv -> (output, kv after x)."""
         return self._body(ARRAYS, x, kv)
 
-    def empty_state(self, batch: int, capacity: int) -> tuple:
-        """Key/value buffers for capacity positions, none filled."""
+    def empty_state(self, batch: int, capacity: int) -> Optional[tuple]:
+        """Key/value buffers for capacity positions, none filled; None when
+        the attention never runs."""
+        if not (self.alive and self.mha_alive):
+            return None
         H = self.mha.n_heads
         shape = (batch, H, capacity, self.norm1.scale.data.shape[0] // H)
         return np.zeros(shape), np.zeros(shape), 0

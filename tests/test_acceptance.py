@@ -19,7 +19,7 @@ from ssmprune import layers as ly
 from ssmprune import ssm as ssm_mod
 from ssmprune import tensor as tn
 from ssmprune.bench import BenchConfig, bench
-from ssmprune.model import (Model, block_param_count, descriptor_param_count,
+from ssmprune.model import (TAPE, Model, block_param_count, descriptor_param_count,
                             toy_descriptor)
 from ssmprune.pruning import (CalibrationSet, read_jsonl, replay_plan,
                               run_schedule)
@@ -117,7 +117,7 @@ def _grad_cases(rng):
     xm = rt(1, 4, 5, scale=0.5)
     rm = tn.Tensor(rnd(rng, 1, 4, 5))
     cases.append(("gated_mlp",
-                  lambda: tape_sum(tn.mul(mlp(xm), rm)),
+                  lambda: tape_sum(tn.mul(mlp.body(TAPE, xm), rm)),
                   [xm] + list(mlp.tensors().values()), 1e-3))
 
     xa = rt(1, 5, 8, scale=0.5)
@@ -209,9 +209,9 @@ def test_criterion_4_slice_equals_mask():
     masked.gate.weight.data[D - g:] = 0.0
     masked.down.weight.data[:, D - g:] = 0.0
     x = tn.Tensor(rnd(rng, 2, 7, d, scale=0.5))
-    want = masked(x).data
+    want = masked.body(TAPE, x).data
     mlp.slice_trailing(g)
-    diff = float(np.abs(mlp(x).data - want).max())
+    diff = float(np.abs(mlp.body(TAPE, x).data - want).max())
 
     desc = toy_descriptor(n_blocks=3, transformer_at=(1,), d_model=32,
                           d_state=8, mlp_hidden=96)

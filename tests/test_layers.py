@@ -6,6 +6,7 @@ import pytest
 from ssmprune import tensor as tn
 from ssmprune import layers as ly
 from ssmprune.errors import CapacityError, ShapeError, TokenError
+from ssmprune.model import TAPE
 
 from oracles import (
     finite_diff,
@@ -182,7 +183,7 @@ def test_gated_mlp_forward_matches_oracle():
     rng = np.random.default_rng(20)
     mlp = make_mlp(rng)
     x = rnd(rng, 1, 5, 6)
-    out = mlp(tn.Tensor(x)).data[0]
+    out = mlp.body(TAPE, tn.Tensor(x)).data[0]
     want = naive_gated_mlp(x[0], mlp.up.weight.data, mlp.gate.weight.data,
                            mlp.down.weight.data)
     assert rel_err(out, want) < 1e-5
@@ -194,7 +195,7 @@ def test_gated_mlp_gradients():
     x = tn.Tensor(rnd(rng, 1, 4, 5), requires_grad=True, name="x")
     r = tn.Tensor(rnd(rng, 1, 4, 5))
     params = [x, mlp.up.weight, mlp.gate.weight, mlp.down.weight]
-    check_grads(lambda: tape_sum(tn.mul(mlp(x), r)), params)
+    check_grads(lambda: tape_sum(tn.mul(mlp.body(TAPE, x), r)), params)
 
 
 def test_slice_equals_mask():
@@ -209,11 +210,11 @@ def test_slice_equals_mask():
         ly.Linear(tn.Tensor(mlp.down.weight.data.copy())),
     )
     masked.down.weight.data[:, -g:] = 0.0
-    want = masked(x).data
+    want = masked.body(TAPE, x).data
 
     mlp.slice_trailing(g)
     assert mlp.hidden == 8
-    assert rel_err(mlp(x).data, want) < 1e-6
+    assert rel_err(mlp.body(TAPE, x).data, want) < 1e-6
 
 
 def test_two_small_slices_equal_one_big():
