@@ -27,7 +27,7 @@ from .errors import (CapacityError, CheckpointError, ConfigError,
                      DivergenceError, ScheduleError, ShapeError, StateError,
                      TokenError)
 from .model import Model, load_model, save_model, toy_descriptor
-from .pruning import CalibrationSet, check_rows, read_jsonl, run_schedule
+from .pruning import CalibrationSet, check_rows, is_a, read_jsonl, run_schedule
 from .study import StudyConfig, read_curves_csv, study_sensitivity
 from .training import (LOSS_COLUMNS, VOCAB, Corpus, TrainConfig,
                        split_perplexity, train)
@@ -213,7 +213,7 @@ def cmd_report(args) -> int:
     plan_path = os.path.join(out, "plan.jsonl")
     if os.path.exists(plan_path):
         plan = read_jsonl(plan_path)
-        check_rows(plan, ("kind", "ratio"), plan_path)
+        check_rows(plan, {"kind": "a string", "ratio": "a number"}, plan_path)
         kinds: dict = {}
         for r in plan:
             kinds[r["kind"]] = kinds.get(r["kind"], 0) + 1
@@ -224,7 +224,8 @@ def cmd_report(args) -> int:
     trace_path = os.path.join(out, "trace.jsonl")
     if os.path.exists(trace_path):
         rows = read_jsonl(trace_path)
-        check_rows(rows, ("iter", "stage", "kind", "block", "score"), trace_path)
+        check_rows(rows, {"iter": "an integer", "stage": "an integer", "kind": "a string",
+                          "block": "an integer", "score": "a number"}, trace_path)
         csv_path = os.path.join(out, "trace.csv")
         with open(csv_path, "w") as f:
             f.write("iter,stage,kind,block,g,score\n")
@@ -257,6 +258,9 @@ def cmd_report(args) -> int:
                    if not isinstance(rep, dict) or k not in rep]
         if missing:
             raise ConfigError(f"{bench_path}: lacks {missing}")
+        for k in ("prefill_speedup", "decode_speedup"):
+            if not is_a(rep[k], "a number"):
+                raise ConfigError(f"{bench_path}: {k} {rep[k]!r} is not a number")
         flag = "  UNSTABLE" if rep.get("unstable") else ""
         print(f"bench: prefill speedup {rep['prefill_speedup']:.3f}x, "
               f"decode speedup {rep['decode_speedup']:.3f}x{flag}")

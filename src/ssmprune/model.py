@@ -50,6 +50,9 @@ ALIVE_FLAG = {"mamba_block": "alive", "transformer_block": "alive",
               "ssm": "ssm_alive", "mha": "mha_alive", "mlp": "mlp_alive"}
 
 
+_DESC_INTS = ("vocab", "d_model", "n_blocks", "d_state", "conv_width", "n_heads")
+
+
 @dataclass(frozen=True)
 class ArchDescriptor:
     """Everything needed to rebuild a model skeleton."""
@@ -66,8 +69,9 @@ class ArchDescriptor:
     def validate(self) -> None:
         if self.vocab < 2:
             raise ConfigError(f"descriptor: vocab={self.vocab}, need at least 2")
-        if self.d_model < 1 or self.d_state < 1 or self.conv_width < 1:
-            raise ConfigError("descriptor: d_model, d_state, conv_width must be positive")
+        if min(self.d_model, self.d_state, self.conv_width, self.n_heads) < 1:
+            raise ConfigError("descriptor: d_model, d_state, conv_width, n_heads "
+                              "must be positive")
         if self.n_blocks != len(self.block_kinds):
             raise ConfigError(
                 f"descriptor: n_blocks={self.n_blocks} but {len(self.block_kinds)} block_kinds"
@@ -97,13 +101,24 @@ class ArchDescriptor:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "ArchDescriptor":
-        return ArchDescriptor(
-            vocab=int(d["vocab"]), d_model=int(d["d_model"]), n_blocks=int(d["n_blocks"]),
-            block_kinds=tuple(d["block_kinds"]), d_state=int(d["d_state"]),
-            mlp_hidden=tuple(int(x) for x in d["mlp_hidden"]),
-            conv_width=int(d["conv_width"]), n_heads=int(d["n_heads"]),
-        )
+    def from_dict(d) -> "ArchDescriptor":
+        """The inverse of to_dict; ConfigError naming the first field that is
+        missing or of the wrong type."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"descriptor: {d!r} is not an object")
+        missing = [k for k in _DESC_INTS + ("block_kinds", "mlp_hidden") if k not in d]
+        if missing:
+            raise ConfigError(f"descriptor: lacks {missing}")
+        for k in _DESC_INTS:
+            if not _is_int(d[k]):
+                raise ConfigError(f"descriptor: {k} {d[k]!r} is not an integer")
+        kinds, hidden = d["block_kinds"], d["mlp_hidden"]
+        if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
+            raise ConfigError(f"descriptor: block_kinds {kinds!r} is not a list of strings")
+        if not isinstance(hidden, list) or not all(_is_int(h) for h in hidden):
+            raise ConfigError(f"descriptor: mlp_hidden {hidden!r} is not a list of integers")
+        return ArchDescriptor(block_kinds=tuple(kinds), mlp_hidden=tuple(hidden),
+                              **{k: d[k] for k in _DESC_INTS})
 
 
 def toy_descriptor(n_blocks: int = 12, variant: str = "mamba1",
@@ -394,21 +409,10 @@ class Model:
         """tokens (B, T) int -> logits (B, T, vocab)."""
         return self.resume(self._embed(tokens), 0)
 
-    def block_inputs(self, tokens: np.ndarray, stop: int) -> List[Tensor]:
-        """Residual-stream inputs of blocks 0..stop, in order: runs the
-        embedding and the live blocks before stop. A dead block's input is
-        the same tensor as the next block's."""
-        if not 0 <= stop <= len(self.blocks):
-            raise StateError(f"block inputs up to {stop}; model has {len(self.blocks)}")
-        inputs: List[Tensor] = []
-        x = self._run(self._embed(tokens), 0, stop, inputs=inputs)
-        inputs.append(x)
-        return inputs
-
     def resume(self, x: Tensor, start: int) -> Tensor:
         """Runs the live blocks from start on the residual input x, then the
-        final norm and the head. resume(block_inputs(tokens, i)[i], i)
-        returns the same bytes as forward(tokens)."""
+        final norm and the head. On the input of block i that _run
+        collects from the embedding, it returns the bytes of forward(tokens)."""
         if not 0 <= start <= len(self.blocks):
             raise StateError(f"resume at block {start}; model has {len(self.blocks)}")
         x = self._run(x, start, len(self.blocks))
@@ -606,6 +610,17 @@ def _check_widths(path: str, desc: ArchDescriptor, hidden_now) -> None:
                                   f"block {i}, expected {lo}..{hi}")
 
 
+def _check_tensor_rows(path: str, rows) -> None:
+    """One-line CheckpointError for a tensors row that is not
+    [name, [int, ...]]."""
+    if not isinstance(rows, list):
+        raise CheckpointError(f"{path}: tensors {rows!r} is not a list")
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
+                and isinstance(row[1], list) and all(_is_int(n) for n in row[1])):
+            raise CheckpointError(f"{path}: tensors row {row!r} is not [name, shape]")
+
+
 def _check_rows(path: str, model: Model, rows) -> None:
     """One-line CheckpointError unless the structures rows hold exactly one
     well-formed row per part of the built skeleton."""
@@ -654,8 +669,12 @@ def load_model(path: str):
     missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {missing}")
-    desc = ArchDescriptor.from_dict(header["descriptor"])
-    desc.validate()
+    try:
+        desc = ArchDescriptor.from_dict(header["descriptor"])
+        desc.validate()
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+    _check_tensor_rows(path, header["tensors"])
     _check_widths(path, desc, header["mlp_hidden_now"])
     model = Model._assemble(desc, np.random.default_rng(0),
                             hidden_now=header["mlp_hidden_now"])

@@ -9,15 +9,18 @@ candidate's own block and shares every other part, so the model under
 search is never perturbed by scoring, and a thread pool can fan the
 scoring out without changing any byte of the resulting plan or trace.
 
-A removal in block i leaves blocks 0..i-1 as they were. So the search
-holds, per calibration batch, the residual-stream input of blocks 0..k and
-lets every candidate resume at its own block. The same ops run on the same
-inputs, so scores are bit-identical to full forwards. The inputs live for
-the whole run_schedule: a removal at block b drops the inputs after b, and
-the next score_all runs each batch on from block b only up to its highest
-candidate block. They cost count x length x d_model x 4 bytes per block:
-at most 3 MiB for 8x128 windows at d_model 64 with 12 blocks, and 16.8 MB
-per block (about 200 MB for 12) at the CLI's 256x256 default.
+A removal in block i leaves blocks 0..i-1 as they were. So run_schedule
+builds one search object that holds the model under search, the
+calibration set and, per calibration batch, the residual-stream inputs of
+blocks 0..k, and passes it to score_all as the calibration set; every
+candidate resumes at its own block. The same ops run on the same inputs, so
+scores are bit-identical to full forwards. A removal at block b drops the
+inputs after b, and the next score_all runs each batch on from block b only
+up to its highest candidate block. A score_all on a plain calibration set
+builds a search of its own and frees it on return, so concurrent calls
+share no state. The inputs cost count x length x d_model x 4 bytes per
+block: at most 3 MiB for 8x128 windows at d_model 64 with 12 blocks, and
+16.8 MB per block (about 200 MB for 12) at the CLI's 256x256 default.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ScheduleError
+from .errors import ScheduleError, StateError
 from .model import KIND_ORDER, Model
 from .tensor import Tensor
 from .training import Corpus, perplexity
@@ -146,72 +149,65 @@ def apply_action(model: Model, kind: str, block: int, g: Optional[int] = None) -
         model.remove(kind, int(block))
 
 
-# Block inputs held for the model under search, keyed by (id(model), id(cal)).
-# run_schedule holds one for the whole search; a score_all call on a pair
-# nobody holds builds its own and frees it on return. score_candidate keeps its
-# (model, cand, cal) signature and receives the caller's own cal, so the held
-# inputs reach it through this table. A held prefix keeps its model and cal
-# alive, so a key match means the very same objects.
-_HELD: Dict[Tuple[int, int], "_Prefix"] = {}
-
-
-def _batch_key(tokens: np.ndarray) -> tuple:
-    return tokens.shape, tokens.dtype.str, tokens.tobytes()
-
-
-class _Prefix:
-    """For every calibration batch, keyed by the batch's tokens, a row with
-    the current model's residual-stream inputs of blocks 0..k. A removal in
-    block b leaves the inputs of blocks 0..b as they were, so after one the
-    rows keep those and drop the rest (`drop_after`); `grow` runs each row
-    on from its last input. Rows are replaced, never edited, so a reader
-    sees a whole row."""
+class _Search:
+    """One greedy search: the model under search, its calibration set and,
+    for every calibration batch by number, a row with the model's
+    residual-stream inputs of blocks 0..k. score_all and score_candidate
+    take it as their cal. A removal in block b leaves the inputs of blocks
+    0..b as they were, so after one the rows keep those and drop the rest
+    (`drop_after`); `grow` runs each row on from its last input. Rows are
+    replaced, never edited, so a reader sees a whole row."""
 
     def __init__(self, model: Model, cal: CalibrationSet):
         self.model, self.cal = model, cal
+        self.tokens, self.batch_size = cal.tokens, cal.batch_size
         n, bs = cal.tokens.shape[0], cal.batch_size
         self.batches = [cal.tokens[i:i + bs] for i in range(0, n, bs)]
-        self.rows: Dict[tuple, List[Tensor]] = {}
+        self.rows: List[List[Tensor]] = [[] for _ in self.batches]
 
     def grow(self, stop: int, map_: Callable) -> None:
         """Extend every row to the inputs of blocks 0..stop, one batch per
-        map_ item; a row that reaches stop already is kept as it is."""
-        def grown(toks: np.ndarray) -> List[Tensor]:
-            row = self.rows.get(_batch_key(toks))
-            if row is None:
-                return self.model.block_inputs(toks, stop)
-            k = len(row) - 1
-            if k >= stop:
+        map_ item. An empty row starts at the embedding; a row that reaches
+        stop already is kept as it is."""
+        def grown(n: int) -> List[Tensor]:
+            row = self.rows[n]
+            if len(row) > stop:
                 return row
-            out = row[:k]
-            out.append(self.model._run(row[k], k, stop, inputs=out))
+            out = row[:-1]
+            x = row[-1] if row else self.model._embed(self.batches[n])
+            out.append(self.model._run(x, len(out), stop, inputs=out))
             return out
 
-        rows = list(map_(grown, self.batches))
-        self.rows = {_batch_key(t): row for t, row in zip(self.batches, rows)}
+        self.rows = list(map_(grown, range(len(self.batches))))
 
     def drop_after(self, block: int) -> None:
         """Forget every input after `block`, whose structure just changed."""
-        self.rows = {k: row[:block + 1] for k, row in self.rows.items()}
+        self.rows = [row[:block + 1] for row in self.rows]
 
-    def last(self) -> int:
-        """The highest block whose input every row holds (0 with no rows)."""
-        return min((len(row) for row in self.rows.values()), default=1) - 1
+    def ppl(self, model: Model, start: int) -> float:
+        """cal.ppl of `model`, which runs as the model under search up to
+        block `start`: every batch resumes at `start` from its held input,
+        which every row must hold."""
+        return self.cal.ppl(_Resumed(model, start, self.rows))
 
 
 class _Resumed:
-    """Stands in for a trial model inside cal.ppl: forward(tokens) resumes the
-    trial at `start` from the held input of that batch, or runs the trial's
-    full forward on tokens the prefix does not hold up to `start`."""
+    """Stands in for a model inside cal.ppl, which runs the calibration
+    batches in order: the n-th forward resumes the model at `start` from
+    row n. Every other attribute is the model's."""
 
-    def __init__(self, trial: Model, start: int, prefix: _Prefix):
-        self.trial, self.start, self.prefix = trial, start, prefix
+    def __init__(self, model: Model, start: int, rows: List[List[Tensor]]):
+        self.model, self.start, self.rows = model, start, iter(rows)
+
+    def __getattr__(self, name: str):
+        return getattr(self.model, name)
 
     def forward(self, tokens: np.ndarray) -> Tensor:
-        row = self.prefix.rows.get(_batch_key(np.asarray(tokens)))
-        if row is None or len(row) <= self.start:
-            return self.trial.forward(tokens)
-        return self.trial.resume(row[self.start], self.start)
+        x = next(self.rows)[self.start]
+        if x.data.shape[:2] != np.shape(tokens):
+            raise StateError(f"resumed forward: tokens {np.shape(tokens)}, held "
+                             f"input {x.data.shape[:2]}")
+        return self.model.resume(x, self.start)
 
 
 def _trial(model: Model, block: int) -> Model:
@@ -229,16 +225,15 @@ def score_candidate(model: Model, cand: Candidate, cal: CalibrationSet) -> float
 
     Applies the action to a trial that copies only the candidate's block and
     shares the rest; the model is untouched. Non-finite perplexity scores
-    as +inf so a destabilizing removal can never win the argmin. When inputs
-    are held for (model, cal), the trial resumes at the candidate's block
-    from the held input of that block, since a change in block i leaves
-    blocks before i as they were; otherwise it runs the full forward. The
-    two give the same bytes.
+    as +inf so a destabilizing removal can never win the argmin. On a plain
+    calibration set the trial runs its full forward. On the search that
+    score_all passes, it resumes at the candidate's block from the held
+    input of that block, since a change in block i leaves blocks before i
+    as they were; the two give the same bytes.
     """
     trial = _trial(model, cand.block)
     apply_action(trial, cand.kind, cand.block, cand.g)
-    prefix = _HELD.get((id(model), id(cal)))
-    p = cal.ppl(trial if prefix is None else _Resumed(trial, cand.block, prefix))
+    p = cal.ppl(trial, cand.block) if isinstance(cal, _Search) else cal.ppl(trial)
     return p if math.isfinite(p) else math.inf
 
 
@@ -249,11 +244,11 @@ def score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
 
     First brings the held inputs of every calibration batch up to the
     highest candidate block, one batch per worker; every candidate then
-    runs only from its own block on. Inside run_schedule the inputs live
-    for the whole search and each call runs only the blocks a removal
-    invalidated; called on its own, it runs the model up to that block,
-    holds count x length x d_model x 4 bytes per block, and frees them on
-    return.
+    resumes at its own block. run_schedule passes its search as cal, whose
+    inputs live for the whole run, so each call runs only the blocks a
+    removal invalidated. On a plain calibration set, score_all builds a
+    search of its own: it runs the model up to that block, holds count x
+    length x d_model x 4 bytes per block, and frees them on return.
     """
     if threads > 1 and len(cands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -263,23 +258,11 @@ def score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
 
 def _score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
                map_: Callable) -> List[float]:
-    # Concurrent calls on one (model, cal) pair may replace, shorten or drop
-    # each other's prefix; a candidate whose batch row does not reach its
-    # block runs the full forward, which gives the same bytes.
     if not cands:
         return []
-    key = (id(model), id(cal))
-    prefix = _HELD.get(key)
-    owned = prefix is None and isinstance(cal, CalibrationSet)
-    if owned:
-        prefix = _HELD[key] = _Prefix(model, cal)
-    try:
-        if prefix is not None:
-            prefix.grow(max(c.block for c in cands), map_)
-        return list(map_(lambda c: score_candidate(model, c, cal), cands))
-    finally:
-        if owned:
-            _HELD.pop(key, None)
+    search = cal if isinstance(cal, _Search) else _Search(model, cal)
+    search.grow(max(c.block for c in cands), map_)
+    return list(map_(lambda c: score_candidate(model, c, search), cands))
 
 
 def write_jsonl(path: str, rows: Sequence[dict]) -> None:
@@ -308,9 +291,10 @@ def _row(it: int, si: int, c: Candidate, score: float) -> dict:
     return row
 
 
-def _search(work: Model, stages: Sequence[Stage], cal: CalibrationSet,
-            threads: int, prefix: Optional[_Prefix]) -> Tuple[list, list, list]:
+def _greedy(search: _Search, stages: Sequence[Stage],
+            threads: int) -> Tuple[list, list, list]:
     """The greedy loop of run_schedule -> (plan, trace, stage_infos)."""
+    work = search.model
     plan: List[dict] = []
     trace: List[dict] = []
     stage_infos: List[dict] = []
@@ -323,7 +307,7 @@ def _search(work: Model, stages: Sequence[Stage], cal: CalibrationSet,
             if not cands:
                 truncated = True
                 break
-            scores = score_all(work, cands, cal, threads=threads)
+            scores = score_all(work, cands, search, threads=threads)
             trace.extend(_row(it, si, c, s) for c, s in zip(cands, scores))
             if all(s == math.inf for s in scores):
                 it += 1  # no removal keeps the model finite: apply nothing
@@ -333,8 +317,7 @@ def _search(work: Model, stages: Sequence[Stage], cal: CalibrationSet,
                     key=lambda k: (scores[k], cands[k].block, _RANK[cands[k].kind]))
             c = cands[j]
             apply_action(work, c.kind, c.block, c.g)
-            if prefix is not None:
-                prefix.drop_after(c.block)
+            search.drop_after(c.block)
             entry = _row(it, si, c, scores[j])
             entry["ratio"] = work.prune_ratio()
             plan.append(entry)
@@ -364,18 +347,13 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
     stages = parse_schedule(schedule) if isinstance(schedule, str) else list(schedule)
     work = model.clone() if plan_only else model
     # the block inputs live for the whole search; each removal drops those
-    # it invalidated, and the final perplexity resumes from what is left
-    key = (id(work), id(cal))
-    prefix = _Prefix(work, cal) if isinstance(cal, CalibrationSet) else None
-    if prefix is not None:
-        _HELD[key] = prefix
-    try:
-        plan, trace, stage_infos = _search(work, stages, cal, threads, prefix)
-        final = work if prefix is None else _Resumed(work, prefix.last(), prefix)
-        final_ppl = cal.ppl(final)
-    finally:
-        if prefix is not None:
-            _HELD.pop(key, None)
+    # it invalidated, and the final perplexity resumes at the shortest row
+    # (at the embedding, when nothing was scored)
+    search = _Search(work, cal)
+    plan, trace, stage_infos = _greedy(search, stages, threads)
+    start = max(min(map(len, search.rows)) - 1, 0)
+    search.grow(start, map)
+    final_ppl = search.ppl(work, start)
     summary = {
         "plan": plan,
         "trace": trace,
@@ -391,23 +369,34 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
     return summary
 
 
-def check_rows(rows: Sequence, keys: Sequence[str], where: str) -> None:
+_TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float)}
+
+
+def is_a(value, what: str) -> bool:
+    """Whether value is `what`, a key of _TYPES; a bool is neither an
+    integer nor a number."""
+    return isinstance(value, _TYPES[what]) and not isinstance(value, bool)
+
+
+def check_rows(rows: Sequence, types: Dict[str, str], where: str) -> None:
     """ScheduleError naming the first row (counted from 1) that is not an
-    object holding every key."""
+    object holding every key of `types` with a value of its type."""
     for n, row in enumerate(rows, 1):
         if not isinstance(row, dict):
             raise ScheduleError(f"{where}: row {n} is not an object: {row!r}")
-        missing = [k for k in keys if k not in row]
+        missing = [k for k in types if k not in row]
         if missing:
             raise ScheduleError(f"{where}: row {n} lacks {missing}")
+        for k, what in types.items():
+            if not is_a(row[k], what):
+                raise ScheduleError(f"{where}: row {n} has {k} {row[k]!r}, expected {what}")
 
 
 def replay_plan(model: Model, plan: Sequence[dict]) -> None:
     """Apply recorded actions in order; nothing is rescored."""
-    check_rows(plan, ("kind", "block"), "plan")
+    check_rows(plan, {"kind": "a string", "block": "an integer"}, "plan")
     for n, row in enumerate(plan, 1):
-        for key in ("block", "g"):
-            v = row.get(key, 0)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ScheduleError(f"plan: row {n} has {key} {v!r}, expected an integer")
+        g = row.get("g", 0)
+        if not is_a(g, "an integer"):
+            raise ScheduleError(f"plan: row {n} has g {g!r}, expected an integer")
         apply_action(model, row["kind"], row["block"], row.get("g"))

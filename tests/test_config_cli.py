@@ -267,3 +267,31 @@ def test_report_malformed_artifact_is_one_error_line(tmp_path, capsys, name, tex
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert name in err and where in err
+
+
+_TRACE_ROW = '{"iter": 0, "stage": 0, "kind": "ssm", "block": 0, "score": 1.5}\n'
+
+
+@pytest.mark.parametrize("name,text,where", [
+    ("plan.jsonl", '{"kind": "ssm", "block": 0, "ratio": 0.1}\n'
+     '{"kind": "ssm", "block": 1, "ratio": "x"}\n', "row 2 has ratio 'x', expected a number"),
+    ("plan.jsonl", '{"kind": 3, "block": 0, "ratio": 0.1}\n', "row 1 has kind 3"),
+    ("trace.jsonl", _TRACE_ROW + _TRACE_ROW.replace("1.5", '"low"'),
+     "row 2 has score 'low', expected a number"),
+    ("trace.jsonl", _TRACE_ROW.replace('"block": 0', '"block": 0.5'),
+     "row 1 has block 0.5, expected an integer"),
+    ("trace.jsonl", _TRACE_ROW.replace('"block": 0', '"block": true'),
+     "row 1 has block True, expected an integer"),
+    ("bench_report.json", '{"prefill_speedup": "fast", "decode_speedup": 1.2}\n',
+     "prefill_speedup 'fast' is not a number"),
+    ("bench_report.json", '{"prefill_speedup": 1.1, "decode_speedup": "1.2"}\n',
+     "decode_speedup '1.2' is not a number"),
+], ids=["plan-str-ratio", "plan-int-kind", "trace-str-score", "trace-float-block",
+        "trace-bool-block", "bench-str-prefill", "bench-str-decode"])
+def test_report_wrongly_typed_value_is_one_error_line(tmp_path, capsys, name, text,
+                                                      where):
+    (tmp_path / name).write_text(text)
+    assert cli(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert name in err and where in err

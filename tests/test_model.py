@@ -125,15 +125,14 @@ def test_resume_from_any_block_matches_forward():
     m.remove("ssm", 3)
     toks = tokens_for(desc, np.random.default_rng(13))
     want = m.forward(toks).data.tobytes()
-    xs = m.block_inputs(toks, len(m.blocks))
+    xs = []
+    xs.append(m._run(m._embed(toks), 0, len(m.blocks), inputs=xs))
     assert len(xs) == len(m.blocks) + 1
     assert xs[2] is xs[3]  # dead block 2 hands its input on
     for i, x in enumerate(xs):
         assert m.resume(x, i).data.tobytes() == want, i
     with pytest.raises(StateError):
         m.resume(xs[0], len(m.blocks) + 1)
-    with pytest.raises(StateError):
-        m.block_inputs(toks, -1)
 
 
 def test_zero_out_projection_makes_removal_free():
@@ -428,6 +427,29 @@ def test_checkpoint_rejects_missing_or_duplicated_structure_rows(tmp_path, edit,
 
 def test_checkpoint_rejects_header_without_structures(tmp_path):
     assert "lacks ['structures']" in _load_edited(tmp_path, lambda h: h.pop("structures"))
+
+
+def _set(section, key, value):
+    def edit(h):
+        h[section][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h["descriptor"].pop("vocab"), r"descriptor: lacks \['vocab'\]"),
+    (lambda h: h.update(descriptor=[1, 2]), r"descriptor: \[1, 2\] is not an object"),
+    (_set("descriptor", "block_kinds", 5), "block_kinds 5 is not a list of strings"),
+    (_set("descriptor", "mlp_hidden", [0, "8", 0, 0]), "mlp_hidden .* not a list of integers"),
+    (_set("descriptor", "d_model", "x"), "d_model 'x' is not an integer"),
+    (_set("descriptor", "n_heads", 0), "n_heads"),
+    (lambda h: h["tensors"].append(["a"]), r"tensors row \['a'\] is not \[name, shape\]"),
+    (lambda h: h["tensors"].append(["a", [2, "3"]]), r"tensors row .* is not \[name, shape\]"),
+    (lambda h: h.update(tensors={}), r"tensors \{\} is not a list"),
+], ids=["no-vocab", "list-descriptor", "int-block-kinds", "str-width", "str-d-model",
+        "zero-heads", "short-tensor-row", "str-dim", "dict-tensors"])
+def test_checkpoint_rejects_malformed_header_fields(tmp_path, edit, match):
+    msg = _load_edited(tmp_path, edit)
+    assert re.search(match, msg), msg
 
 
 def test_checkpoint_header_rewrite_alone_loads(tmp_path):

@@ -1,8 +1,11 @@
 """Schedule grammar, candidate scoring, and the greedy removal loop."""
 
+import gc
 import math
 import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -189,6 +192,25 @@ def live_from(model, start):
     return sum(b.alive for b in model.blocks[start:])
 
 
+def held_inputs(monkeypatch):
+    """Weak references to the arrays of every block input a search holds,
+    taken after each grow."""
+    refs = []
+    grow = pruning._Search.grow
+
+    def recording(self, stop, map_):
+        grow(self, stop, map_)
+        refs.extend(weakref.ref(x.data) for row in self.rows for x in row)
+
+    monkeypatch.setattr(pruning._Search, "grow", recording)
+    return refs
+
+
+def assert_freed(refs):
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_resumed_scores_equal_the_applied_clone_for_every_kind(threads):
     model = dead_around()
@@ -231,9 +253,13 @@ def test_prefix_is_freed_when_score_all_returns(monkeypatch):
             return super().ppl(model)
 
     failing, cal = _FailsOnce(Corpus.bundled(), 7, 40, 3), short_cal()
+    refs = held_inputs(monkeypatch)
     with pytest.raises(RuntimeError):
         score_all(model, [cand], failing)
+    assert_freed(refs)
+    refs.clear()
     score_all(model, [cand], cal)
+    assert_freed(refs)
     calls = count_block_forwards(monkeypatch)
     for c in (failing, cal):  # nothing held any more: the full forward
         calls.clear()
@@ -248,14 +274,13 @@ def test_threaded_resume_under_fast_switching_matches_serial(monkeypatch):
     want = score_all(model, cands, cal)
     flags, data = snapshot(model)
     held = []
-    block_inputs = Model.block_inputs
+    grow = pruning._Search.grow
 
-    def capture(self, tokens, stop):
-        xs = block_inputs(self, tokens, stop)
-        held.append([(x, x.data.tobytes()) for x in xs])
-        return xs
+    def capture(self, stop, map_):
+        grow(self, stop, map_)
+        held.extend([(x, x.data.tobytes()) for x in row] for row in self.rows)
 
-    monkeypatch.setattr(Model, "block_inputs", capture)
+    monkeypatch.setattr(pruning._Search, "grow", capture)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -268,6 +293,35 @@ def test_threaded_resume_under_fast_switching_matches_serial(monkeypatch):
     assert snapshot(model) == (flags, data)
     assert len(held) == 3 * rounds
     assert all(x.data.tobytes() == b for row in held for x, b in row)
+
+
+def test_concurrent_score_all_on_one_pair_matches_serial(monkeypatch):
+    model = dead_around()
+    cal = short_cal()
+    cands = every_kind(model)
+    calls = count_block_forwards(monkeypatch)
+    want = score_all(model, cands, cal)
+    once = len(calls)
+
+    def run(i):
+        got[i] = score_all(model, cands, cal, threads=2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            got = [None, None]
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert got == [want, want]
+            assert len(calls) == 2 * once
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def components(model):
@@ -385,6 +439,7 @@ def test_held_inputs_give_the_reference_search(variant, threads, monkeypatch):
     assert {r["kind"] for r in trace} == set(KIND_ORDER)
     model = dead_around(variant)
     calls, passes = prefix_passes(monkeypatch)
+    refs = held_inputs(monkeypatch)
     out = run_schedule(model, EVERY_KIND_SCHEDULE, cal, threads=threads)
     assert (out["plan"], out["trace"], out["final_cal_ppl"]) == (plan, trace, final)
     assert len(passes) == len(plan)
@@ -394,13 +449,14 @@ def test_held_inputs_give_the_reference_search(variant, threads, monkeypatch):
         prev = row["block"]
     # the final perplexity resumes at the last removal's block
     assert len(calls) - passes[-1][3] == 3 * live_from(model, prev)
-    assert pruning._HELD == {}
+    assert_freed(refs)
 
 
 def test_a_removal_reruns_only_the_blocks_from_its_own(monkeypatch):
     model = dead_around()  # live: mamba 1 and 3, transformers 2 and 5
     cal = short_cal()
     _, passes = prefix_passes(monkeypatch)
+    refs = held_inputs(monkeypatch)
     out = run_schedule(model, "mha:1+mlp_channels:1:16+ssm:1", cal)
     assert [r["kind"] for r in out["plan"]] == ["mha", "mlp_channels", "ssm"]
     assert out["plan"][0]["block"] == 2
@@ -409,7 +465,7 @@ def test_a_removal_reruns_only_the_blocks_from_its_own(monkeypatch):
         (3 * 2, 5),  # after mha 2: live 2 and 3 of [2, 5)
         (0, 1),      # after a slice at 2 or 5, past the top block: none
     ]
-    assert pruning._HELD == {}
+    assert_freed(refs)
 
 
 class _RaisesOn(CalibrationSet):
@@ -426,14 +482,16 @@ class _RaisesOn(CalibrationSet):
         return super().ppl(model)
 
 
-def test_held_inputs_are_freed_when_run_schedule_raises():
+def test_held_inputs_are_freed_when_run_schedule_raises(monkeypatch):
+    refs = held_inputs(monkeypatch)
     done = _RaisesOn(0)
     run_schedule(dead_around(), "ssm:1+mha&mlp:1", done)
-    assert pruning._HELD == {}
+    assert_freed(refs)
     for k in (1, 4, done.calls):  # the first, one mid-search, the final ppl
+        refs.clear()
         with pytest.raises(RuntimeError, match=f"perplexity {k} failed"):
             run_schedule(dead_around(), "ssm:1+mha&mlp:1", _RaisesOn(k))
-        assert pruning._HELD == {}
+        assert_freed(refs)
 
 
 # -- the loop ---------------------------------------------------------------
@@ -480,6 +538,7 @@ class _FiniteUntil:
 
     def __init__(self, cal, limit):
         self.cal, self.limit = cal, limit
+        self.tokens, self.batch_size = cal.tokens, cal.batch_size
 
     def ppl(self, model):
         gone = sum(isinstance(b, MambaBlock) and not b.ssm_alive for b in model.blocks)
