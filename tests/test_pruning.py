@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ssmprune import pruning
-from ssmprune.errors import ScheduleError
+from ssmprune.errors import ScheduleError, StateError
 from ssmprune.layers import Linear
 from ssmprune.model import KIND_ORDER, MambaBlock, Model, TransformerBlock, toy_descriptor
 from ssmprune.pruning import (CalibrationSet, Candidate, Stage, apply_action,
@@ -19,7 +19,7 @@ from ssmprune.pruning import (CalibrationSet, Candidate, Stage, apply_action,
                               read_jsonl, replay_plan, run_schedule,
                               score_all, score_candidate)
 from ssmprune.tensor import Tensor
-from ssmprune.training import Corpus
+from ssmprune.training import Corpus, perplexity
 
 
 def hybrid(seed=0, n_blocks=4):
@@ -265,6 +265,16 @@ def test_prefix_is_freed_when_score_all_returns(monkeypatch):
         calls.clear()
         score_candidate(model, cand, c)
         assert len(calls) == 3 * live_from(model, 0)
+
+
+def test_resumed_forward_refuses_a_batch_it_does_not_hold():
+    class _OtherBatches(CalibrationSet):
+        def ppl(self, model):
+            return perplexity(model, self.tokens, self.targets, 2)
+
+    cal = _OtherBatches(Corpus.bundled(), 7, 40, 3)
+    with pytest.raises(StateError, match="held input"):
+        score_all(dead_around(), [Candidate("ssm", 1)], cal)
 
 
 def test_threaded_resume_under_fast_switching_matches_serial(monkeypatch):
