@@ -12,7 +12,7 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -61,16 +61,7 @@ class BenchReport:
     ppl_after: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "prompt": self.prompt, "new_tokens": self.new_tokens,
-            "batches": self.batches, "raw": self.raw, "medians": self.medians,
-            "throughput": self.throughput,
-            "prefill_speedup": self.prefill_speedup,
-            "decode_speedup": self.decode_speedup,
-            "unstable": self.unstable, "spreads": self.spreads,
-            "plan_summary": self.plan_summary,
-            "ppl_before": self.ppl_before, "ppl_after": self.ppl_after,
-        }
+        return asdict(self)
 
 
 _SERIES = ("dense.prefill", "dense.decode", "pruned.prefill", "pruned.decode")

@@ -66,13 +66,13 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)["train"]
     if args.seed is not None:
         cfg["seed"] = args.seed
-    out = _outdir(args)
-    corpus = _corpus(cfg["corpus"])
     desc = toy_descriptor(
         n_blocks=cfg["n_blocks"], variant=cfg["variant"],
         transformer_at=cfg["transformer_at"], vocab=VOCAB,
         d_model=cfg["d_model"], d_state=cfg["d_state"],
         mlp_hidden=cfg["mlp_hidden"])
+    out = _outdir(args)
+    corpus = _corpus(cfg["corpus"])
     model = Model.build(desc, cfg["seed"])
     tcfg = _train_config(cfg)
     write_resolved(os.path.join(out, "resolved.ini"), "train", cfg)
@@ -136,12 +136,11 @@ def cmd_prune(args) -> int:
     pruned_path = os.path.join(out, "pruned.ckpt")
     save_model(model, pruned_path, meta=meta)
     print(f"checkpoint: {pruned_path}")
-    if cfg["compact"]:
-        compacted = model.compact()
-        _check_compact(model, compacted)
-        compact_path = os.path.join(out, "compact.ckpt")
-        save_model(compacted, compact_path, meta={**meta, "compacted": True})
-        print(f"checkpoint: {compact_path}")
+    compacted = model.compact()
+    _check_compact(model, compacted)
+    compact_path = os.path.join(out, "compact.ckpt")
+    save_model(compacted, compact_path, meta={**meta, "compacted": True})
+    print(f"checkpoint: {compact_path}")
     return 0
 
 
@@ -175,13 +174,11 @@ def cmd_bench(args) -> int:
     overlay, pmeta = load_model(cfg["pruned_checkpoint"])
     pruned = overlay.compact()
     _check_compact(overlay, pruned)
-    ppl_before = ppl_after = None
-    if cfg["measure_ppl"]:
-        corpus = _corpus(cfg["corpus"])
-        ppl_before = split_perplexity(dense, corpus, "val",
-                                      cfg["ppl_windows"], cfg["ppl_length"])
-        ppl_after = split_perplexity(pruned, corpus, "val",
-                                     cfg["ppl_windows"], cfg["ppl_length"])
+    corpus = _corpus(cfg["corpus"])
+    ppl_before = split_perplexity(dense, corpus, "val",
+                                  cfg["ppl_windows"], cfg["ppl_length"])
+    ppl_after = split_perplexity(pruned, corpus, "val",
+                                 cfg["ppl_windows"], cfg["ppl_length"])
     plan_summary = {k: pmeta[k] for k in
                     ("schedule", "final_ratio", "final_cal_ppl", "actions")
                     if k in pmeta} or None
@@ -291,8 +288,7 @@ def cmd_study(args) -> int:
         cal_count=cfg["cal_count"], cal_length=cfg["cal_length"],
         train=_train_config(cfg))
     write_resolved(os.path.join(out, "resolved.ini"), "study", cfg)
-    summary = study_sensitivity(corpus, scfg, out_dir=out,
-                                seeds=(cfg["seed"],),
+    summary = study_sensitivity(corpus, scfg, out_dir=out, seed=cfg["seed"],
                                 log_every=max(cfg["steps"] // 5, 1))
     ordering = summary["ordering"]
     for key, deg in sorted(ordering["degradation"].items()):

@@ -99,7 +99,6 @@ SCHEMA: Dict[str, Dict[str, Callable]] = {
         "cal_count": _posint,
         "cal_length": _posint,
         "batch_size": _posint,
-        "compact": _bool,
         "threads": _posint,
         "emit_trace": _bool,
         "plan_only": _bool,
@@ -121,7 +120,6 @@ SCHEMA: Dict[str, Dict[str, Callable]] = {
         "batches": _posint,
         "warmup": _nonneg,
         "seed": _nonneg,
-        "measure_ppl": _bool,
         "ppl_windows": _posint,
         "ppl_length": _posint,
     },
@@ -149,8 +147,7 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
     "prune": {
         "corpus": "bundled", "checkpoint": "", "schedule": "",
         "cal_count": 256, "cal_length": 256, "batch_size": 16,
-        "compact": True, "threads": 1, "emit_trace": False,
-        "plan_only": False,
+        "threads": 1, "emit_trace": False, "plan_only": False,
     },
     "eval": {
         "corpus": "bundled", "checkpoint": "", "split": "val",
@@ -159,7 +156,7 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
     "bench": {
         "corpus": "bundled", "dense_checkpoint": "", "pruned_checkpoint": "",
         "prompt": 512, "new_tokens": 16, "batches": 10, "warmup": 2,
-        "seed": 0, "measure_ppl": True, "ppl_windows": 16, "ppl_length": 128,
+        "seed": 0, "ppl_windows": 16, "ppl_length": 128,
     },
     "study": {
         "corpus": "bundled", "n_blocks": 8, "d_model": 64, "d_state": 16,

@@ -37,9 +37,8 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
     def bwd(g: np.ndarray):
         n, k = wd.shape
         g2 = g.reshape(-1, n).astype(np.float64)
-        gx = f32((g2 @ wd.astype(np.float64)).reshape(xd.shape)) if x.requires_grad else None
-        gw = f32(g2.T @ xd.reshape(-1, k).astype(np.float64)) if weight.requires_grad else None
-        return gx, gw
+        return (f32((g2 @ wd.astype(np.float64)).reshape(xd.shape)),
+                f32(g2.T @ xd.reshape(-1, k).astype(np.float64)))
 
     return record(out, (x, weight), bwd)
 
@@ -68,14 +67,9 @@ def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-5) -> Tensor:
         inv = _inv_rms(x64, eps)
         g64 = g.astype(np.float64)
         gs64 = g64 * sd.astype(np.float64)
-        gx = None
-        if x.requires_grad:
-            dot = (gs64 * x64).sum(axis=-1, keepdims=True)
-            gx = f32(inv * gs64 - (inv ** 3) * x64 * dot / d)
-        gsc = None
-        if scale.requires_grad:
-            gsc = f32((g64 * x64 * inv).reshape(-1, d).sum(axis=0))
-        return gx, gsc
+        dot = (gs64 * x64).sum(axis=-1, keepdims=True)
+        return (f32(inv * gs64 - (inv ** 3) * x64 * dot / d),
+                f32((g64 * x64 * inv).reshape(-1, d).sum(axis=0)))
 
     return record(out, (x, scale), bwd)
 
@@ -108,19 +102,12 @@ def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
         B, T, c = g.shape
         w = kd.shape[1]
         xp = np.concatenate([np.zeros((B, w - 1, c), dtype=np.float32), xd], axis=1)
-        gx = None
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for j in range(w):
-                gxp[:, j:j + T, :] += kd[:, j] * g
-            gx = np.ascontiguousarray(gxp[:, w - 1:, :])
-        gk = None
-        if kernel.requires_grad:
-            gk = np.zeros_like(kd, dtype=np.float64)
-            for j in range(w):
-                gk[:, j] = (g.astype(np.float64) * xp[:, j:j + T, :]).sum(axis=(0, 1))
-            gk = f32(gk)
-        return gx, gk
+        gxp = np.zeros_like(xp)
+        gk = np.zeros_like(kd, dtype=np.float64)
+        for j in range(w):
+            gxp[:, j:j + T, :] += kd[:, j] * g
+            gk[:, j] = (g.astype(np.float64) * xp[:, j:j + T, :]).sum(axis=(0, 1))
+        return np.ascontiguousarray(gxp[:, w - 1:, :]), f32(gk)
 
     return record(out, (x, kernel), bwd)
 
@@ -192,19 +179,13 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads
             return h.transpose(0, 2, 1, 3).reshape(-1, d)
 
         gq2, gk2, gv2 = unheads(gq), unheads(gk), unheads(gv)
-        gx = None
-        if x.requires_grad:
-            gx64 = (
-                gq2 @ wq.data.astype(np.float64)
-                + gk2 @ wk.data.astype(np.float64)
-                + gv2 @ wv.data.astype(np.float64)
-            )
-            gx = f32(gx64.reshape(B, T, d))
-        gwq = f32(gq2.T @ x2) if wq.requires_grad else None
-        gwk = f32(gk2.T @ x2) if wk.requires_grad else None
-        gwv = f32(gv2.T @ x2) if wv.requires_grad else None
-        gwo = f32(g2.T @ ctx) if wo.requires_grad else None
-        return gx, gwq, gwk, gwv, gwo
+        gx64 = (
+            gq2 @ wq.data.astype(np.float64)
+            + gk2 @ wk.data.astype(np.float64)
+            + gv2 @ wv.data.astype(np.float64)
+        )
+        return (f32(gx64.reshape(B, T, d)), f32(gq2.T @ x2), f32(gk2.T @ x2),
+                f32(gv2.T @ x2), f32(g2.T @ ctx))
 
     return record(out, (x, wq, wk, wv, wo), bwd)
 
@@ -222,8 +203,6 @@ def embedding(tokens: np.ndarray, table: Tensor) -> Tensor:
     out = Tensor(table.data[tokens])
 
     def bwd(g: np.ndarray):
-        if not table.requires_grad:
-            return (None,)
         gt = np.zeros_like(table.data)
         np.add.at(gt, tokens.reshape(-1), g.reshape(-1, table.data.shape[1]))
         return (gt,)
@@ -259,8 +238,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     out.hi = float(total)
 
     def bwd(g: np.ndarray):
-        if not logits.requires_grad:
-            return (None,)
         p = np.exp(z - lse[:, None])
         p[np.arange(n), tflat] -= 1.0
         p *= float(g.reshape(())) / n

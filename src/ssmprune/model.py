@@ -126,6 +126,10 @@ def toy_descriptor(n_blocks: int = 12, variant: str = "mamba1",
                    d_model: int = 64, d_state: int = 16, mlp_hidden: int = 256,
                    conv_width: int = 4, n_heads: int = 4) -> ArchDescriptor:
     """Desk-scale hybrid: mamba blocks with transformers at fixed positions."""
+    for i in transformer_at:
+        if not 0 <= i < n_blocks:
+            raise ConfigError(f"transformer_at index {i} is outside blocks "
+                              f"0..{n_blocks - 1} (n_blocks = {n_blocks})")
     kinds = []
     hidden = []
     for i in range(n_blocks):
@@ -669,6 +673,8 @@ def load_model(path: str):
     missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {missing}")
+    if not isinstance(header["meta"], dict):
+        raise CheckpointError(f"{path}: meta {header['meta']!r} is not an object")
     try:
         desc = ArchDescriptor.from_dict(header["descriptor"])
         desc.validate()

@@ -217,20 +217,11 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
         for name, gout, lin in (("dt", d_dtp.reshape(-1, c), p.x_to_dt),
                                 ("B", dBm.reshape(-1, N), p.x_to_B),
                                 ("C", dCm.reshape(-1, N), p.x_to_C)):
-            dW[name] = gout.T @ x2 if lin.weight.requires_grad else None
+            dW[name] = f32(gout.T @ x2)
             dx += (gout @ lin.weight.data.astype(np.float64)).reshape(B_, T, c)
-        gA_log = None
-        if p.A_log.requires_grad:
-            gA_log = f32(dA * A)  # d/dA_log of A = -exp(A_log) is A itself
-        return (
-            f32(dx) if x.requires_grad else None,
-            gA_log,
-            f32(dW["B"]) if dW["B"] is not None else None,
-            f32(dW["C"]) if dW["C"] is not None else None,
-            f32(dW["dt"]) if dW["dt"] is not None else None,
-            f32(d_dtp.sum(axis=(0, 1))) if p.dt_bias.requires_grad else None,
-            f32(dD) if p.D_skip.requires_grad else None,
-        )
+        # d/dA_log of A = -exp(A_log) is A itself
+        return (f32(dx), f32(dA * A), dW["B"], dW["C"], dW["dt"],
+                f32(d_dtp.sum(axis=(0, 1))), f32(dD))
 
     return record(out, (x, p.A_log, p.x_to_B.weight, p.x_to_C.weight,
                         p.x_to_dt.weight, p.dt_bias, p.D_skip), bwd)

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import ConfigError
 from .model import Model, toy_descriptor
@@ -56,52 +56,38 @@ def _curve_rows(label: str, dense_ppl: float, plan: Sequence[dict]) -> List[dict
 
 
 def study_sensitivity(corpus: Corpus, cfg: StudyConfig,
-                      out_dir: Optional[str] = None,
-                      seeds: Sequence[int] = (0,),
+                      out_dir: Optional[str] = None, seed: int = 0,
                       log_every: int = 0) -> dict:
     """Train both variants, prune both ways, and tabulate the curves.
 
-    With several seeds the per-point PPL and ratio are averaged across
-    seeds; the emitted schema stays kind, steps, PPL, ratio. Whether the
-    large-scale ordering (variant one more tolerant of whole-block removal,
-    variant two more tolerant of scan-module removal) shows up at this
-    scale is recorded in the summary, not enforced.
+    Whether the large-scale ordering (variant one more tolerant of
+    whole-block removal, variant two more tolerant of scan-module removal)
+    shows up at this scale is recorded in the summary, not enforced.
     """
-    acc: Dict[tuple, List[dict]] = {}
-    per_seed: List[dict] = []
-    for seed in seeds:
-        for variant in _VARIANTS:
-            desc = toy_descriptor(
-                n_blocks=cfg.n_blocks, variant=variant, transformer_at=(),
-                d_model=cfg.d_model, d_state=cfg.d_state)
-            model = Model.build(desc, seed)
-            tcfg = TrainConfig(**{**cfg.train.to_dict(), "seed": seed})
-            train(model, corpus, tcfg, log_every=log_every)
-            cal = CalibrationSet(corpus, cfg.cal_count, cfg.cal_length)
-            dense_ppl = cal.ppl(model)
-            for label, kind in _CURVES:
-                work = model.clone()
-                out = run_schedule(work, f"{kind}:{cfg.removals}", cal)
-                rows = _curve_rows(f"{variant}:{label}", dense_ppl, out["plan"])
-                for r in rows:
-                    acc.setdefault((r["kind"], r["steps"]), []).append(r)
-                per_seed.append({"seed": seed, "variant": variant,
-                                 "curve": label, "plan": out["plan"],
-                                 "dense_ppl": dense_ppl})
     curves: List[dict] = []
-    for (kind, steps), rows in sorted(acc.items()):
-        curves.append({
-            "kind": kind, "steps": steps,
-            "PPL": sum(r["PPL"] for r in rows) / len(rows),
-            "ratio": sum(r["ratio"] for r in rows) / len(rows),
-        })
-    summary = {"curves": curves, "runs": per_seed,
+    runs: List[dict] = []
+    for variant in _VARIANTS:
+        desc = toy_descriptor(
+            n_blocks=cfg.n_blocks, variant=variant, transformer_at=(),
+            d_model=cfg.d_model, d_state=cfg.d_state)
+        model = Model.build(desc, seed)
+        tcfg = TrainConfig(**{**cfg.train.to_dict(), "seed": seed})
+        train(model, corpus, tcfg, log_every=log_every)
+        cal = CalibrationSet(corpus, cfg.cal_count, cfg.cal_length)
+        dense_ppl = cal.ppl(model)
+        for label, kind in _CURVES:
+            work = model.clone()
+            out = run_schedule(work, f"{kind}:{cfg.removals}", cal)
+            curves += _curve_rows(f"{variant}:{label}", dense_ppl, out["plan"])
+            runs.append({"seed": seed, "variant": variant, "curve": label,
+                         "plan": out["plan"], "dense_ppl": dense_ppl})
+    summary = {"curves": curves, "runs": runs,
                "ordering": _ordering(curves, cfg.removals)}
     if out_dir is not None:
         write_curves_csv(os.path.join(out_dir, "curves.csv"), curves)
         with open(os.path.join(out_dir, "study_summary.json"), "w") as f:
-            json.dump({"ordering": summary["ordering"],
-                       "seeds": list(seeds)}, f, indent=2, sort_keys=True)
+            json.dump({"ordering": summary["ordering"], "seeds": [seed]},
+                      f, indent=2, sort_keys=True)
     return summary
 
 
@@ -131,10 +117,26 @@ def write_curves_csv(path: str, curves: Sequence[dict]) -> None:
                         f"{r['ratio']:.8g}"])
 
 
+_CURVE_TYPES = dict(zip(CURVE_COLUMNS, (str, int, float, float)))
+
+
 def read_curves_csv(path: str) -> List[dict]:
+    """The rows of a curves.csv; ConfigError naming the file, line and field
+    of a missing or malformed value."""
     out: List[dict] = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            out.append({"kind": row["kind"], "steps": int(row["steps"]),
-                        "PPL": float(row["PPL"]), "ratio": float(row["ratio"])})
+        reader = csv.DictReader(f)
+        for row in reader:
+            rec = {}
+            for key, conv in _CURVE_TYPES.items():
+                raw = row.get(key)
+                if raw is None:
+                    raise ConfigError(f"{path}: line {reader.line_num} lacks {key!r}")
+                try:
+                    rec[key] = conv(raw)
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num} has {key} {raw!r}, expected "
+                        f"{'an integer' if conv is int else 'a number'}") from None
+            out.append(rec)
     return out

@@ -3,9 +3,8 @@
 Ops run under `tape()` record a backward closure through `record`. The only
 primitive ops here are `add`, `mul` and `silu`; every other op is fused in
 `layers` or `ssm` and records its own backward through the same hook.
-Storage is float32 throughout. Elementwise ops broadcast only between
-same-shape operands or a scalar -- anything richer has to live inside a
-fused op.
+Storage is float32 throughout. Elementwise ops take same-shape operands
+only -- anything richer has to live inside a fused op.
 
 Decode runs the same block bodies untaped, on the fused ops' array kernels,
 which return their state (conv tail, scan state, key/value prefix).
@@ -91,8 +90,6 @@ class Graph:
             if gout is None:
                 continue  # not on any path to the loss
             for t, g in zip(node.inputs, node.bwd(gout)):
-                if g is None:
-                    continue
                 g = np.asarray(g, dtype=np.float32)
                 if g.shape != t.data.shape:
                     raise ShapeError(
@@ -131,7 +128,7 @@ def record(out: Tensor, inputs: Sequence[Tensor], bwd: Callable) -> Tensor:
     """Attach a backward closure to `out` under the active tape, if any.
 
     `bwd` maps the output grad (float32 ndarray) to a tuple of per-input grads,
-    ordered like `inputs`; None entries mean "no gradient for this input".
+    ordered like `inputs`; the grads of leaves that need none are dropped.
     Fused layer ops register themselves through this hook.
     """
     g = active_graph()
@@ -165,57 +162,25 @@ def f32(x: np.ndarray) -> np.ndarray:
 # primitive ops
 
 
-def _scalar_operand(x) -> bool:
-    return isinstance(x, Tensor) and x.data.ndim == 0
-
-
 def _check_elementwise(opname: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape == b.data.shape:
-        return
-    if _scalar_operand(a) or _scalar_operand(b):
-        return
-    raise ShapeError(
-        f"{opname}: shapes {a.data.shape} and {b.data.shape} do not match; "
-        "only same-shape or scalar operands broadcast here"
-    )
+    shape = b.data.shape if isinstance(b, Tensor) else type(b).__name__
+    if a.data.shape != shape or not a.data.ndim:
+        raise ShapeError(
+            f"{opname}: shapes {a.data.shape} and {shape} do not match; "
+            "only same-shape operands of at least one dim combine here"
+        )
 
 
-def _reduce_to(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum a full-shape grad down to a scalar operand's shape."""
-    if g.shape == shape:
-        return g
-    return f32(g.astype(np.float64).sum().reshape(shape))
-
-
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        out = Tensor(a.data + np.float32(b))
-        return record(out, (a,), lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("add", a, b)
     out = Tensor(a.data + b.data)
-
-    def bwd(g: np.ndarray):
-        ga = _reduce_to(g, a.data.shape) if a.requires_grad else None
-        gb = _reduce_to(g, b.data.shape) if b.requires_grad else None
-        return ga, gb
-
-    return record(out, (a, b), bwd)
+    return record(out, (a, b), lambda g: (g, g))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        k = np.float32(b)
-        out = Tensor(a.data * k)
-        return record(out, (a,), lambda g: (g * k,))
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("mul", a, b)
     out = Tensor(a.data * b.data)
-
-    def bwd(g: np.ndarray):
-        ga = _reduce_to(g * b.data, a.data.shape) if a.requires_grad else None
-        gb = _reduce_to(g * a.data, b.data.shape) if b.requires_grad else None
-        return ga, gb
-
-    return record(out, (a, b), bwd)
+    return record(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def silu(a: Tensor) -> Tensor:

@@ -219,18 +219,18 @@ def clip_gradients(params: Sequence[Tensor], max_norm: float) -> float:
 
 
 def train(model, corpus: Corpus, cfg: TrainConfig, out_dir: Optional[str] = None,
-          params: Optional[Sequence[Tensor]] = None,
           log_every: int = 0) -> List[dict]:
     """Adam loop over random train-split batches.
 
-    Returns one dict per step (step, lr, loss, grad_norm, and val_ppl on eval
+    Trains `model.parameters()`, the effectively live tensors. Returns one
+    dict per step (step, lr, loss, grad_norm, and val_ppl on eval
     steps) and, when out_dir is given, writes the same rows to loss.csv.
     Raises DivergenceError carrying the failing step index the moment the
     loss or gradient norm goes non-finite; weights keep their last finite
     values.
     """
     cfg.validate()
-    params = model.parameters() if params is None else list(params)
+    params = model.parameters()
     opt = Adam(params, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     rows: List[dict] = []
@@ -304,8 +304,7 @@ def recovery_tune(model, corpus: Corpus, cfg: TrainConfig,
 
     Dead structures keep their exact bytes; the optimizer never sees them.
     """
-    params = model.parameters()
     before = split_perplexity(model, corpus, "val", cfg.eval_windows, cfg.seq_len)
-    rows = train(model, corpus, cfg, out_dir=out_dir, params=params)
+    rows = train(model, corpus, cfg, out_dir=out_dir)
     after = split_perplexity(model, corpus, "val", cfg.eval_windows, cfg.seq_len)
     return {"val_ppl_before": before, "val_ppl_after": after, "rows": rows}

@@ -368,8 +368,7 @@ def test_criterion_10_study_runs(corpus, tmp_path):
                       cal_count=8, cal_length=64,
                       train=TrainConfig(steps=120, batch_size=6, seq_len=64,
                                         warmup=12))
-    summary = study_sensitivity(corpus, cfg, out_dir=str(tmp_path),
-                                seeds=(0,))
+    summary = study_sensitivity(corpus, cfg, out_dir=str(tmp_path), seed=0)
     dt = time.perf_counter() - t0
     path = tmp_path / "curves.csv"
     header = open(path).readline().strip()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssmprune.cli import cli
-from ssmprune.config import DEFAULTS, SCHEMA, load_config, write_resolved
+from ssmprune.config import DEFAULTS, SCHEMA, _bool, load_config, write_resolved
 from ssmprune.errors import ConfigError
 from ssmprune.model import load_model
 from ssmprune.pruning import read_jsonl
@@ -72,11 +72,17 @@ def test_bad_value_names_field(tmp_path, line, field):
 
 def test_bool_keys_parse_both_spellings(tmp_path):
     path = write_ini(tmp_path / "c.ini",
-                     "[prune]\ncompact = false\nemit_trace = yes\n")
+                     "[prune]\nemit_trace = yes\nplan_only = off\n")
     cfg = load_config(path)["prune"]
-    assert cfg["compact"] is False and cfg["emit_trace"] is True
-    bad = write_ini(tmp_path / "d.ini", "[prune]\ncompact = maybe\n")
-    with pytest.raises(ConfigError, match="prune.compact"):
+    assert cfg["emit_trace"] is True and cfg["plan_only"] is False
+    # every bool key defaults to false, so the false spellings are checked
+    # on the parser itself
+    for s in ("0", "false", "No", " off "):
+        assert _bool(s) is False
+    for s in ("1", "TRUE", "yes", "on"):
+        assert _bool(s) is True
+    bad = write_ini(tmp_path / "d.ini", "[prune]\nemit_trace = maybe\n")
+    with pytest.raises(ConfigError, match="prune.emit_trace"):
         load_config(bad)
 
 
@@ -216,6 +222,16 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
         assert err.startswith("error: "), argv
 
 
+def test_train_rejects_transformer_index_past_the_blocks(tmp_path, capsys):
+    ini = write_ini(tmp_path / "t.ini", "[train]\nn_blocks = 2\ntransformer_at = 5\n")
+    out = tmp_path / "o"
+    assert cli(["train", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "transformer_at index 5" in err and "n_blocks = 2" in err
+    assert not out.exists()
+
+
 def test_cli_bad_checkpoint_reports_and_exits(tmp_path, capsys):
     ck = tmp_path / "junk.ckpt"
     ck.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -259,7 +275,9 @@ def test_report_corrupt_artifact_is_one_error_line(tmp_path, capsys, name,
     ("trace.jsonl", '{"iter": 0, "kind": "ssm", "block": 0, "score": 1.5}\n',
      "row 1 lacks ['stage']"),
     ("bench_report.json", '{"decode_speedup": 1.2}\n', "lacks ['prefill_speedup']"),
-], ids=["plan-not-object", "plan-no-ratio", "trace-no-stage", "bench-no-speedup"])
+    ("curves.csv", "kind,steps,ratio\nmamba1:block,0,0.0\n", "line 2 lacks 'PPL'"),
+], ids=["plan-not-object", "plan-no-ratio", "trace-no-stage", "bench-no-speedup",
+        "curves-no-ppl"])
 def test_report_malformed_artifact_is_one_error_line(tmp_path, capsys, name, text,
                                                      where):
     (tmp_path / name).write_text(text)
@@ -286,8 +304,10 @@ _TRACE_ROW = '{"iter": 0, "stage": 0, "kind": "ssm", "block": 0, "score": 1.5}\n
      "prefill_speedup 'fast' is not a number"),
     ("bench_report.json", '{"prefill_speedup": 1.1, "decode_speedup": "1.2"}\n',
      "decode_speedup '1.2' is not a number"),
+    ("curves.csv", "kind,steps,PPL,ratio\nmamba1:block,0,21.5,0\nmamba1:block,x,25,0.125\n",
+     "line 3 has steps 'x', expected an integer"),
 ], ids=["plan-str-ratio", "plan-int-kind", "trace-str-score", "trace-float-block",
-        "trace-bool-block", "bench-str-prefill", "bench-str-decode"])
+        "trace-bool-block", "bench-str-prefill", "bench-str-decode", "curves-str-steps"])
 def test_report_wrongly_typed_value_is_one_error_line(tmp_path, capsys, name, text,
                                                       where):
     (tmp_path / name).write_text(text)

@@ -445,8 +445,9 @@ def _set(section, key, value):
     (lambda h: h["tensors"].append(["a"]), r"tensors row \['a'\] is not \[name, shape\]"),
     (lambda h: h["tensors"].append(["a", [2, "3"]]), r"tensors row .* is not \[name, shape\]"),
     (lambda h: h.update(tensors={}), r"tensors \{\} is not a list"),
+    (lambda h: h.update(meta=7), "meta 7 is not an object"),
 ], ids=["no-vocab", "list-descriptor", "int-block-kinds", "str-width", "str-d-model",
-        "zero-heads", "short-tensor-row", "str-dim", "dict-tensors"])
+        "zero-heads", "short-tensor-row", "str-dim", "dict-tensors", "int-meta"])
 def test_checkpoint_rejects_malformed_header_fields(tmp_path, edit, match):
     msg = _load_edited(tmp_path, edit)
     assert re.search(match, msg), msg

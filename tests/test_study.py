@@ -1,4 +1,4 @@
-"""Variant sensitivity study: curve files, averaging, replay-prefix PPLs."""
+"""Variant sensitivity study: curve files and replay-prefix PPLs."""
 
 import json
 import os
@@ -25,8 +25,7 @@ def tiny_cfg(**kw):
 @pytest.fixture(scope="module")
 def study_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("study"))
-    summary = study_sensitivity(Corpus.bundled(), tiny_cfg(), out_dir=out,
-                                seeds=(0,))
+    summary = study_sensitivity(Corpus.bundled(), tiny_cfg(), out_dir=out, seed=0)
     return out, summary
 
 
@@ -100,21 +99,6 @@ def test_curve_point_equals_replayed_prefix(study_run):
         work = model.clone()
         replay_plan(work, run["plan"][:t])
         assert cal.ppl(work) == by[("mamba1:block", t)]
-
-
-def test_seed_averaging_midpoint(tmp_path):
-    """Two seeds: every curve point is the mean of the per-seed points."""
-    cfg = tiny_cfg(train=TrainConfig(steps=12, batch_size=4, seq_len=48,
-                                     warmup=3))
-    both = study_sensitivity(Corpus.bundled(), cfg, seeds=(0, 1))
-    ones = {s: study_sensitivity(Corpus.bundled(), cfg, seeds=(s,))
-            for s in (0, 1)}
-    get = lambda summ: {(r["kind"], r["steps"]): r["PPL"]
-                        for r in summ["curves"]}
-    avg, a, b = get(both), get(ones[0]), get(ones[1])
-    assert set(avg) == set(a) == set(b)
-    for key in avg:
-        assert avg[key] == pytest.approx((a[key] + b[key]) / 2.0, rel=1e-12)
 
 
 def test_curves_csv_round_trip(tmp_path):
