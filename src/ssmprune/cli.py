@@ -25,7 +25,7 @@ from .bench import BenchConfig, bench, write_bench_csv
 from .config import load_config, write_resolved
 from .errors import (CapacityError, CheckpointError, ConfigError,
                      DivergenceError, ScheduleError, ShapeError, StateError,
-                     TokenError)
+                     TokenError, read_text)
 from .model import Model, load_model, save_model, toy_descriptor
 from .pruning import CalibrationSet, check_rows, is_a, read_jsonl, run_schedule
 from .study import StudyConfig, read_curves_csv, study_sensitivity
@@ -71,8 +71,8 @@ def cmd_train(args) -> int:
         transformer_at=cfg["transformer_at"], vocab=VOCAB,
         d_model=cfg["d_model"], d_state=cfg["d_state"],
         mlp_hidden=cfg["mlp_hidden"])
-    out = _outdir(args)
     corpus = _corpus(cfg["corpus"])
+    out = _outdir(args)
     model = Model.build(desc, cfg["seed"])
     tcfg = _train_config(cfg)
     write_resolved(os.path.join(out, "resolved.ini"), "train", cfg)
@@ -234,8 +234,8 @@ def cmd_report(args) -> int:
         found = True
     loss_path = os.path.join(out, "loss.csv")
     if os.path.exists(loss_path):
-        with open(loss_path, newline="") as f:
-            rows = [(n, r) for n, r in enumerate(csv.reader(f), 1) if r]
+        lines = read_text(loss_path).split("\n")
+        rows = [(n, r) for n, r in enumerate(csv.reader(lines), 1) if r]
         for n, r in rows:
             if len(r) != len(LOSS_COLUMNS):
                 raise ConfigError(f"{loss_path}: line {n} has {len(r)} fields, "
@@ -246,11 +246,10 @@ def cmd_report(args) -> int:
         found = True
     bench_path = os.path.join(out, "bench_report.json")
     if os.path.exists(bench_path):
-        with open(bench_path) as f:
-            try:
-                rep = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{bench_path}: not JSON ({e.msg})") from None
+        try:
+            rep = json.loads(read_text(bench_path))
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{bench_path}: not JSON ({e.msg})") from None
         missing = [k for k in ("prefill_speedup", "decode_speedup")
                    if not isinstance(rep, dict) or k not in rep]
         if missing:

@@ -178,8 +178,8 @@ def load_config(path: Optional[str] = None) -> Dict[str, Dict[str, object]]:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
     try:
-        read = cp.read(path)
-    except configparser.Error as e:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"config file {path!r} is unreadable: {e}") from None
     if not read:
         raise ConfigError(f"config file {path!r} is unreadable or missing")

@@ -1,4 +1,5 @@
-"""Shared exception types so callers can tell failure modes apart."""
+"""Shared exception types so callers can tell failure modes apart, and the
+text-file reader that turns bytes that are not UTF-8 into one of them."""
 
 
 class ShapeError(ValueError):
@@ -35,3 +36,13 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int, message: str):
         super().__init__(message)
         self.step = step
+
+
+def read_text(path: str) -> str:
+    """The file at path as UTF-8 text; ConfigError naming the file and the
+    offset of the first byte that is not UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None

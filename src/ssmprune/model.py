@@ -3,8 +3,8 @@
 A model is an embedding, a list of residual blocks (mamba and transformer
 kinds mixed per the descriptor), a final norm, and an lm head. Every removable
 structure sits in a registry; removal flips an alive flag and the forward pass
-takes the residual bypass, so weights stay in memory until compact() rebuilds
-without the dead blocks.
+takes the residual bypass, so weights stay in memory until compact() makes a
+copy of the surviving blocks.
 
 Each block class writes its body once, over an ops table: `forward` runs it
 with TAPE (Tensors, backward recorded), `decode_step(x, state)` with ARRAYS
@@ -24,7 +24,7 @@ import copy as _copy
 import json
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -480,12 +480,7 @@ class Model:
     # -- accounting -------------------------------------------------------
 
     def live_param_count(self) -> int:
-        total = _count(self.embedding.tensors())
-        total += _count(self.final_norm.tensors()) + _count(self.head.tensors())
-        for s in self.structures():
-            if self.is_effective(s.kind, s.block):
-                total += s.param_count
-        return total
+        return sum(t.data.size for t in self.parameters())
 
     def prune_ratio(self) -> float:
         """Fraction of the dense build's parameters no longer live."""
@@ -518,52 +513,27 @@ class Model:
     # -- compaction -------------------------------------------------------
 
     def compact(self) -> "Model":
-        """Physically rebuild without the dead blocks; surviving blocks keep
-        their indices renumbered densely. Dead sub-structures (ssm/mha/mlp)
-        stay as flagged bypasses, since the descriptor has no way to express
-        their absence; sliced mlps carry over at their current width and count
-        as dense in the new model."""
-        kinds: List[str] = []
-        hidden: List[int] = []
-        survivors: List[object] = []
-        for b in self.blocks:
-            if not b.alive:
-                continue
-            survivors.append(b)
-            if isinstance(b, MambaBlock):
-                kinds.append(b.variant)
-                hidden.append(0)
-            else:
-                kinds.append("transformer")
-                hidden.append(b.mlp.hidden)
-        desc2 = ArchDescriptor(
-            vocab=self.desc.vocab, d_model=self.desc.d_model, n_blocks=len(kinds),
-            block_kinds=tuple(kinds), d_state=self.desc.d_state,
-            mlp_hidden=tuple(hidden), conv_width=self.desc.conv_width,
-            n_heads=self.desc.n_heads,
-        )
-        desc2.validate()
-        out = Model._assemble(desc2, np.random.default_rng(0))
-        _copy_group(self.embedding.tensors(), out.embedding.tensors())
-        for old, new in zip(survivors, out.blocks):
-            for kind, tensors in old.PARTS.items():
-                _copy_group(tensors(old), tensors(new))
-                setattr(new, ALIVE_FLAG[kind], getattr(old, ALIVE_FLAG[kind]))
-        _copy_group(self.final_norm.tensors(), out.final_norm.tensors())
-        _copy_group(self.head.tensors(), out.head.tensors())
+        """A copy of the surviving blocks, without the dead ones; survivors
+        are renumbered densely. Dead sub-structures (ssm/mha/mlp) stay as
+        flagged bypasses, since the descriptor has no way to express their
+        absence; sliced mlps carry over at their current width and count as
+        dense in the new model. Shares nothing with self; carries no grads."""
+        keep = [i for i, b in enumerate(self.blocks) if b.alive]
+        emb, blocks, fin, head = _copy.deepcopy(
+            (self.embedding, [self.blocks[i] for i in keep], self.final_norm, self.head))
+        for new, (old, b) in enumerate(zip(keep, blocks)):
+            for tensors in b.PARTS.values():
+                for t in tensors(b).values():
+                    t.name = f"blocks.{new}." + t.name[len(f"blocks.{old}."):]
+        desc = replace(self.desc, n_blocks=len(keep),
+                       block_kinds=tuple(self.desc.block_kinds[i] for i in keep),
+                       mlp_hidden=tuple(b.mlp.hidden if isinstance(b, TransformerBlock)
+                                        else 0 for b in blocks))
+        desc.validate()
+        out = Model(desc, emb, blocks, fin, head)
+        for t in out.named_tensors().values():
+            t.grad = None
         return out
-
-
-def _copy_group(src: Dict[str, Tensor], dst: Dict[str, Tensor]) -> None:
-    """Positional copy; names differ only by block index prefix."""
-    sv = list(src.values())
-    dv = list(dst.values())
-    if len(sv) != len(dv):
-        raise StateError(f"compact: tensor group mismatch, {len(sv)} vs {len(dv)}")
-    for s, d in zip(sv, dv):
-        if s.data.shape != d.data.shape:
-            raise ShapeError(f"compact: {s.name} {s.data.shape} -> {d.name} {d.data.shape}")
-        d.data = s.data.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ScheduleError, StateError
+from .errors import ScheduleError, StateError, read_text
 from .model import KIND_ORDER, Model
 from .tensor import Tensor
 from .training import Corpus, perplexity
@@ -273,13 +273,12 @@ def write_jsonl(path: str, rows: Sequence[dict]) -> None:
 
 def read_jsonl(path: str) -> List[dict]:
     rows = []
-    with open(path) as f:
-        for n, line in enumerate(f, 1):
-            if line.strip():
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as e:
-                    raise ScheduleError(f"{path}: line {n} is not JSON ({e.msg})") from None
+    for n, line in enumerate(read_text(path).split("\n"), 1):
+        if line.strip():
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as e:
+                raise ScheduleError(f"{path}: line {n} is not JSON ({e.msg})") from None
     return rows
 
 

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .model import Model, toy_descriptor
 from .pruning import CalibrationSet, run_schedule
 from .training import Corpus, TrainConfig, train
@@ -124,19 +124,18 @@ def read_curves_csv(path: str) -> List[dict]:
     """The rows of a curves.csv; ConfigError naming the file, line and field
     of a missing or malformed value."""
     out: List[dict] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            rec = {}
-            for key, conv in _CURVE_TYPES.items():
-                raw = row.get(key)
-                if raw is None:
-                    raise ConfigError(f"{path}: line {reader.line_num} lacks {key!r}")
-                try:
-                    rec[key] = conv(raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}: line {reader.line_num} has {key} {raw!r}, expected "
-                        f"{'an integer' if conv is int else 'a number'}") from None
-            out.append(rec)
+    reader = csv.DictReader(read_text(path).split("\n"))
+    for row in reader:
+        rec = {}
+        for key, conv in _CURVE_TYPES.items():
+            raw = row.get(key)
+            if raw is None:
+                raise ConfigError(f"{path}: line {reader.line_num} lacks {key!r}")
+            try:
+                rec[key] = conv(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: line {reader.line_num} has {key} {raw!r}, expected "
+                    f"{'an integer' if conv is int else 'a number'}") from None
+        out.append(rec)
     return out

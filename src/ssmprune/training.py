@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (CapacityError, ConfigError, DivergenceError, ShapeError,
-                     TokenError)
+                     TokenError, read_text)
 from .layers import cross_entropy, per_token_nll
 from .tensor import Tensor, tape
 
@@ -80,8 +80,7 @@ class Corpus:
 
     @classmethod
     def from_file(cls, path: str) -> "Corpus":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls(f.read())
+        return cls(read_text(path))
 
     def split(self, name: str) -> np.ndarray:
         if name not in self._ids:
@@ -297,14 +296,3 @@ def split_perplexity(model, corpus: Corpus, name: str, count: int, length: int,
     toks, targ = corpus.windows(name, count, length)
     return perplexity(model, toks, targ, batch_size)
 
-
-def recovery_tune(model, corpus: Corpus, cfg: TrainConfig,
-                  out_dir: Optional[str] = None) -> dict:
-    """Short Adam run over the effectively-live tensors of a pruned model.
-
-    Dead structures keep their exact bytes; the optimizer never sees them.
-    """
-    before = split_perplexity(model, corpus, "val", cfg.eval_windows, cfg.seq_len)
-    rows = train(model, corpus, cfg, out_dir=out_dir)
-    after = split_perplexity(model, corpus, "val", cfg.eval_windows, cfg.seq_len)
-    return {"val_ppl_before": before, "val_ppl_after": after, "rows": rows}

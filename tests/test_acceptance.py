@@ -24,7 +24,7 @@ from ssmprune.model import (TAPE, Model, block_param_count, descriptor_param_cou
 from ssmprune.pruning import (CalibrationSet, read_jsonl, replay_plan,
                               run_schedule)
 from ssmprune.study import StudyConfig, read_curves_csv, study_sensitivity
-from ssmprune.training import TrainConfig, recovery_tune, split_perplexity
+from ssmprune.training import TrainConfig, split_perplexity, train
 
 
 def rnd(rng, *shape, scale=1.0):
@@ -302,18 +302,19 @@ def test_criterion_7_recovery_direction(hybrid6, corpus):
     dead_before = {name: t.data.tobytes()
                    for name, t in work.named_tensors().items()
                    if id(t) not in live}
-    tune = recovery_tune(work, corpus,
-                         TrainConfig(steps=60, batch_size=6, seq_len=80,
-                                     lr=5e-4, min_lr=5e-5, warmup=6,
-                                     eval_windows=16, seed=1))
+    tcfg = TrainConfig(steps=60, batch_size=6, seq_len=80, lr=5e-4, min_lr=5e-5,
+                       warmup=6, eval_windows=16, seed=1)
+    before = split_perplexity(work, corpus, "val", tcfg.eval_windows, tcfg.seq_len)
+    train(work, corpus, tcfg)
+    after = split_perplexity(work, corpus, "val", tcfg.eval_windows, tcfg.seq_len)
     untouched = bool(dead_before) and all(
         work.named_tensors()[name].data.tobytes() == blob
         for name, blob in dead_before.items())
-    record(7, f"recovery tuning lowers val PPL {tune['val_ppl_before']:.2f} "
-              f"-> {tune['val_ppl_after']:.2f} on a model degraded "
+    record(7, f"recovery tuning lowers val PPL {before:.2f} "
+              f"-> {after:.2f} on a model degraded "
               f"{degraded / dense_val:.2f}x; dead tensors byte-identical",
            degraded >= 1.3 * dense_val
-           and tune["val_ppl_after"] < tune["val_ppl_before"]
+           and after < before
            and untouched)
 
 

@@ -232,6 +232,27 @@ def test_train_rejects_transformer_index_past_the_blocks(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_config_not_utf8_is_one_error_line(tmp_path, capsys):
+    ini = tmp_path / "t.ini"
+    ini.write_bytes(b"[train]\nsteps = 1\n# \xff\n")
+    assert cli(["train", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(ini) in err and "0xff" in err
+
+
+def test_train_corpus_not_utf8_is_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"plain text\n\xff more text\n")
+    ini = write_ini(tmp_path / "t.ini", f"[train]\nsteps = 1\ncorpus = {corpus}\n")
+    out = tmp_path / "o"
+    assert cli(["train", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(corpus) in err and "byte 11 is not UTF-8" in err
+    assert not out.exists()
+
+
 def test_cli_bad_checkpoint_reports_and_exits(tmp_path, capsys):
     ck = tmp_path / "junk.ckpt"
     ck.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -253,15 +274,24 @@ def test_report_header_only_loss_csv(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "loss curve: 0 steps"
 
 
+# "\udcff" is written as the lone byte 0xff, which is not UTF-8
 @pytest.mark.parametrize("name,text,where", [
     ("loss.csv", "step,lr,loss,grad_norm,val_ppl\n0,0.001,4.5,1.0,\n1,0.001\n",
      "line 3"),
     ("plan.jsonl", '{"kind": "ssm", "block": 0, "ratio": 0.9}\n{"kind": \n',
      "line 2"),
-], ids=["loss.csv", "plan.jsonl"])
+    ("loss.csv", "step,lr,loss,grad_norm,val_ppl\n0,0.001,4.\udcff,1.0,\n",
+     "byte 41 is not UTF-8"),
+    ("plan.jsonl", '{"kind": "ssm", "block": 0, "ratio": 0.9}\n{"kind": "\udcff"}\n',
+     "byte 52 is not UTF-8"),
+    ("trace.jsonl", '{"iter": 0, "stage": 0, "kind": "\udcff"}\n', "byte 33 is not UTF-8"),
+    ("bench_report.json", '{"prefill_speedup": 1.\udcff}\n', "byte 22 is not UTF-8"),
+    ("curves.csv", "kind,steps,PPL,ratio\nmamba1:\udcff,0,21.5,0\n", "byte 28 is not UTF-8"),
+], ids=["loss.csv", "plan.jsonl", "loss-not-utf8", "plan-not-utf8", "trace-not-utf8",
+        "bench-not-utf8", "curves-not-utf8"])
 def test_report_corrupt_artifact_is_one_error_line(tmp_path, capsys, name,
                                                     text, where):
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
     assert cli(["report", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")

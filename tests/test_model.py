@@ -299,6 +299,46 @@ def test_compact_without_removals_is_identity():
     assert c.desc == desc
 
 
+def compact_case(variant, seed):
+    """Overlay with a dead block, a dead ssm, a dead mha and a sliced mlp."""
+    m = Model.build(tiny_desc(n_blocks=5, transformer_at=(1, 3), variant=variant), seed)
+    m.remove("mamba_block", 2)
+    m.remove("ssm", 4)
+    m.remove("mha", 3)
+    m.slice_mlp(1, 8)
+    return m
+
+
+@pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
+def test_compact_matches_overlay_to_the_byte(variant):
+    m = compact_case(variant, 18)
+    toks = tokens_for(m.desc, np.random.default_rng(18), B=3, T=13)
+    assert m.compact().forward(toks).data.tobytes() == m.forward(toks).data.tobytes()
+
+
+def test_compact_shares_nothing_with_the_overlay():
+    m = compact_case("mamba2", 19)
+    for t in m.named_tensors().values():
+        t.grad = np.ones_like(t.data)
+    names = {n: t.data.tobytes() for n, t in m.named_tensors().items()}
+    flags = m.structures()
+    c = m.compact()
+    fresh = Model.build(c.desc, 0).named_tensors()
+    assert {n: t.data.shape for n, t in c.named_tensors().items()} == \
+        {n: t.data.shape for n, t in fresh.items()}
+    assert all(t.grad is None for t in c.named_tensors().values())
+    for t in c.named_tensors().values():
+        t.data[...] = 7.0
+        t.name = "edited." + t.name
+    for b in c.blocks:
+        for kind in b.PARTS:
+            setattr(b, md.ALIVE_FLAG[kind], not getattr(b, md.ALIVE_FLAG[kind]))
+    assert {n: t.data.tobytes() for n, t in m.named_tensors().items()} == names
+    assert all(n == t.name for n, t in m.named_tensors().items())
+    assert m.structures() == flags
+    assert all(t.grad is not None for t in m.named_tensors().values())
+
+
 # -- checkpoints ------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_identical(tmp_path):
@@ -523,6 +563,20 @@ def test_prefill_equals_forward_last_position_to_the_byte(case):
     toks = np.random.default_rng(16).integers(0, m.desc.vocab, size=(2, 11))
     got = DecodeSession(m).prefill(toks)
     assert got.tobytes() == m.forward(toks).data[:, -1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["mamba1", "mamba2", *DEAD_SETS])
+def test_decode_equals_forward_at_every_position_to_the_byte(case):
+    if case in DEAD_SETS:
+        m = dead_model(DEAD_SETS[case], seed=20)
+    else:
+        m = Model.build(tiny_desc(n_blocks=5, transformer_at=(2,), variant=case), 20)
+    toks = np.random.default_rng(20).integers(0, m.desc.vocab, size=(2, 12))
+    full = m.forward(toks).data
+    sess = DecodeSession(m, capacity_hint=2)  # the key/value buffers grow
+    assert sess.prefill(toks[:, :1]).tobytes() == full[:, 0].tobytes()
+    for t in range(1, 12):
+        assert sess.step(toks[:, t]).tobytes() == full[:, t].tobytes(), f"t={t}"
 
 
 def test_decode_grows_kv_buffers_past_the_capacity_hint():

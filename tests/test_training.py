@@ -12,8 +12,7 @@ from ssmprune.model import Model, toy_descriptor
 from ssmprune.tensor import Tensor
 from ssmprune.training import (VOCAB, Adam, Corpus, TrainConfig, bundled_text,
                                clip_gradients, cosine_lr, decode, encode,
-                               perplexity, recovery_tune, split_perplexity,
-                               train)
+                               perplexity, split_perplexity, train)
 
 from oracles import naive_cross_entropy, naive_perplexity
 
@@ -259,9 +258,12 @@ def test_recovery_tune_never_touches_dead_tensors():
     dead = {k: t.data.copy() for k, t in model.blocks[0].ssm.tensors().items()}
     cfg = TrainConfig(steps=6, batch_size=2, seq_len=24, lr=5e-4,
                       min_lr=5e-5, warmup=2, eval_windows=4)
-    out = recovery_tune(model, corpus=Corpus.bundled(), cfg=cfg)
-    assert math.isfinite(out["val_ppl_before"]) and math.isfinite(out["val_ppl_after"])
-    assert len(out["rows"]) == 6
+    corpus = Corpus.bundled()
+    before = split_perplexity(model, corpus, "val", cfg.eval_windows, cfg.seq_len)
+    rows = train(model, corpus, cfg)
+    after = split_perplexity(model, corpus, "val", cfg.eval_windows, cfg.seq_len)
+    assert math.isfinite(before) and math.isfinite(after)
+    assert len(rows) == 6
     for k, t in model.blocks[0].ssm.tensors().items():
         assert np.array_equal(t.data, dead[k]), k
 
