@@ -27,7 +27,8 @@ from .errors import (CapacityError, CheckpointError, ConfigError,
                      DivergenceError, ScheduleError, ShapeError, StateError,
                      TokenError, read_text)
 from .model import Model, load_model, save_model, toy_descriptor
-from .pruning import CalibrationSet, check_rows, is_a, read_jsonl, run_schedule
+from .pruning import (CalibrationSet, check_rows, is_a, parse_schedule, read_jsonl,
+                      run_schedule)
 from .study import StudyConfig, read_curves_csv, study_sensitivity
 from .training import (LOSS_COLUMNS, VOCAB, Corpus, TrainConfig,
                        split_perplexity, train)
@@ -111,13 +112,13 @@ def cmd_prune(args) -> int:
         cfg["plan_only"] = True
     _need(cfg["checkpoint"], "prune.checkpoint")
     _need(cfg["schedule"], "prune.schedule")
-    out = _outdir(args)
+    stages = parse_schedule(cfg["schedule"])
     model, _ = load_model(cfg["checkpoint"])
-    corpus = _corpus(cfg["corpus"])
-    cal = CalibrationSet(corpus, cfg["cal_count"], cfg["cal_length"],
+    cal = CalibrationSet(_corpus(cfg["corpus"]), cfg["cal_count"], cfg["cal_length"],
                          cfg["batch_size"])
+    out = _outdir(args)
     write_resolved(os.path.join(out, "resolved.ini"), "prune", cfg)
-    summary = run_schedule(model, cfg["schedule"], cal, out_dir=out,
+    summary = run_schedule(model, stages, cal, out_dir=out,
                            threads=cfg["threads"],
                            emit_trace=cfg["emit_trace"],
                            plan_only=cfg["plan_only"])

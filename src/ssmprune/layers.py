@@ -26,7 +26,7 @@ def linear_f(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     k = w.shape[1]
     if x.shape[-1] != k:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    y = x.reshape(-1, k).astype(np.float64) @ w.astype(np.float64).T
+    y = x.reshape(-1, k).astype(np.float64) @ w.astype(np.float64, copy=False).T
     return y.astype(np.float32).reshape(x.shape[:-1] + (w.shape[0],))
 
 
@@ -54,7 +54,7 @@ def rmsnorm_f(x: np.ndarray, scale: np.ndarray, eps: float = 1e-5) -> np.ndarray
     if scale.shape != (d,):
         raise ShapeError(f"rmsnorm: scale {scale.shape} does not match feature dim {d}")
     x64 = x.astype(np.float64)
-    return (x64 * _inv_rms(x64, eps) * scale.astype(np.float64)).astype(np.float32)
+    return (x64 * _inv_rms(x64, eps) * scale.astype(np.float64, copy=False)).astype(np.float32)
 
 
 def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-5) -> Tensor:
@@ -132,7 +132,8 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     x2 = x.reshape(-1, d).astype(np.float64)
 
     def heads(w):
-        return (x2 @ w.astype(np.float64).T).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
+        w64 = w.astype(np.float64, copy=False)
+        return (x2 @ w64.T).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
 
     q, k, v = heads(wq), heads(wk), heads(wv)           # (B, H, T, hd)
     if kv is None:
@@ -154,7 +155,7 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     p = np.exp(scores)
     p /= p.sum(axis=-1, keepdims=True)
     ctx = (p @ v).transpose(0, 2, 1, 3).reshape(-1, d)  # (B*T, d)
-    y = (ctx @ wo.astype(np.float64).T).astype(np.float32).reshape(B, T, d)
+    y = (ctx @ wo.astype(np.float64, copy=False).T).astype(np.float32).reshape(B, T, d)
     return y, kv, (q, k, v, p, ctx)
 
 
@@ -190,16 +191,20 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads
     return record(out, (x, wq, wk, wv, wo), bwd)
 
 
-def embedding(tokens: np.ndarray, table: Tensor) -> Tensor:
-    """tokens (B, T) int -> (B, T, d). Validates ids against the table size."""
-    vocab = table.data.shape[0]
-    tokens = np.asarray(tokens)
-    bad = (tokens < 0) | (tokens >= vocab)
+def _check_ids(what: str, ids: np.ndarray, vocab: int) -> None:
+    """TokenError unless ids is an integer array of ids in [0, vocab)."""
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise TokenError(f"{what}: ids have dtype {ids.dtype}, expected integers")
+    bad = (ids < 0) | (ids >= vocab)
     if bad.any():
         pos = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise TokenError(
-            f"embedding: token id {int(tokens[pos])} at position {pos} outside vocab of {vocab}"
-        )
+        raise TokenError(f"{what} id {int(ids[pos])} at position {pos} outside vocab of {vocab}")
+
+
+def embedding(tokens: np.ndarray, table: Tensor) -> Tensor:
+    """tokens (B, T) int -> (B, T, d). Validates ids against the table size."""
+    tokens = np.asarray(tokens)
+    _check_ids("embedding: token", tokens, table.data.shape[0])
     out = Tensor(table.data[tokens])
 
     def bwd(g: np.ndarray):
@@ -220,12 +225,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(
             f"cross_entropy: targets {targets.shape} do not match logits {logits.data.shape}"
         )
-    bad = (targets < 0) | (targets >= V)
-    if bad.any():
-        pos = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise TokenError(
-            f"cross_entropy: target id {int(targets[pos])} at position {pos} outside vocab of {V}"
-        )
+    _check_ids("cross_entropy: target", targets, V)
     flat = logits.data.reshape(-1, V).astype(np.float64)
     tflat = targets.reshape(-1)
     n = flat.shape[0]
@@ -259,7 +259,17 @@ def per_token_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# layer classes: thin wrappers owning named parameter tensors
+# layer classes: thin wrappers owning named parameter tensors. Their builds
+# take rng None for a skeleton that a checkpoint then overwrites.
+
+
+def _draw(rng: Optional[np.random.Generator], dist: str, a: float, b: float,
+         shape: Tuple[int, ...]) -> np.ndarray:
+    """rng.normal(a, b, shape) or rng.uniform(a, b, shape), by dist; with no
+    rng, an undrawn float32 array of that shape."""
+    if rng is None:
+        return np.empty(shape, dtype=np.float32)
+    return getattr(rng, dist)(a, b, shape)
 
 
 class Linear:
@@ -269,8 +279,9 @@ class Linear:
         self.weight = weight
 
     @staticmethod
-    def build(rng: np.random.Generator, d_in: int, d_out: int, prefix: str) -> "Linear":
-        return Linear(Tensor(rng.normal(0.0, d_in ** -0.5, (d_out, d_in)),
+    def build(rng: Optional[np.random.Generator], d_in: int, d_out: int,
+              prefix: str) -> "Linear":
+        return Linear(Tensor(_draw(rng, "normal", 0.0, d_in ** -0.5, (d_out, d_in)),
                              requires_grad=True, name=f"{prefix}.weight"))
 
     def tensors(self) -> Dict[str, Tensor]:
@@ -297,9 +308,10 @@ class CausalConv1d:
         self.kernel = kernel
 
     @staticmethod
-    def build(rng: np.random.Generator, channels: int, width: int, prefix: str) -> "CausalConv1d":
+    def build(rng: Optional[np.random.Generator], channels: int, width: int,
+              prefix: str) -> "CausalConv1d":
         s = width ** -0.5
-        k = Tensor(rng.uniform(-s, s, (channels, width)),
+        k = Tensor(_draw(rng, "uniform", -s, s, (channels, width)),
                    requires_grad=True, name=f"{prefix}.kernel")
         return CausalConv1d(k)
 
@@ -313,7 +325,8 @@ class MultiHeadAttention:
         self.n_heads = n_heads
 
     @staticmethod
-    def build(rng: np.random.Generator, d: int, n_heads: int, prefix: str) -> "MultiHeadAttention":
+    def build(rng: Optional[np.random.Generator], d: int, n_heads: int,
+              prefix: str) -> "MultiHeadAttention":
         mk = lambda nm: Linear.build(rng, d, d, f"{prefix}.{nm}")
         return MultiHeadAttention(mk("q"), mk("k"), mk("v"), mk("o"), n_heads)
 
@@ -335,7 +348,8 @@ class GatedMlp:
         self.up, self.gate, self.down = up, gate, down
 
     @staticmethod
-    def build(rng: np.random.Generator, d: int, hidden: int, prefix: str) -> "GatedMlp":
+    def build(rng: Optional[np.random.Generator], d: int, hidden: int,
+              prefix: str) -> "GatedMlp":
         return GatedMlp(
             Linear.build(rng, d, hidden, f"{prefix}.up"),
             Linear.build(rng, d, hidden, f"{prefix}.gate"),
@@ -347,7 +361,8 @@ class GatedMlp:
         return self.up.weight.data.shape[0]
 
     def body(self, ops, x):
-        """The mlp over an ops table (model.TAPE on Tensors, model.ARRAYS on arrays)."""
+        """The mlp over an ops table (model.TAPE on Tensors, a decode
+        session's array ops on arrays)."""
         return ops.linear(ops.mul(ops.silu(ops.linear(x, self.gate)), ops.linear(x, self.up)),
                           self.down)
 
@@ -374,8 +389,9 @@ class Embedding:
         self.table = table
 
     @staticmethod
-    def build(rng: np.random.Generator, vocab: int, d: int, prefix: str) -> "Embedding":
-        t = Tensor(rng.normal(0.0, 0.02, (vocab, d)), requires_grad=True,
+    def build(rng: Optional[np.random.Generator], vocab: int, d: int,
+              prefix: str) -> "Embedding":
+        t = Tensor(_draw(rng, "normal", 0.0, 0.02, (vocab, d)), requires_grad=True,
                    name=f"{prefix}.table")
         return Embedding(t)
 

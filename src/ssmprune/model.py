@@ -7,8 +7,9 @@ takes the residual bypass, so weights stay in memory until compact() makes a
 copy of the surviving blocks.
 
 Each block class writes its body once, over an ops table: `forward` runs it
-with TAPE (Tensors, backward recorded), `decode_step(x, state)` with ARRAYS
-(array kernels that carry the conv tail, scan state and key/value prefix).
+with TAPE (Tensors, backward recorded), `decode_step(x, state, ops)` with a
+decode session's array ops (array kernels that carry the conv tail, scan
+state and key/value prefix).
 
 Each block class declares its removable parts once, in its PARTS table:
 registry kind -> the tensors that part owns outright, parent block first
@@ -181,20 +182,34 @@ TAPE = SimpleNamespace(
         x, mha.q.weight, mha.k.weight, mha.v.weight, mha.o.weight, mha.n_heads), None),
 )
 
-# On float32 arrays, no tape: decode. The stateful ops carry the conv tail,
-# the scan state and the key/value prefix from one call to the next.
-ARRAYS = SimpleNamespace(
-    add=np.add,
-    mul=np.multiply,
-    silu=lambda a: a * sigmoid_f(a),
-    linear=lambda x, lin: linear_f(x, lin.weight.data),
-    rmsnorm=lambda x, norm: rmsnorm_f(x, norm.scale.data, norm.eps),
-    conv=lambda x, conv, tail: causal_conv1d_f(x, conv.kernel.data, tail),
-    scan=lambda x, p, h: scan_f(x, p, h)[:2],
-    attention=lambda x, mha, kv: attention_f(
-        x, mha.q.weight.data, mha.k.weight.data, mha.v.weight.data,
-        mha.o.weight.data, mha.n_heads, kv)[:2],
-)
+
+def _array_ops() -> SimpleNamespace:
+    """A decode session's ops: on float32 arrays, no tape. The stateful ops
+    carry the conv tail, the scan state and the key/value prefix from one
+    call to the next. The table keeps the float64 copy of each weight a
+    kernel casts (linear weights, rmsnorm scales, dt_bias, D_skip), made at
+    its first read and passed again at every later one. The conv kernel and
+    A_log are passed as they are, since their ops run in float32."""
+    cache: Dict[Tensor, np.ndarray] = {}
+
+    def w64(t: Tensor) -> np.ndarray:
+        w = cache.get(t)
+        if w is None:
+            w = cache[t] = t.data.astype(np.float64)
+        return w
+
+    return SimpleNamespace(
+        add=np.add,
+        mul=np.multiply,
+        silu=lambda a: a * sigmoid_f(a),
+        linear=lambda x, lin: linear_f(x, w64(lin.weight)),
+        rmsnorm=lambda x, norm: rmsnorm_f(x, w64(norm.scale), norm.eps),
+        conv=lambda x, conv, tail: causal_conv1d_f(x, conv.kernel.data, tail),
+        scan=lambda x, p, h: scan_f(x, p, h, w64)[:2],
+        attention=lambda x, mha, kv: attention_f(
+            x, w64(mha.q.weight), w64(mha.k.weight), w64(mha.v.weight),
+            w64(mha.o.weight), mha.n_heads, kv)[:2],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +234,8 @@ class MambaBlock:
         self.ssm_alive = True
 
     @staticmethod
-    def build(rng: np.random.Generator, desc: ArchDescriptor, i: int) -> "MambaBlock":
+    def build(rng: Optional[np.random.Generator], desc: ArchDescriptor,
+              i: int) -> "MambaBlock":
         d = desc.d_model
         di = 2 * d
         variant = desc.block_kinds[i]
@@ -254,9 +270,10 @@ class MambaBlock:
     def forward(self, x: Tensor) -> Tensor:
         return self._body(TAPE, x, (None, None))[0]
 
-    def decode_step(self, x: np.ndarray, state) -> Tuple[np.ndarray, tuple]:
-        """x (B, T, d) float32 after `state` -> (output, state after x)."""
-        return self._body(ARRAYS, x, state)
+    def decode_step(self, x: np.ndarray, state, ops) -> Tuple[np.ndarray, tuple]:
+        """x (B, T, d) float32 after `state` -> (output, state after x), on
+        a decode session's array ops."""
+        return self._body(ops, x, state)
 
     def empty_state(self, batch: int, capacity: int) -> tuple:
         """(conv tail, scan state) before the first token: zeros for both."""
@@ -291,7 +308,7 @@ class TransformerBlock:
         self.mlp_alive = True
 
     @staticmethod
-    def build(rng: np.random.Generator, desc: ArchDescriptor, i: int,
+    def build(rng: Optional[np.random.Generator], desc: ArchDescriptor, i: int,
               hidden: Optional[int] = None) -> "TransformerBlock":
         d = desc.d_model
         px = f"blocks.{i}"
@@ -314,9 +331,10 @@ class TransformerBlock:
     def forward(self, x: Tensor) -> Tensor:
         return self._body(TAPE, x, None)[0]
 
-    def decode_step(self, x: np.ndarray, kv: tuple) -> Tuple[np.ndarray, tuple]:
-        """x (B, T, d) float32 after key/value prefix kv -> (output, kv after x)."""
-        return self._body(ARRAYS, x, kv)
+    def decode_step(self, x: np.ndarray, kv: tuple, ops) -> Tuple[np.ndarray, tuple]:
+        """x (B, T, d) float32 after key/value prefix kv -> (output, kv after
+        x), on a decode session's array ops."""
+        return self._body(ops, x, kv)
 
     def empty_state(self, batch: int, capacity: int) -> Optional[tuple]:
         """Key/value buffers for capacity positions, none filled; None when
@@ -390,8 +408,10 @@ class Model:
         return Model._assemble(desc, np.random.default_rng(seed))
 
     @staticmethod
-    def _assemble(desc: ArchDescriptor, rng: np.random.Generator,
+    def _assemble(desc: ArchDescriptor, rng: Optional[np.random.Generator],
                   hidden_now: Optional[Sequence[int]] = None) -> "Model":
+        """The one construction traversal. rng None draws nothing: weights
+        are left undrawn (np.empty) or constant, for a loader to overwrite."""
         emb = Embedding.build(rng, desc.vocab, desc.d_model, "embedding")
         blocks: List[object] = []
         for i, kind in enumerate(desc.block_kinds):
@@ -424,8 +444,9 @@ class Model:
 
     def _embed(self, tokens: np.ndarray) -> Tensor:
         tokens = np.asarray(tokens)
-        if tokens.ndim != 2:
-            raise ShapeError(f"forward: tokens shape {tokens.shape}, expected (B, T)")
+        if tokens.ndim != 2 or not tokens.size:
+            raise ShapeError(f"forward: tokens shape {tokens.shape}, expected (B, T) "
+                             "with B, T >= 1")
         return self.embedding(tokens)
 
     def _run(self, x: Tensor, start: int, stop: int,
@@ -626,7 +647,11 @@ def _check_rows(path: str, model: Model, rows) -> None:
 
 
 def load_model(path: str):
-    """-> (Model, meta dict). Bit-identical round trip with save_model."""
+    """-> (Model, meta dict). Bit-identical round trip with save_model.
+
+    The skeleton comes from `Model._assemble`, the traversal `Model.build`
+    runs, with no rng: nothing is drawn, and the payload then overwrites
+    every tensor in place."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != MAGIC:
@@ -652,8 +677,7 @@ def load_model(path: str):
         raise CheckpointError(f"{path}: {e}") from None
     _check_tensor_rows(path, header["tensors"])
     _check_widths(path, desc, header["mlp_hidden_now"])
-    model = Model._assemble(desc, np.random.default_rng(0),
-                            hidden_now=header["mlp_hidden_now"])
+    model = Model._assemble(desc, None, hidden_now=header["mlp_hidden_now"])
     _check_rows(path, model, header["structures"])
     have = model.named_tensors()
     want = {name: tuple(shape) for name, shape in header["tensors"]}
@@ -667,11 +691,11 @@ def load_model(path: str):
         shape = tuple(shape)
         if t.data.shape != shape:
             raise CheckpointError(f"{path}: {name} has shape {shape}, expected {t.data.shape}")
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = t.data.size
         end = off + 4 * n
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated payload at {name}")
-        t.data = np.frombuffer(raw[off:end], dtype="<f4").reshape(shape).copy()
+        t.data[...] = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(shape)
         off = end
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
@@ -689,13 +713,20 @@ class DecodeSession:
     on array kernels. prefill() runs the prompt from an empty state, so its
     logits are the bytes of the forward's last position; step() is the
     one-token case. capacity_hint presizes the key/value buffers, which
-    grow past it."""
+    grow past it.
+
+    Weights are read at prefill. The float64 copy of each weight the kernels
+    cast (linear weights, rmsnorm scales, dt_bias, D_skip) is made there, at
+    its first use, and every step() until the next prefill reuses it; the
+    conv kernels and A_log are read as they are. An edit to the model's
+    weights shows from the next prefill on."""
 
     def __init__(self, model: Model, capacity_hint: int = 0):
         self.model = model
         self.capacity_hint = capacity_hint
         self._state: Optional[list] = None
         self._batch = 0
+        self._ops: Optional[SimpleNamespace] = None
 
     def prefill(self, tokens: np.ndarray) -> np.ndarray:
         """tokens (B, T) -> logits at the last position (B, vocab)."""
@@ -703,6 +734,7 @@ class DecodeSession:
         self._batch, T, _ = x.shape
         cap = max(self.capacity_hint, T + 1)
         self._state = [b.empty_state(self._batch, cap) for b in self.model.blocks]
+        self._ops = _array_ops()
         return self._advance(x)[:, -1].copy()
 
     def step(self, tokens: np.ndarray) -> np.ndarray:
@@ -716,8 +748,8 @@ class DecodeSession:
 
     def _advance(self, x: np.ndarray) -> np.ndarray:
         """x (B, T, d) -> logits (B, T, vocab); moves every live block's state past x."""
-        m = self.model
+        m, ops = self.model, self._ops
         for i, b in enumerate(m.blocks):
             if b.alive:
-                x, self._state[i] = b.decode_step(x, self._state[i])
-        return ARRAYS.linear(ARRAYS.rmsnorm(x, m.final_norm), m.head)
+                x, self._state[i] = b.decode_step(x, self._state[i], ops)
+        return ops.linear(ops.rmsnorm(x, m.final_norm), m.head)

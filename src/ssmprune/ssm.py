@@ -24,7 +24,7 @@ changes no operation or its order, so the bytes equal a one-step-at-a-time scan.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,26 +55,30 @@ class SsmParams:
         self.D_skip = D_skip
 
     @staticmethod
-    def build(rng: np.random.Generator, variant: str, channels: int, n_state: int,
-              prefix: str) -> "SsmParams":
-        if variant == "s6":
-            # decay rates 1..N per channel, the usual structured init
-            a = np.tile(np.arange(1, n_state + 1, dtype=np.float64), (channels, 1))
-        elif variant == "ssd":
-            a = rng.uniform(1.0, 16.0, channels)
-        else:
+    def build(rng: Optional[np.random.Generator], variant: str, channels: int,
+              n_state: int, prefix: str) -> "SsmParams":
+        if variant not in VARIANTS:
             raise ValueError(f"unknown ssm variant {variant!r}")
-        A_log = Tensor(np.log(a), requires_grad=True, name=f"{prefix}.A_log")
-        # softplus(dt_bias) lands uniformly in [1e-3, 1e-1]
-        u = rng.uniform(1e-3, 1e-1, channels)
-        dt_bias = Tensor(np.log(np.expm1(u)), requires_grad=True, name=f"{prefix}.dt_bias")
+        if rng is None:  # a skeleton for a checkpoint to overwrite: nothing drawn
+            a_log = np.empty((channels, n_state) if variant == "s6" else channels,
+                             dtype=np.float32)
+            dt_bias = np.empty(channels, dtype=np.float32)
+        else:
+            if variant == "s6":
+                # decay rates 1..N per channel, the usual structured init
+                a = np.tile(np.arange(1, n_state + 1, dtype=np.float64), (channels, 1))
+            else:
+                a = rng.uniform(1.0, 16.0, channels)
+            a_log = np.log(a)
+            # softplus(dt_bias) lands uniformly in [1e-3, 1e-1]
+            dt_bias = np.log(np.expm1(rng.uniform(1e-3, 1e-1, channels)))
         return SsmParams(
             variant,
-            A_log,
+            Tensor(a_log, requires_grad=True, name=f"{prefix}.A_log"),
             Linear.build(rng, channels, n_state, f"{prefix}.x_to_B"),
             Linear.build(rng, channels, n_state, f"{prefix}.x_to_C"),
             Linear.build(rng, channels, channels, f"{prefix}.x_to_dt"),
-            dt_bias,
+            Tensor(dt_bias, requires_grad=True, name=f"{prefix}.dt_bias"),
             Tensor(np.ones(channels), requires_grad=True, name=f"{prefix}.D_skip"),
         )
 
@@ -98,22 +102,27 @@ class SsmParams:
         return out
 
 
-def _project(p: SsmParams, x: np.ndarray) -> Tuple[np.ndarray, ...]:
+def _cast64(t: Tensor) -> np.ndarray:
+    """t's data cast to float64: what the scan reads of its weights."""
+    return t.data.astype(np.float64)
+
+
+def _project(p: SsmParams, x: np.ndarray,
+             w64: Callable[[Tensor], np.ndarray] = _cast64) -> Tuple[np.ndarray, ...]:
     """Input-dependent pieces from x (..., c): dtp, dt, B, C as float32."""
     lead = x.shape[:-1]
     x2 = x.reshape(-1, p.channels).astype(np.float64)
-    dtp = f32((x2 @ p.x_to_dt.weight.data.astype(np.float64).T
-               + p.dt_bias.data.astype(np.float64)).reshape(lead + (p.channels,)))
+    dtp = f32((x2 @ w64(p.x_to_dt.weight).T + w64(p.dt_bias)).reshape(lead + (p.channels,)))
     dt = softplus_f(dtp)
-    Bm = f32((x2 @ p.x_to_B.weight.data.astype(np.float64).T).reshape(lead + (p.n_state,)))
-    Cm = f32((x2 @ p.x_to_C.weight.data.astype(np.float64).T).reshape(lead + (p.n_state,)))
+    Bm = f32((x2 @ w64(p.x_to_B.weight).T).reshape(lead + (p.n_state,)))
+    Cm = f32((x2 @ w64(p.x_to_C.weight).T).reshape(lead + (p.n_state,)))
     return dtp, dt, Bm, Cm
 
 
-def _decay(p: SsmParams, dt: np.ndarray) -> np.ndarray:
-    """exp(dt * A): (..., c, N) for s6, (..., c, 1) for ssd (broadcasts later)."""
-    A = p.neg_A()
-    if p.variant == "s6":
+def _decay(A: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """exp(dt * A) for A = neg_A(): (..., c, N) for s6's (c, N) A, (..., c, 1)
+    for ssd's (c,) A (broadcasts later)."""
+    if A.ndim == 2:
         return np.exp(dt[..., None] * A)
     return np.exp(dt * A)[..., None]
 
@@ -127,9 +136,12 @@ def _chunk_len(B_: int, c: int, N: int) -> int:
     return max(1, _CHUNK_ELEMS // (B_ * c * N))
 
 
-def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None):
+def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
+           w64: Callable[[Tensor], np.ndarray] = _cast64):
     """Run the scan over a batch of sequences. x (B, T, c) float32, h0 the
-    (B, c, N) float64 state before x (None: zeros).
+    (B, c, N) float64 state before x (None: zeros). w64(t) is the float64
+    array read for weight t (the projections, dt_bias and D_skip); a decode
+    session passes the copies it keeps. A_log is read as it is, float32.
 
     -> (y (B, T, c) float32, the float64 state after x, and the pieces the
     backward reuses: dtp, dt, Bm, Cm, dt*x and the float32 per-token states).
@@ -138,14 +150,15 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None):
         raise ShapeError(f"selective_scan: input {x.shape}, expected (B, T, {p.channels})")
     B_, T, c = x.shape
     N = p.n_state
-    dtp, dt, Bm, Cm = _project(p, x)
+    dtp, dt, Bm, Cm = _project(p, x, w64)
+    A = p.neg_A()
     dtx = dt * x                                           # (B,T,c)
     L = _chunk_len(B_, c, N)
     h = np.zeros((B_, c, N), dtype=np.float64) if h0 is None else h0
     hs = np.empty((B_, T, c, N), dtype=np.float32)
     for t0 in range(0, T, L):
         s = slice(t0, t0 + L)
-        abar = _decay(p, dt[:, s])
+        abar = _decay(A, dt[:, s])
         # the input term dt*x outer B, in float32; becomes the chunk's states
         hc = (dtx[:, s, :, None] * Bm[:, s, None, :]).astype(np.float64)
         for i in range(hc.shape[1]):
@@ -154,7 +167,7 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None):
         hs[:, s] = hc
     h = h.copy()                                           # not a view of the last chunk
     y = np.einsum("btcn,btn->btc", hs, Cm, dtype=np.float64)
-    y += p.D_skip.data.astype(np.float64) * x
+    y += w64(p.D_skip) * x
     return y.astype(np.float32), h, (dtp, dt, Bm, Cm, dtx, hs)
 
 
@@ -168,7 +181,8 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
 
     def bwd(g: np.ndarray):
         g64 = g.astype(np.float64)
-        A = p.neg_A().astype(np.float64)
+        A32 = p.neg_A()
+        A = A32.astype(np.float64)
         dD = (g64 * x.data).sum(axis=(0, 1))
         dCm = np.einsum("btc,btcn->btn", g64, hs)
         dx = g64 * p.D_skip.data.astype(np.float64)
@@ -185,7 +199,7 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
         # elementwise or reduce per step, so they run over the whole chunk.
         for t0 in reversed(range(0, T, L)):
             s = slice(t0, t0 + L)
-            abar = _decay(p, dt[:, s])
+            abar = _decay(A32, dt[:, s])
             lams = g64[:, s, :, None] * Cm[:, s, None, :]  # becomes lam per step
             n = lams.shape[1]
             for i in range(n - 1, -1, -1):

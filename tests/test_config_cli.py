@@ -261,6 +261,28 @@ def test_cli_bad_checkpoint_reports_and_exits(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_prune_bad_checkpoint_leaves_no_out_dir(tmp_path, capsys):
+    ck = tmp_path / "junk.ckpt"
+    ck.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
+    ini = write_ini(tmp_path / "p.ini", f"[prune]\ncheckpoint = {ck}\nschedule = ssm:1\n")
+    out = tmp_path / "o"
+    assert cli(["prune", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "magic" in err
+    assert not out.exists()
+
+
+def test_prune_bad_schedule_leaves_no_out_dir(run_dir, tmp_path, capsys):
+    ini = write_ini(tmp_path / "p.ini",
+                    f"[prune]\ncheckpoint = {run_dir['ckpt']}\nschedule = bogus:1\n"
+                    "cal_count = 4\ncal_length = 32\n")
+    out = tmp_path / "o"
+    assert cli(["prune", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "'bogus'" in err
+    assert not out.exists()
+
+
 def test_report_on_empty_dir_exits_nonzero(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

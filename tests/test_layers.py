@@ -310,3 +310,31 @@ def test_per_token_nll_matches_oracle():
     got = ly.per_token_nll(logits, targets)
     want = [naive_cross_entropy(logits[t:t + 1], targets[t:t + 1]) for t in range(8)]
     assert rel_err(got, want) < 1e-9
+
+
+# -- float64 weights --------------------------------------------------------
+
+def test_kernels_give_the_same_bytes_for_float64_weights():
+    # a decode session hands the kernels float64 copies of float32 weights
+    rng = np.random.default_rng(31)
+    x = rnd(rng, 2, 5, 8, scale=0.5)
+    w, scale = rnd(rng, 6, 8), rnd(rng, 8)
+    ws = [rnd(rng, 8, 8, scale=0.4) for _ in range(4)]
+    assert ly.linear_f(x, w.astype(np.float64)).tobytes() == ly.linear_f(x, w).tobytes()
+    assert (ly.rmsnorm_f(x, scale.astype(np.float64)).tobytes()
+            == ly.rmsnorm_f(x, scale).tobytes())
+    y32, (k32, v32, _), _ = ly.attention_f(x, *ws, n_heads=2)
+    y64, (k64, v64, _), _ = ly.attention_f(x, *[w.astype(np.float64) for w in ws],
+                                           n_heads=2)
+    assert y64.tobytes() == y32.tobytes()
+    assert k64.tobytes() == k32.tobytes() and v64.tobytes() == v32.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+def test_non_integer_ids_are_one_token_error(dtype):
+    emb = ly.Embedding.build(np.random.default_rng(32), 7, 4, "emb")
+    with pytest.raises(TokenError, match=f"dtype {np.dtype(dtype)}") as e:
+        emb(np.ones((1, 3), dtype=dtype))
+    assert "\n" not in str(e.value)
+    with pytest.raises(TokenError, match=f"dtype {np.dtype(dtype)}"):
+        ly.cross_entropy(tn.Tensor(np.zeros((3, 5))), np.ones(3, dtype=dtype))

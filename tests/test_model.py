@@ -1,12 +1,13 @@
 """Registry, removal semantics, accounting, checkpoints, compaction, decode."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ssmprune import model as md
-from ssmprune.errors import CheckpointError, ConfigError, StateError, TokenError
+from ssmprune.errors import CheckpointError, ConfigError, ShapeError, StateError, TokenError
 from ssmprune.model import ArchDescriptor, DecodeSession, Model, toy_descriptor
 
 from oracles import rel_err
@@ -363,6 +364,30 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert m2.prune_ratio() == pytest.approx(m.prune_ratio(), rel=1e-12)
 
 
+def test_checkpoint_loads_without_drawing(tmp_path, monkeypatch):
+    # mamba2 draws its A_log too; load builds the skeleton with no rng at all
+    desc = tiny_desc(variant="mamba2")
+    m = Model.build(desc, 21)
+    m.remove("mha", 1)
+    m.slice_mlp(1, 8)
+    p = str(tmp_path / "m.ckpt")
+    md.save_model(m, p)
+    toks = tokens_for(desc, np.random.default_rng(21))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model asked for a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # undrawn memory is never computed on
+        m2, _ = md.load_model(p)
+    a, b = m.named_tensors(), m2.named_tensors()
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].data.tobytes() == b[name].data.tobytes(), name
+    assert m2.forward(toks).data.tobytes() == m.forward(toks).data.tobytes()
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     desc = tiny_desc()
     m = Model.build(desc, 11)
@@ -593,6 +618,53 @@ def test_decode_grows_kv_buffers_past_the_capacity_hint():
         assert rel_err(logits, full[:, t]) < 1e-5, f"t={t}"
         caps.add(sess._state[0][0].shape[2])
     assert min(caps) == 4 and len(caps) > 2 and sess._state[0][2] == 30
+
+
+# one weight of each kind a decode session keeps a float64 copy of
+CAST_WEIGHTS = ("blocks.0.in_x.weight", "blocks.0.norm.scale", "blocks.0.ssm.dt_bias",
+                "blocks.0.ssm.D_skip", "blocks.0.ssm.x_to_dt.weight",
+                "blocks.1.mha.q.weight", "blocks.1.mlp.down.weight",
+                "final_norm.scale", "head.weight")
+
+
+@pytest.mark.parametrize("name", CAST_WEIGHTS)
+def test_weight_edit_shows_in_the_next_prefill(name):
+    # the float64 weights a session keeps are read at its prefill: an edit in
+    # place reaches a new session, and the old one once it prefills again
+    m = Model.build(tiny_desc(), 22)
+    toks = np.random.default_rng(22).integers(0, m.desc.vocab, size=(2, 7))
+    old = DecodeSession(m)
+    before = old.prefill(toks[:, :6])
+    old.step(toks[:, 6])
+    m.named_tensors()[name].data *= 1.5
+    full = m.forward(toks).data
+    for sess in (DecodeSession(m), old):
+        got = sess.prefill(toks[:, :6])
+        assert got.tobytes() == full[:, 5].tobytes()
+        assert got.tobytes() != before.tobytes()
+        assert sess.step(toks[:, 6]).tobytes() == full[:, 6].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (0, 3)])
+def test_empty_prompt_is_one_shape_error(shape):
+    m = Model.build(tiny_desc(), 14)
+    for run in (m.forward, DecodeSession(m).prefill):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))) as e:
+            run(np.zeros(shape, dtype=np.int64))
+        assert "\n" not in str(e.value)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_float_tokens_are_one_token_error(dtype):
+    m = Model.build(tiny_desc(), 14)
+    sess = DecodeSession(m)
+    for run, tokens in ((m.forward, np.ones((1, 3), dtype)),
+                        (sess.prefill, np.ones((1, 3), dtype)),
+                        (sess.step, np.ones(1, dtype))):
+        with pytest.raises(TokenError, match=f"dtype {np.dtype(dtype)}") as e:
+            run(tokens)
+        assert "\n" not in str(e.value)
+        sess.prefill(np.ones((1, 3), dtype=np.int64))  # so step has a prefill
 
 
 def test_decode_errors():

@@ -109,7 +109,7 @@ def test_decay_stays_in_unit_interval():
         p = build_params(rng, variant, c=8, N=4)
         x = rng.uniform(-3.0, 3.0, (2, 16, 8)).astype(np.float32)
         _, dt, _, _ = ssm._project(p, x)
-        abar = ssm._decay(p, dt)
+        abar = ssm._decay(p.neg_A(), dt)
         assert abar.max() <= 1.0
         assert abar.min() > 0.0
 
@@ -173,6 +173,26 @@ def test_chunked_scan_matches_unchunked_to_the_byte(variant, B, steps):
     names = ["x", "A_log", "x_to_B", "x_to_C", "x_to_dt", "dt_bias", "D_skip"]
     for name, got, ref in zip(names, grads, want):
         assert got.tobytes() == ref.tobytes(), f"grad of {name} differs"
+
+
+@pytest.mark.parametrize("variant", ssm.VARIANTS)
+def test_scan_f_gives_the_same_bytes_for_float64_weights(variant):
+    # a decode session passes w64 its float64 copies; A_log stays float32
+    rng = np.random.default_rng(49)
+    p = build_params(rng, variant, c=6, N=3, hot_dt=True)
+    x = rng.uniform(-2.0, 2.0, (2, 7, 6)).astype(np.float32)
+    h0 = rng.normal(0.0, 1.0, (2, 6, 3))
+    casts = {t: t.data.astype(np.float64) for t in p.tensors().values()}
+    asked = []
+
+    def w64(t):
+        asked.append(t.name)
+        return casts[t]
+
+    y32, h32, _ = ssm.scan_f(x, p, h0.copy())
+    y64, h64, _ = ssm.scan_f(x, p, h0.copy(), w64)
+    assert y64.tobytes() == y32.tobytes() and h64.tobytes() == h32.tobytes()
+    assert sorted(set(asked)) == sorted(n for n in p.tensors() if n != "ssm.A_log")
 
 
 def test_scan_shape_validation():
