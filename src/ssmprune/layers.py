@@ -247,15 +247,21 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def per_token_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Inference-path NLLs, no tape. logits (..., V) -> (...,), float64."""
+    """Inference-path NLLs, no tape. logits (..., V) -> (...,), float64;
+    targets are checked as cross_entropy checks them."""
     V = logits.shape[-1]
+    targets = np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise ShapeError(
+            f"per_token_nll: targets {targets.shape} do not match logits {logits.shape}")
+    _check_ids("per_token_nll: target", targets, V)
     flat = logits.reshape(-1, V).astype(np.float64)
-    tflat = np.asarray(targets).reshape(-1)
+    tflat = targets.reshape(-1)
     m = flat.max(axis=-1, keepdims=True)
     z = flat - m
     lse = np.log(np.exp(z).sum(axis=-1))
     nll = lse - z[np.arange(flat.shape[0]), tflat]
-    return nll.reshape(np.asarray(targets).shape)
+    return nll.reshape(targets.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -607,13 +607,17 @@ def _check_widths(path: str, desc: ArchDescriptor, hidden_now) -> None:
 
 def _check_tensor_rows(path: str, rows) -> None:
     """One-line CheckpointError for a tensors row that is not
-    [name, [int, ...]]."""
+    [name, [int, ...]] or names a tensor an earlier row named."""
     if not isinstance(rows, list):
         raise CheckpointError(f"{path}: tensors {rows!r} is not a list")
+    names = set()
     for row in rows:
         if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
                 and isinstance(row[1], list) and all(_is_int(n) for n in row[1])):
             raise CheckpointError(f"{path}: tensors row {row!r} is not [name, shape]")
+        if row[0] in names:
+            raise CheckpointError(f"{path}: tensors rows name {row[0]} twice")
+        names.add(row[0])
 
 
 def _check_rows(path: str, model: Model, rows) -> None:

@@ -16,10 +16,13 @@ T=1 call.
 
 The scan runs time in chunks of a fixed element budget. Each chunk builds
 its own decay exp(dt*A) and input term (dt*x) outer B, runs the recurrence over
-them, and stores its states; only those float32 per-token states are kept for
-the whole sequence, never the (B, T, c, N) decay or input terms. The backward
-walks the chunks in reverse and recomputes each chunk's decay from dt. Chunking
-changes no operation or its order, so the bytes equal a one-step-at-a-time scan.
+them, and reads out y from its states rounded to float32. The (B, T, c, N)
+decay and input terms are never whole. The float32 per-token states are kept
+for the whole sequence only when a tape is active, since only its backward
+reads them: scoring, prefill and decode hold one chunk of states at a time.
+The backward walks the chunks in reverse and recomputes each chunk's decay
+from dt. Chunking changes no operation or its order, so the bytes equal a
+one-step-at-a-time scan.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .layers import Linear
-from .tensor import Tensor, f32, record, sigmoid_f, softplus_f
+from .tensor import Tensor, active_graph, f32, record, sigmoid_f, softplus_f
 
 VARIANTS = ("s6", "ssd")
 
@@ -144,7 +147,8 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     session passes the copies it keeps. A_log is read as it is, float32.
 
     -> (y (B, T, c) float32, the float64 state after x, and the pieces the
-    backward reuses: dtp, dt, Bm, Cm, dt*x and the float32 per-token states).
+    backward reuses: dtp, dt, Bm, Cm, dt*x and the float32 per-token states,
+    which are kept only under an active tape and are None otherwise).
     """
     if x.ndim != 3 or x.shape[-1] != p.channels:
         raise ShapeError(f"selective_scan: input {x.shape}, expected (B, T, {p.channels})")
@@ -155,7 +159,9 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     dtx = dt * x                                           # (B,T,c)
     L = _chunk_len(B_, c, N)
     h = np.zeros((B_, c, N), dtype=np.float64) if h0 is None else h0
-    hs = np.empty((B_, T, c, N), dtype=np.float32)
+    # only a tape's backward reads the per-token states
+    hs = np.empty((B_, T, c, N), dtype=np.float32) if active_graph() is not None else None
+    y = np.empty((B_, T, c), dtype=np.float64)
     for t0 in range(0, T, L):
         s = slice(t0, t0 + L)
         abar = _decay(A, dt[:, s])
@@ -164,9 +170,13 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
         for i in range(hc.shape[1]):
             hc[:, i] += abar[:, i] * h                     # h = abar*h + input term
             h = hc[:, i]
-        hs[:, s] = hc
+        if hs is None:
+            states = hc.astype(np.float32)
+        else:
+            states = hs[:, s]
+            states[...] = hc
+        np.einsum("btcn,btn->btc", states, Cm[:, s], dtype=np.float64, out=y[:, s])
     h = h.copy()                                           # not a view of the last chunk
-    y = np.einsum("btcn,btn->btc", hs, Cm, dtype=np.float64)
     y += w64(p.D_skip) * x
     return y.astype(np.float32), h, (dtp, dt, Bm, Cm, dtx, hs)
 

@@ -312,6 +312,16 @@ def test_per_token_nll_matches_oracle():
     assert rel_err(got, want) < 1e-9
 
 
+def test_per_token_nll_validates_targets():
+    logits = np.zeros((2, 3, 5), dtype=np.float32)
+    with pytest.raises(TokenError, match="id 7 at position"):
+        ly.per_token_nll(logits, np.array([[0, 7, 1], [0, 0, 0]]))
+    with pytest.raises(TokenError, match="dtype float64"):
+        ly.per_token_nll(logits, np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match=r"targets \(6,\)"):
+        ly.per_token_nll(logits, np.zeros(6, dtype=int))
+
+
 # -- float64 weights --------------------------------------------------------
 
 def test_kernels_give_the_same_bytes_for_float64_weights():

@@ -518,6 +518,27 @@ def test_checkpoint_rejects_malformed_header_fields(tmp_path, edit, match):
     assert re.search(match, msg), msg
 
 
+def test_checkpoint_rejects_a_tensor_named_twice(tmp_path):
+    # the repeated row comes with its own payload slice, so every size adds up
+    import json
+    import struct
+    m = Model.build(tiny_desc(), 12)
+    p = tmp_path / "m.ckpt"
+    md.save_model(m, str(p))
+    raw = p.read_bytes()
+    version, hlen = struct.unpack("<IQ", raw[8:20])
+    header = json.loads(raw[20:20 + hlen].decode("utf-8"))
+    name, shape = header["tensors"][-1]
+    header["tensors"].append([name, shape])
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "twice.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<IQ", version, len(blob)) + blob
+                    + raw[20 + hlen:] + raw[-4 * int(np.prod(shape)):])
+    with pytest.raises(CheckpointError, match=f"name {name} twice") as err:
+        md.load_model(str(bad))
+    assert "\n" not in str(err.value)
+
+
 def test_checkpoint_header_rewrite_alone_loads(tmp_path):
     # the rewrite helper itself keeps a good checkpoint loadable
     m = Model.build(tiny_desc(), 12)

@@ -176,6 +176,30 @@ def test_chunked_scan_matches_unchunked_to_the_byte(variant, B, steps):
 
 
 @pytest.mark.parametrize("variant", ssm.VARIANTS)
+@pytest.mark.parametrize("steps", ["one", "chunk", "chunk+1"])
+def test_untaped_scan_keeps_no_per_token_states(variant, steps):
+    # only a tape's backward reads the per-token states; an untaped call
+    # reads out each chunk from its own states, to the same bytes
+    rng = np.random.default_rng(50)
+    B, c, N = 3, 32, 16
+    chunk = ssm._chunk_len(B, c, N)
+    assert chunk > 1
+    T = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[steps]
+    p = build_params(rng, variant, c, N, hot_dt=True)
+    x = rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32)
+    y, h, pieces = ssm.scan_f(x, p)
+    untaped = ssm.selective_scan(tn.Tensor(x, requires_grad=True), p)
+    assert all(np.shape(a) != (B, T, c, N) for a in (y, h) + pieces)
+    with tn.tape():
+        taped = ssm.selective_scan(tn.Tensor(x, requires_grad=True), p)
+        y_t, h_t, pieces_t = ssm.scan_f(x, p)
+    assert pieces_t[-1].shape == (B, T, c, N)
+    assert untaped.data.tobytes() == y.tobytes()
+    assert taped.data.tobytes() == y_t.tobytes() == y.tobytes()
+    assert h_t.tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("variant", ssm.VARIANTS)
 def test_scan_f_gives_the_same_bytes_for_float64_weights(variant):
     # a decode session passes w64 its float64 copies; A_log stays float32
     rng = np.random.default_rng(49)
