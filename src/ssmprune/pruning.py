@@ -12,23 +12,15 @@ scoring out without changing any byte of the resulting plan or trace.
 A removal in block i leaves blocks 0..i-1 as they were. So run_schedule
 builds one search object that holds the model under search, the
 calibration set and, per calibration batch, the residual-stream inputs of
-blocks 0..k (the rows), and passes it to score_all as the calibration set;
-every candidate resumes at its own block. The same ops run on the same
-inputs, so scores are bit-identical to full forwards. Each trial collects
-the inputs of the blocks after its own up to the highest block any stage
-can score, and the search keeps those of the best trial so far, chosen by
-the argmin's own key under a lock, so the same set in any thread order; a
-losing trial drops its inputs when its score is in. A removal at block b
-keeps the rows' inputs of blocks 0..b and takes the later ones from the
-winner, which ran those blocks as the updated model runs them, so after
-the first removal neither a score_all nor the final perplexity runs a
-block below that highest one again. A score_all on a plain calibration set builds a
-search of its own, collects nothing and frees it on return, so concurrent
-calls share no state. During an iteration the search holds the rows, one
-winner set and the inputs of each trial in flight, each at most count x
-length x d_model x 4 bytes per block: 3 MiB for 8x128 windows at d_model
-64 with 12 blocks, and 16.8 MB per block (about 200 MB for 12) at the
-CLI's 256x256 default.
+blocks 0..k, and passes it to score_all as the calibration set; every
+candidate resumes at its own block. The same ops run on the same inputs, so
+scores are bit-identical to full forwards. A removal at block b drops the
+inputs after b, and the next score_all runs each batch on from block b only
+up to its highest candidate block. A score_all on a plain calibration set
+builds a search of its own and frees it on return, so concurrent calls
+share no state. The inputs cost count x length x d_model x 4 bytes per
+block: at most 3 MiB for 8x128 windows at d_model 64 with 12 blocks, and
+16.8 MB per block (about 200 MB for 12) at the CLI's 256x256 default.
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ import copy as _copy
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -162,24 +153,17 @@ class _Search:
     """One greedy search: the model under search, its calibration set and,
     for every calibration batch by number, a row with the model's
     residual-stream inputs of blocks 0..k. score_all and score_candidate
-    take it as their cal. `grow` runs each row on from its last input.
-    Rows are replaced, never edited, so a reader sees a whole row.
+    take it as their cal. A removal in block b leaves the inputs of blocks
+    0..b as they were, so after one the rows keep those and drop the rest
+    (`drop_after`); `grow` runs each row on from its last input. Rows are
+    replaced, never edited, so a reader sees a whole row."""
 
-    Every trial scored here also collects, per batch, the inputs of the
-    blocks after its own up to `top`, and the search keeps those of the best
-    trial so far. A removal in block b leaves the inputs of blocks 0..b as
-    they were, and the winner's trial ran the blocks after b as the updated
-    model runs them, so `adopt` joins the two and nothing is rerun."""
-
-    def __init__(self, model: Model, cal: CalibrationSet, top: int = 0):
-        self.model, self.cal, self.top = model, cal, top
+    def __init__(self, model: Model, cal: CalibrationSet):
+        self.model, self.cal = model, cal
         self.tokens, self.batch_size = cal.tokens, cal.batch_size
         n, bs = cal.tokens.shape[0], cal.batch_size
         self.batches = [cal.tokens[i:i + bs] for i in range(0, n, bs)]
         self.rows: List[List[Tensor]] = [[] for _ in self.batches]
-        self._lock = threading.Lock()
-        # (score, block, kind rank) of the best trial so far, and its inputs
-        self._best: Optional[Tuple[tuple, List[List[Tensor]]]] = None
 
     def grow(self, stop: int, map_: Callable) -> None:
         """Extend every row to the inputs of blocks 0..stop, one batch per
@@ -195,53 +179,25 @@ class _Search:
             return out
 
         self.rows = list(map_(grown, range(len(self.batches))))
-        self._best = None
 
-    def score(self, trial: Model, cand: Candidate) -> float:
-        """cal.ppl of `trial`, which runs as the model under search up to
-        the candidate's block: every batch resumes there from its held input.
-        Non-finite scores as +inf. A finite trial whose key beats the best
-        so far replaces it; any other drops its inputs on return."""
-        run = _Resumed(trial, cand.block, self.rows, max(self.top, cand.block))
-        p = self.cal.ppl(run)
-        if not math.isfinite(p):
-            return math.inf
-        key = (p, cand.block, _RANK[cand.kind])
-        if len(run.tails) == len(self.batches):
-            with self._lock:
-                if self._best is None or key < self._best[0]:
-                    self._best = (key, run.tails)
-        return p
-
-    def adopt(self, cand: Candidate) -> None:
-        """The candidate's action was just applied to the model under
-        search: each row keeps the inputs of blocks 0..cand.block and takes
-        the later ones from the candidate's trial when it is the best kept,
-        else drops them."""
-        best, self._best = self._best, None
-        b = cand.block
-        if best is None or best[0][1:] != (b, _RANK[cand.kind]):
-            self.rows = [row[:b + 1] for row in self.rows]
-        else:
-            self.rows = [row[:b + 1] + tail for row, tail in zip(self.rows, best[1])]
+    def drop_after(self, block: int) -> None:
+        """Forget every input after `block`, whose structure just changed."""
+        self.rows = [row[:block + 1] for row in self.rows]
 
     def ppl(self, model: Model, start: int) -> float:
         """cal.ppl of `model`, which runs as the model under search up to
         block `start`: every batch resumes at `start` from its held input,
         which every row must hold."""
-        return self.cal.ppl(_Resumed(model, start, self.rows, start))
+        return self.cal.ppl(_Resumed(model, start, self.rows))
 
 
 class _Resumed:
     """Stands in for a model inside cal.ppl, which runs the calibration
     batches in order: the n-th forward resumes the model at `start` from
-    row n and appends to `tails` the inputs of blocks start+1..stop. Every
-    other attribute is the model's."""
+    row n. Every other attribute is the model's."""
 
-    def __init__(self, model: Model, start: int, rows: List[List[Tensor]],
-                 stop: int):
-        self.model, self.start, self.stop = model, start, stop
-        self.rows, self.tails = iter(rows), []
+    def __init__(self, model: Model, start: int, rows: List[List[Tensor]]):
+        self.model, self.start, self.rows = model, start, iter(rows)
 
     def __getattr__(self, name: str):
         return getattr(self.model, name)
@@ -251,10 +207,7 @@ class _Resumed:
         if x.data.shape[:2] != np.shape(tokens):
             raise StateError(f"resumed forward: tokens {np.shape(tokens)}, held "
                              f"input {x.data.shape[:2]}")
-        inputs: List[Tensor] = []
-        x = self.model._run(x, self.start, self.stop, inputs=inputs)
-        self.tails.append((inputs + [x])[1:])
-        return self.model.resume(x, self.stop)
+        return self.model.resume(x, self.start)
 
 
 def _trial(model: Model, block: int) -> Model:
@@ -280,9 +233,7 @@ def score_candidate(model: Model, cand: Candidate, cal: CalibrationSet) -> float
     """
     trial = _trial(model, cand.block)
     apply_action(trial, cand.kind, cand.block, cand.g)
-    if isinstance(cal, _Search):
-        return cal.score(trial, cand)
-    p = cal.ppl(trial)
+    p = cal.ppl(trial, cand.block) if isinstance(cal, _Search) else cal.ppl(trial)
     return p if math.isfinite(p) else math.inf
 
 
@@ -294,12 +245,10 @@ def score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
     First brings the held inputs of every calibration batch up to the
     highest candidate block, one batch per worker; every candidate then
     resumes at its own block. run_schedule passes its search as cal, whose
-    inputs live for the whole run and are renewed by the winner of each
-    iteration, so a call runs a block only when no earlier call or winning
-    trial ran it on the current model. On a plain calibration set,
-    score_all builds a search of its own: it runs the model up to that
-    block, holds count x length x d_model x 4 bytes per block, and frees
-    them on return.
+    inputs live for the whole run, so each call runs only the blocks a
+    removal invalidated. On a plain calibration set, score_all builds a
+    search of its own: it runs the model up to that block, holds count x
+    length x d_model x 4 bytes per block, and frees them on return.
     """
     if threads > 1 and len(cands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -367,7 +316,7 @@ def _greedy(search: _Search, stages: Sequence[Stage],
                     key=lambda k: (scores[k], cands[k].block, _RANK[cands[k].kind]))
             c = cands[j]
             apply_action(work, c.kind, c.block, c.g)
-            search.adopt(c)
+            search.drop_after(c.block)
             entry = _row(it, si, c, scores[j])
             entry["ratio"] = work.prune_ratio()
             plan.append(entry)
@@ -396,13 +345,10 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
     """
     stages = parse_schedule(schedule) if isinstance(schedule, str) else list(schedule)
     work = model.clone() if plan_only else model
-    # the block inputs live for the whole search, up to the highest block
-    # any stage can score (removals only shrink the candidate sets); each
-    # removal takes the later ones from its own trial, and the final
-    # perplexity resumes at the shortest row (at the embedding, when nothing
-    # was scored)
-    top = max((c.block for st in stages for c in candidates_for(work, st)), default=0)
-    search = _Search(work, cal, top)
+    # the block inputs live for the whole search; each removal drops those
+    # it invalidated, and the final perplexity resumes at the shortest row
+    # (at the embedding, when nothing was scored)
+    search = _Search(work, cal)
     plan, trace, stage_infos = _greedy(search, stages, threads)
     start = max(min(map(len, search.rows)) - 1, 0)
     search.grow(start, map)

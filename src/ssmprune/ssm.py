@@ -15,14 +15,14 @@ after it; `selective_scan` is its taped call from zero, a decode step its
 T=1 call.
 
 The scan runs time in chunks of a fixed element budget. Each chunk builds
-its own decay exp(dt*A) and input term (dt*x) outer B, runs the recurrence over
-them, and reads out y from its states rounded to float32. The (B, T, c, N)
-decay and input terms are never whole. The float32 per-token states are kept
-for the whole sequence only when a tape is active, since only its backward
-reads them: scoring, prefill and decode hold one chunk of states at a time.
-The backward walks the chunks in reverse and recomputes each chunk's decay
-from dt. Chunking changes no operation or its order, so the bytes equal a
-one-step-at-a-time scan.
+its own decay exp(dt*A) and input term (dt*x) outer B and runs the recurrence
+over them; the (B, T, c, N) decay and input terms are never whole. y is read
+out from the states rounded to float32. Under an active tape the float32
+per-token states of the whole sequence are kept, since the backward reads
+them; untaped (scoring, prefill, decode), each chunk's states are read out
+at once and only one chunk of them is held. The backward walks the chunks in
+reverse and recomputes each chunk's decay from dt. Chunking changes no
+operation or its order, so the bytes equal a one-step-at-a-time scan.
 """
 
 from __future__ import annotations
@@ -159,9 +159,12 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     dtx = dt * x                                           # (B,T,c)
     L = _chunk_len(B_, c, N)
     h = np.zeros((B_, c, N), dtype=np.float64) if h0 is None else h0
-    # only a tape's backward reads the per-token states
-    hs = np.empty((B_, T, c, N), dtype=np.float32) if active_graph() is not None else None
-    y = np.empty((B_, T, c), dtype=np.float64)
+    # only a tape's backward reads the per-token states; untaped, each
+    # chunk's states are rounded into one chunk buffer and read out there
+    taped = active_graph() is not None
+    hs = np.empty((B_, T, c, N), dtype=np.float32) if taped else None
+    buf = None if taped else np.empty((B_, min(L, T), c, N), dtype=np.float32)
+    y = None if taped else np.empty((B_, T, c), dtype=np.float64)
     for t0 in range(0, T, L):
         s = slice(t0, t0 + L)
         abar = _decay(A, dt[:, s])
@@ -170,13 +173,15 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
         for i in range(hc.shape[1]):
             hc[:, i] += abar[:, i] * h                     # h = abar*h + input term
             h = hc[:, i]
-        if hs is None:
-            states = hc.astype(np.float32)
+        if taped:
+            hs[:, s] = hc
         else:
-            states = hs[:, s]
-            states[...] = hc
-        np.einsum("btcn,btn->btc", states, Cm[:, s], dtype=np.float64, out=y[:, s])
+            states = buf[:, :hc.shape[1]]
+            np.copyto(states, hc)
+            np.einsum("btcn,btn->btc", states, Cm[:, s], dtype=np.float64, out=y[:, s])
     h = h.copy()                                           # not a view of the last chunk
+    if taped:
+        y = np.einsum("btcn,btn->btc", hs, Cm, dtype=np.float64)
     y += w64(p.D_skip) * x
     return y.astype(np.float32), h, (dtp, dt, Bm, Cm, dtx, hs)
 

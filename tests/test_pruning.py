@@ -194,24 +194,15 @@ def live_from(model, start):
 
 def held_inputs(monkeypatch):
     """Weak references to the arrays of every block input a search holds,
-    taken after each grow, and of the best trial's inputs, taken after each
-    score."""
+    taken after each grow."""
     refs = []
-    grow, score = pruning._Search.grow, pruning._Search.score
+    grow = pruning._Search.grow
 
     def recording(self, stop, map_):
         grow(self, stop, map_)
         refs.extend(weakref.ref(x.data) for row in self.rows for x in row)
 
-    def scoring(self, trial, cand):
-        p = score(self, trial, cand)
-        best = self._best
-        if best is not None:
-            refs.extend(weakref.ref(x.data) for tail in best[1] for x in tail)
-        return p
-
     monkeypatch.setattr(pruning._Search, "grow", recording)
-    monkeypatch.setattr(pruning._Search, "score", scoring)
     return refs
 
 
@@ -465,10 +456,8 @@ def test_held_inputs_give_the_reference_search(variant, threads, monkeypatch):
     prev = 0  # the first pass starts at the embedding
     for (ran, top, alive, _), row in zip(passes, plan):
         assert ran == 3 * sum(alive[prev:top])
-        # a removal takes the inputs up to block 5, the highest any stage
-        # scores, from its trial: no later pass runs a block
-        prev = 5
-    # the final perplexity resumes at block 5
+        prev = row["block"]
+    # the final perplexity resumes at the last removal's block
     assert len(calls) - passes[-1][3] == 3 * live_from(model, prev)
     assert_freed(refs)
 
@@ -483,88 +472,10 @@ def test_a_removal_reruns_only_the_blocks_from_its_own(monkeypatch):
     assert out["plan"][0]["block"] == 2
     assert [p[:2] for p in passes] == [
         (3 * 1, 2),  # from the embedding: live 1 of [0, 2)
-        (0, 5),      # after mha 2: its trial ran 2 and 3 up to block 5
+        (3 * 2, 5),  # after mha 2: live 2 and 3 of [2, 5)
         (0, 1),      # after a slice at 2 or 5, past the top block: none
     ]
     assert_freed(refs)
-
-
-@pytest.mark.parametrize("threads", [1, 3])
-def test_adopted_rows_equal_a_fresh_search_to_the_byte(threads, monkeypatch):
-    model = dead_around()
-    cal = short_cal()
-    adopt = pruning._Search.adopt
-    checked = []
-
-    def checking(self, cand):
-        adopt(self, cand)
-        assert [len(row) for row in self.rows] == [6] * 3  # up to block 5
-        fresh = pruning._Search(self.model, self.cal)
-        fresh.grow(5, map)
-        checked.append([[x.data.tobytes() for x in row] for row in self.rows]
-                       == [[x.data.tobytes() for x in row] for row in fresh.rows])
-
-    monkeypatch.setattr(pruning._Search, "adopt", checking)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = run_schedule(model, EVERY_KIND_SCHEDULE, cal, threads=threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert {r["kind"] for r in out["trace"]} == set(KIND_ORDER)
-    assert checked == [True] * len(out["plan"]) == [True] * 7
-
-
-@pytest.mark.parametrize("threads", [1, 3])
-def test_tied_scores_keep_the_argmins_inputs(threads, monkeypatch):
-    # mamba blocks 1 and 3 output nothing, so removing either one or ssm 1
-    # leaves the logits as they were: three scores tie, and the kept set
-    # must be the argmin's, which the key's block and kind rank decide
-    model = dead_around()
-    for i in (1, 3):
-        model.blocks[i].out.weight.data[...] = 0.0
-    adopt = pruning._Search.adopt
-    kept = []
-
-    def checking(self, cand):
-        kept.append(self._best and self._best[0][1:])
-        adopt(self, cand)
-
-    monkeypatch.setattr(pruning._Search, "adopt", checking)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = run_schedule(model, "mamba_block&ssm:1", short_cal(), threads=threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len({r["score"] for r in out["trace"]}) == 1 and len(out["trace"]) == 3
-    (row,) = out["plan"]
-    assert kept == [(row["block"], KIND_ORDER.index(row["kind"]))] == [(1, 0)]
-
-
-def test_a_losing_trial_drops_its_inputs_at_once(monkeypatch):
-    # after each serial score, a trial's inputs live on only in the best
-    # set or, once adopted, in the rows
-    refs, leaks = [], []
-    forward, score = pruning._Resumed.forward, pruning._Search.score
-
-    def collecting(self, tokens):
-        out = forward(self, tokens)
-        refs.extend(weakref.ref(x.data) for x in self.tails[-1])
-        return out
-
-    def scoring(self, trial, cand):
-        p = score(self, trial, cand)
-        held = {id(x.data) for row in self.rows for x in row}
-        if self._best is not None:
-            held |= {id(x.data) for tail in self._best[1] for x in tail}
-        leaks.extend(r for r in refs if r() is not None and id(r()) not in held)
-        return p
-
-    monkeypatch.setattr(pruning._Resumed, "forward", collecting)
-    monkeypatch.setattr(pruning._Search, "score", scoring)
-    run_schedule(dead_around(), EVERY_KIND_SCHEDULE, short_cal())
-    assert refs and not leaks
 
 
 class _RaisesOn(CalibrationSet):
