@@ -152,7 +152,9 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     later = np.arange(n + T) > np.arange(n, n + T)[:, None]  # key after query
     np.copyto(scores, -np.inf, where=later)
     scores -= scores.max(axis=-1, keepdims=True)
-    p = np.exp(scores)
+    # in place: a second (B, H, T, n + T) float64 block freed per call makes
+    # glibc trim its heap and fault it back in on the next forward
+    p = np.exp(scores, out=scores)
     p /= p.sum(axis=-1, keepdims=True)
     ctx = (p @ v).transpose(0, 2, 1, 3).reshape(-1, d)  # (B*T, d)
     y = (ctx @ wo.astype(np.float64, copy=False).T).astype(np.float32).reshape(B, T, d)
