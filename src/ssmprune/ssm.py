@@ -7,22 +7,24 @@ Two parameterizations share one scan:
 
 State update per token: h = exp(dt*A) * h + (dt*x) outer B, readout
 y = h . C + D * x, with dt = softplus(x W_dt + dt_bias), B = x W_B, C = x W_C.
-The carried state is float64; stored per-token states round to float32 and the
-readout contraction accumulates in float64.
+The carried state is float64; the readout and the backward read the per-token
+states rounded to float32, and the readout contraction accumulates in float64.
 
 `scan_f` runs the scan on arrays from a given state and returns the state
 after it; `selective_scan` is its taped call from zero, a decode step its
 T=1 call.
 
-The scan runs time in chunks of a fixed element budget. Each chunk builds
-its own decay exp(dt*A) and input term (dt*x) outer B and runs the recurrence
-over them; the (B, T, c, N) decay and input terms are never whole. y is read
-out from the states rounded to float32. Under an active tape the float32
-per-token states of the whole sequence are kept, since the backward reads
-them; untaped (scoring, prefill, decode), each chunk's states are read out
-at once and only one chunk of them is held. The backward walks the chunks in
-reverse and recomputes each chunk's decay from dt. Chunking changes no
-operation or its order, so the bytes equal a one-step-at-a-time scan.
+The scan runs time in chunks of a fixed element budget, time-major, so each
+step's slice is one contiguous block. Each chunk builds its own decay
+exp(dt*A) and input term (dt*x) outer B, runs the float64 recurrence over
+them and reads y out at once from its states rounded to float32; the
+(B, T, c, N) decay, input terms and per-token states are never whole. Under
+an active tape the scan also keeps the float64 state at the start of each
+backward segment, a few chunks long, and nothing per token. The backward
+walks the segments in reverse: it recomputes a segment's states from its
+start state, then walks its chunks in reverse with the decay computed there.
+Chunking changes no operation or its order, so the bytes equal a
+one-step-at-a-time scan.
 """
 
 from __future__ import annotations
@@ -130,122 +132,212 @@ def _decay(A: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return np.exp(dt * A)[..., None]
 
 
-# Elements of one chunk's (B, L, c, N) terms: the scan builds its decay and
+# Elements of one chunk's (L, B, c, N) terms: the scan builds its decay and
 # input terms L time steps at a time so they stay in cache, never whole.
 _CHUNK_ELEMS = 1 << 15
+# Elements of one segment's (S, B, c, N) states. A taped scan keeps the
+# float64 state at the start of each segment of S steps, a whole number of
+# chunks; the backward recomputes the segment's states from it.
+_SEGMENT_ELEMS = 1 << 18
 
 
 def _chunk_len(B_: int, c: int, N: int) -> int:
     return max(1, _CHUNK_ELEMS // (B_ * c * N))
 
 
+def _segment_len(B_: int, c: int, N: int) -> int:
+    L = _chunk_len(B_, c, N)
+    return L * max(1, _SEGMENT_ELEMS // (L * B_ * c * N))
+
+
+def _time_major(a: np.ndarray, dtype=None) -> np.ndarray:
+    """(B, T, ...) -> contiguous (T, B, ...); also its own inverse."""
+    return np.asarray(a.swapaxes(0, 1), dtype=dtype, order="C")
+
+
+class _Chunks:
+    """One call's time-major scan inputs and the chunk buffers its kernels
+    write, allocated once. Each step of a buffer is one contiguous block, so
+    the recurrence runs on whole blocks of one dtype."""
+
+    def __init__(self, A: np.ndarray, dt: np.ndarray, dtx: np.ndarray,
+                 Bm: np.ndarray, L: int):
+        self.A = A
+        self.dt, self.dtx, self.Bm = _time_major(dt), _time_major(dtx), _time_major(Bm)
+        T, B_, c = self.dt.shape
+        shape = (min(L, T), B_, c, Bm.shape[-1])
+        self.f32 = np.empty(shape, dtype=np.float32)      # decay argument, input term, states
+        self.hc = np.empty(shape, dtype=np.float64)
+        self.abar = np.empty(shape, dtype=np.float64)
+        self.tmp = np.empty(shape[1:], dtype=np.float64)
+
+    def decay(self, s: slice, out: np.ndarray) -> np.ndarray:
+        """exp(dt*A) of steps s, rounded in float32, into float64 out
+        (n, B, c, N); ssd's one rate per channel repeats over the N columns."""
+        dt = self.dt[s]
+        if self.A.ndim == 2:
+            arg = np.einsum("tbc,cn->tbcn", dt, self.A, out=self.f32[:len(dt)])
+        else:
+            arg = (dt * self.A)[..., None]
+        np.copyto(out, np.exp(arg, out=arg))
+        return out
+
+    def states(self, s: slice, h: np.ndarray, abar: np.ndarray) -> np.ndarray:
+        """The float64 states of steps s from state h, with their decay abar:
+        (n, B, c, N), a view of the chunk buffer valid until the next call."""
+        n = len(abar)
+        hc = self.hc[:n]
+        # h may be the last state of the previous call, in hc: use it before
+        # the input term overwrites hc
+        np.multiply(abar[0], h, out=self.tmp)
+        # the input term dt*x outer B, in float32
+        np.copyto(hc, np.einsum("tbc,tbn->tbcn", self.dtx[s], self.Bm[s], out=self.f32[:n]))
+        np.add(hc[0], self.tmp, out=hc[0])                 # h = abar*h + input term
+        for i in range(1, n):
+            np.multiply(abar[i], hc[i - 1], out=self.tmp)
+            np.add(hc[i], self.tmp, out=hc[i])
+        return hc
+
+
 def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
            w64: Callable[[Tensor], np.ndarray] = _cast64):
     """Run the scan over a batch of sequences. x (B, T, c) float32, h0 the
-    (B, c, N) float64 state before x (None: zeros). w64(t) is the float64
-    array read for weight t (the projections, dt_bias and D_skip); a decode
-    session passes the copies it keeps. A_log is read as it is, float32.
+    (B, c, N) float64 state before x (None: zeros), left unmodified. w64(t)
+    is the float64 array read for weight t (the projections, dt_bias and
+    D_skip); a decode session passes the copies it keeps. A_log is read as
+    it is, float32.
 
     -> (y (B, T, c) float32, the float64 state after x, and the pieces the
-    backward reuses: dtp, dt, Bm, Cm, dt*x and the float32 per-token states,
-    which are kept only under an active tape and are None otherwise).
+    backward reuses: dtp, dt, Bm, Cm, dt*x and, only under an active tape,
+    the float64 states at each segment start (None otherwise)). No call
+    keeps the per-token states: each chunk's are read out at once.
     """
     if x.ndim != 3 or x.shape[-1] != p.channels:
         raise ShapeError(f"selective_scan: input {x.shape}, expected (B, T, {p.channels})")
     B_, T, c = x.shape
     N = p.n_state
+    if h0 is not None and h0.shape != (B_, c, N):
+        raise ShapeError(f"selective_scan: state {h0.shape}, expected {(B_, c, N)}")
     dtp, dt, Bm, Cm = _project(p, x, w64)
-    A = p.neg_A()
     dtx = dt * x                                           # (B,T,c)
-    L = _chunk_len(B_, c, N)
+    A = p.neg_A()
+    S = _segment_len(B_, c, N)
+    # only a tape's backward reads the segment starts
+    starts = (np.empty((-(-T // S), B_, c, N), dtype=np.float64)
+              if active_graph() is not None else None)
     h = np.zeros((B_, c, N), dtype=np.float64) if h0 is None else h0
-    # only a tape's backward reads the per-token states; untaped, each
-    # chunk's states are rounded into one chunk buffer and read out there
-    taped = active_graph() is not None
-    hs = np.empty((B_, T, c, N), dtype=np.float32) if taped else None
-    buf = None if taped else np.empty((B_, min(L, T), c, N), dtype=np.float32)
-    y = None if taped else np.empty((B_, T, c), dtype=np.float64)
-    for t0 in range(0, T, L):
-        s = slice(t0, t0 + L)
-        abar = _decay(A, dt[:, s])
-        # the input term dt*x outer B, in float32; becomes the chunk's states
-        hc = (dtx[:, s, :, None] * Bm[:, s, None, :]).astype(np.float64)
-        for i in range(hc.shape[1]):
-            hc[:, i] += abar[:, i] * h                     # h = abar*h + input term
-            h = hc[:, i]
-        if taped:
-            hs[:, s] = hc
-        else:
-            states = buf[:, :hc.shape[1]]
+    if T == 1:
+        # one step, a decode token: too small for the chunk buffers and the
+        # einsum products to pay for themselves
+        if starts is not None:
+            starts[0] = h
+        hc = (dtx[:, 0, :, None] * Bm[:, 0, None, :]).astype(np.float64)
+        hc += _decay(A, dt[:, 0]) * h                      # h = abar*h + input term
+        y = np.einsum("bcn,bn->bc", hc.astype(np.float32), Cm[:, 0],
+                      dtype=np.float64)[:, None]
+        h = hc
+    else:
+        L = _chunk_len(B_, c, N)
+        k = _Chunks(A, dt, dtx, Bm, L)
+        y = np.empty((B_, T, c), dtype=np.float64)
+        for t0 in range(0, T, L):
+            s = slice(t0, t0 + L)
+            if starts is not None and t0 % S == 0:
+                starts[t0 // S] = h
+            hc = k.states(s, h, k.decay(s, k.abar[:min(L, T - t0)]))
+            h = hc[-1]
+            states = k.f32[:len(hc)]
             np.copyto(states, hc)
-            np.einsum("btcn,btn->btc", states, Cm[:, s], dtype=np.float64, out=y[:, s])
-    h = h.copy()                                           # not a view of the last chunk
-    if taped:
-        y = np.einsum("btcn,btn->btc", hs, Cm, dtype=np.float64)
+            np.einsum("tbcn,btn->btc", states, Cm[:, s], dtype=np.float64, out=y[:, s])
+        h = h.copy()                                       # not a view of the chunk buffer
     y += w64(p.D_skip) * x
-    return y.astype(np.float32), h, (dtp, dt, Bm, Cm, dtx, hs)
+    return y.astype(np.float32), h, (dtp, dt, Bm, Cm, dtx, starts)
 
 
 def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
     """`scan_f` from a zero state, on the tape."""
-    y, _, (dtp, dt, Bm, Cm, dtx, hs) = scan_f(x.data, p)
+    y, _, (dtp, dt, Bm, Cm, dtx, starts) = scan_f(x.data, p)
     out = Tensor(y)
     B_, T, c = y.shape
     N = p.n_state
     L = _chunk_len(B_, c, N)
+    S = _segment_len(B_, c, N)
 
     def bwd(g: np.ndarray):
         g64 = g.astype(np.float64)
         A32 = p.neg_A()
         A = A32.astype(np.float64)
         dD = (g64 * x.data).sum(axis=(0, 1))
-        dCm = np.einsum("btc,btcn->btn", g64, hs)
         dx = g64 * p.D_skip.data.astype(np.float64)
-        d_dt = np.zeros((B_, T, c), dtype=np.float64)
-        dBm = np.zeros((B_, T, N), dtype=np.float64)
-        if p.variant == "s6":
-            dA = np.zeros((c, N), dtype=np.float64)
-        else:
-            dA = np.zeros(c, dtype=np.float64)
-        lam = np.zeros((B_, c, N), dtype=np.float64)
-        a_next = None
-        # Chunks in reverse; each recomputes its decay instead of keeping it.
-        # Only lam's recurrence runs step by step. The terms it feeds are
-        # elementwise or reduce per step, so they run over the whole chunk.
-        for t0 in reversed(range(0, T, L)):
-            s = slice(t0, t0 + L)
-            abar = _decay(A32, dt[:, s])
-            lams = g64[:, s, :, None] * Cm[:, s, None, :]  # becomes lam per step
-            n = lams.shape[1]
-            for i in range(n - 1, -1, -1):
-                # the last step adds the zero lam too: 0 + g*C turns -0 into +0
-                lams[:, i] += lam if a_next is None else lam * a_next
-                lam, a_next = lams[:, i], abar[:, i]
-            h_prev = np.empty_like(lams)
-            h_prev[:, 0] = hs[:, t0 - 1] if t0 else 0.0
-            h_prev[:, 1:] = hs[:, t0:t0 + n - 1]
-            d_abar = lams * h_prev                         # (B,n,c,N)
-            if p.variant == "s6":
-                d_arg = d_abar * abar
-                d_dt[:, s] = (d_arg * A).sum(axis=-1)
-                dA_t = (d_arg * dt[:, s, :, None]).sum(axis=0)
-            else:
-                d_red = d_abar.sum(axis=-1) * abar[..., 0]
-                d_dt[:, s] = d_red * A
-                dA_t = (d_red * dt[:, s]).sum(axis=0)
-            # one step at a time, latest first: the float64 sum rounds as before
-            for i in range(n - 1, -1, -1):
-                dA += dA_t[i]
-            lam_b = (lams * Bm[:, s, None, :]).sum(axis=-1)  # (B,n,c)
-            d_dt[:, s] += lam_b * x.data[:, s]
-            dBm[:, s] = (lams * dtx[:, s, :, None]).sum(axis=2)
-            dx[:, s] += lam_b * dt[:, s]
-        d_dtp = d_dt * sigmoid_f(dtp).astype(np.float64)
+        k = _Chunks(A32, dt, dtx, Bm, L)
+        # time-major float64 copies of what the chunk terms read; float32
+        # widens exactly, so each product rounds as the mixed-dtype one did
+        gt, Ct, Bt, dtt, dtxt, xt = (_time_major(a, np.float64)
+                                     for a in (g64, Cm, Bm, dt, dtx, x.data))
+        d_dt = np.empty((T, B_, c), dtype=np.float64)     # time-major, like dBm, dCm
+        dBm = np.empty((T, B_, N), dtype=np.float64)
+        dCm = np.empty((T, B_, N), dtype=np.float64)
+        dA_t = np.empty((len(k.hc), c, N) if p.variant == "s6" else (len(k.hc), c))
+        dA = np.zeros(dA_t.shape[1:], dtype=np.float64)
+        # one segment's float32 states, row 0 its start state, and its decay
+        seg = np.empty((min(S, T) + 1,) + k.hc.shape[1:], dtype=np.float32)
+        seg_abar = np.empty(seg[1:].shape, dtype=np.float64)
+        h64 = np.empty((len(k.hc) + 1,) + k.hc.shape[1:], dtype=np.float64)
+        lams, prod, tmp = np.empty_like(k.hc), np.empty_like(k.hc), np.empty_like(k.tmp)
+        carry = np.zeros_like(k.tmp)                       # lam*abar of the step after
+        # Segments in reverse; each recomputes its states from its start
+        # state, then runs the backward over its chunks in reverse with the
+        # decay computed there. Only lam's recurrence runs step by step. The
+        # terms it feeds are elementwise or reduce per step, so they run over
+        # the whole chunk.
+        for k0 in reversed(range(0, T, S)):
+            m = min(S, T - k0)
+            h = starts[k0 // S]
+            np.copyto(seg[0], h)
+            for j in range(0, m, L):
+                s = slice(k0 + j, k0 + j + L)
+                hc = k.states(s, h, k.decay(s, seg_abar[j:min(j + L, m)]))
+                h = hc[-1]
+                np.copyto(seg[j + 1:j + 1 + len(hc)], hc)
+            for j in reversed(range(0, m, L)):
+                s = slice(k0 + j, k0 + j + L)
+                abar = seg_abar[j:min(j + L, m)]
+                n = len(abar)
+                lam = np.einsum("tbc,tbn->tbcn", gt[s], Ct[s], out=lams[:n])
+                # the latest step adds the zero carry too: 0 + g*C turns -0 into +0
+                np.add(lam[n - 1], carry, out=lam[n - 1])
+                for i in range(n - 2, -1, -1):
+                    np.multiply(lam[i + 1], abar[i + 1], out=tmp)
+                    np.add(lam[i], tmp, out=lam[i])
+                np.multiply(lam[0], abar[0], out=carry)
+                hp = h64[:n + 1]
+                np.copyto(hp, seg[j:j + n + 1])            # h_prev, then the states
+                np.einsum("tbc,tbcn->tbn", gt[s], hp[1:], out=dCm[s])
+                d = np.multiply(lam, hp[:n], out=prod[:n])  # d_abar
+                # einsum sums over b or c one product at a time from 0, the
+                # order and start of a product-then-sum() over a leading axis
+                if p.variant == "s6":
+                    np.multiply(d, abar, out=d)              # d_arg
+                    # h_prev is read: its rows hold d_arg*A now
+                    np.multiply(d, A, out=hp[:n]).sum(axis=-1, out=d_dt[s])
+                    np.einsum("tbcn,tbc->tcn", d, dtt[s], out=dA_t[:n])
+                else:
+                    d_red = d.sum(axis=-1) * abar[..., 0]
+                    np.multiply(d_red, A, out=d_dt[s])
+                    np.einsum("tbc,tbc->tc", d_red, dtt[s], out=dA_t[:n])
+                # one step at a time, latest first: the float64 sum rounds as before
+                for i in range(n - 1, -1, -1):
+                    dA += dA_t[i]
+                lam_b = np.einsum("tbcn,tbn->tbcn", lam, Bt[s], out=prod[:n]).sum(axis=-1)
+                d_dt[s] += lam_b * xt[s]
+                np.einsum("tbcn,tbc->tbn", lam, dtxt[s], out=dBm[s])
+                dx[:, s] += (lam_b * dtt[s]).swapaxes(0, 1)
+        d_dtp = _time_major(d_dt) * sigmoid_f(dtp).astype(np.float64)
         x2 = x.data.reshape(-1, c).astype(np.float64)
         dW = {}
         for name, gout, lin in (("dt", d_dtp.reshape(-1, c), p.x_to_dt),
-                                ("B", dBm.reshape(-1, N), p.x_to_B),
-                                ("C", dCm.reshape(-1, N), p.x_to_C)):
+                                ("B", _time_major(dBm).reshape(-1, N), p.x_to_B),
+                                ("C", _time_major(dCm).reshape(-1, N), p.x_to_C)):
             dW[name] = f32(gout.T @ x2)
             dx += (gout @ lin.weight.data.astype(np.float64)).reshape(B_, T, c)
         # d/dA_log of A = -exp(A_log) is A itself

@@ -1,5 +1,7 @@
 """Scan core vs the naive float64 recurrence; step/batch parity; gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,15 +152,19 @@ def test_scan_gradients(variant):
 
 @pytest.mark.parametrize("variant", ["s6", "ssd"])
 @pytest.mark.parametrize("B", [1, 3])
-@pytest.mark.parametrize("steps", ["one", "chunk", "chunk+1"])
+@pytest.mark.parametrize("steps", ["one", "chunk", "chunk+1", "chunks", "segments"])
 def test_chunked_scan_matches_unchunked_to_the_byte(variant, B, steps):
     # the chunked forward and backward rearrange the unchunked arithmetic
-    # without changing any operation, so every output byte must agree
+    # without changing any operation, so every output byte must agree;
+    # "chunks" reuses the chunk buffers, "segments" recomputes two full
+    # backward segments and a partial one
     rng = np.random.default_rng(49)
     c, N = 32, 16
     chunk = ssm._chunk_len(B, c, N)
-    assert chunk > 1
-    T = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[steps]
+    segment = ssm._segment_len(B, c, N)
+    assert 1 < chunk < segment
+    T = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1, "chunks": 2 * chunk + 3,
+         "segments": 2 * segment + chunk + 1}[steps]
     p = build_params(rng, variant, c, N, hot_dt=True)
     x = rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32)
     g = rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32)
@@ -193,7 +199,7 @@ def test_untaped_scan_keeps_no_per_token_states(variant, steps):
     with tn.tape():
         taped = ssm.selective_scan(tn.Tensor(x, requires_grad=True), p)
         y_t, h_t, pieces_t = ssm.scan_f(x, p)
-    assert pieces_t[-1].shape == (B, T, c, N)
+    assert pieces_t[-1].shape == (-(-T // ssm._segment_len(B, c, N)), B, c, N)
     assert untaped.data.tobytes() == y.tobytes()
     assert taped.data.tobytes() == y_t.tobytes() == y.tobytes()
     assert h_t.tobytes() == h.tobytes()
@@ -217,6 +223,67 @@ def test_scan_f_gives_the_same_bytes_for_float64_weights(variant):
     y64, h64, _ = ssm.scan_f(x, p, h0.copy(), w64)
     assert y64.tobytes() == y32.tobytes() and h64.tobytes() == h32.tobytes()
     assert sorted(set(asked)) == sorted(n for n in p.tensors() if n != "ssm.A_log")
+
+
+@pytest.mark.parametrize("variant", ssm.VARIANTS)
+@pytest.mark.parametrize("B", [1, 3])
+def test_taped_scan_keeps_no_per_token_states(variant, B):
+    # a taped scan keeps the float64 state at each segment start only; the
+    # backward recomputes the rest
+    rng = np.random.default_rng(51)
+    c, N = 32, 16
+    T = 2 * ssm._segment_len(B, c, N) + ssm._chunk_len(B, c, N) + 1
+    p = build_params(rng, variant, c, N, hot_dt=True)
+    x = tn.Tensor(rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32),
+                  requires_grad=True)
+    per_token = B * T * c * N
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with tn.tape() as graph:
+            out = ssm.selective_scan(x, p)
+            _, _, pieces = ssm.scan_f(x.data, p)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    (node,) = graph._nodes
+    kept = [cell.cell_contents for cell in node.bwd.__closure__]
+    arrays = [a.data if isinstance(a, tn.Tensor) else a
+              for a in kept + list(pieces) + [out]]
+    assert all(np.size(a) < per_token for a in arrays if isinstance(a, np.ndarray))
+    assert held < 4 * per_token, f"{held} bytes held, states are {4 * per_token}"
+
+
+@pytest.mark.parametrize("variant", ssm.VARIANTS)
+@pytest.mark.parametrize("B", [1, 3])
+def test_scan_resumes_from_its_state_to_the_byte(variant, B):
+    # two calls, the second from the first's state, give the bytes of one
+    # call, with k off a chunk boundary; neither call writes to h0
+    rng = np.random.default_rng(52)
+    c, N = 32, 16
+    chunk = ssm._chunk_len(B, c, N)
+    T, k = 5 * chunk + 2, 2 * chunk + 3
+    p = build_params(rng, variant, c, N, hot_dt=True)
+    x = rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32)
+    y, h, _ = ssm.scan_f(x, p)
+    y1, h1, _ = ssm.scan_f(x[:, :k], p)
+    h0 = h1.copy()
+    y2, h2, _ = ssm.scan_f(x[:, k:], p, h0=h1)
+    assert h1.tobytes() == h0.tobytes()
+    assert np.concatenate([y1, y2], axis=1).tobytes() == y.tobytes()
+    assert h2.tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 3), (4, 3), (2, 4, 2), (2, 4, 3, 1)])
+def test_scan_refuses_a_wrongly_shaped_state(shape):
+    # a broadcastable state would give a (B, c, N) result from the wrong rows
+    rng = np.random.default_rng(53)
+    p = build_params(rng, "s6", 4, 3)
+    x = rng.uniform(-2.0, 2.0, (2, 5, 4)).astype(np.float32)
+    with pytest.raises(ShapeError, match="state"):
+        ssm.scan_f(x, p, h0=np.zeros(shape))
+    with pytest.raises(ShapeError, match="state"):
+        ssm.scan_step(p, np.zeros(shape), x[:, 0])
 
 
 def test_scan_shape_validation():
