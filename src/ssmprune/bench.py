@@ -3,20 +3,25 @@
 Each batch times the full-sequence forward (prefill) and the token-by-token
 cached path (decode, prefill excluded) for both models. Medians over the
 timed batches give the headline numbers; every raw timing is kept so any
-emitted speedup can be recomputed from the same report.
+emitted speedup can be recomputed from the same report. The report also
+records the environment it was measured in, so two reports can be compared.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import platform
 import statistics
+import subprocess
 import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import THREAD_PINS
 from .errors import ConfigError
 from .model import DecodeSession, Model
 
@@ -59,9 +64,37 @@ class BenchReport:
     plan_summary: Optional[dict] = None
     ppl_before: Optional[float] = None
     ppl_after: Optional[float] = None
+    environment: Optional[dict] = None   # see `environment()`
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _git_revision() -> Optional[str]:
+    """HEAD of the git checkout holding this package, or None outside one."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
+                             capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def environment() -> dict:
+    """What a timing depends on besides the code: interpreter, numpy and its
+    BLAS, the thread pins, the CPUs, and the git revision."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_pins": {v: os.environ.get(v) for v in THREAD_PINS},
+        "cpu_count": os.cpu_count(),
+        "affinity_count": (len(os.sched_getaffinity(0))
+                           if hasattr(os, "sched_getaffinity") else None),
+        "git_revision": _git_revision(),
+    }
 
 
 _SERIES = ("dense.prefill", "dense.decode", "pruned.prefill", "pruned.decode")
@@ -126,7 +159,7 @@ def bench(dense: Model, pruned: Model, cfg: BenchConfig, seed: int = 0,
         decode_speedup=medians["dense.decode"] / medians["pruned.decode"],
         unstable=any(s > UNSTABLE_SPREAD for s in spreads.values()),
         spreads=spreads, plan_summary=plan_summary,
-        ppl_before=ppl_before, ppl_after=ppl_after,
+        ppl_before=ppl_before, ppl_after=ppl_after, environment=environment(),
     )
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import os
 
-for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-           "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+from . import THREAD_PINS
+
+for _v in THREAD_PINS:
     os.environ.setdefault(_v, "1")
 
 import argparse

@@ -9,6 +9,10 @@ which calls it and records the backward. The stateful kernels take what came
 before their input: conv the last inputs, attention a key/value prefix. The
 gated mlp is one body over an ops table, the blocks' tape or array ops, and
 needs no backward of its own.
+
+A backward closure keeps its inputs and what no cheap pass rebuilds.
+Attention's softmax weights and cross-entropy's shifted logits are computed
+again in the backward, by the helper the forward calls, to the same bytes.
 """
 
 from __future__ import annotations
@@ -112,6 +116,23 @@ def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     return record(out, (x, kernel), bwd)
 
 
+def _probs(q: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """Causal softmax of the scaled scores of queries q (B, H, T, hd) at
+    positions n .. n+T-1 against keys k (B, H, n + T, hd): float64 (B, H, T,
+    n + T). The forward computes it, and the backward computes it again from
+    the q and k it keeps, to the same bytes."""
+    T, hd = q.shape[2:]
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
+    later = np.arange(n + T) > np.arange(n, n + T)[:, None]  # key after query
+    np.copyto(scores, -np.inf, where=later)
+    scores -= scores.max(axis=-1, keepdims=True)
+    # in place: a second (B, H, T, n + T) float64 block freed per call makes
+    # glibc trim its heap and fault it back in on the next forward
+    p = np.exp(scores, out=scores)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
                 wo: np.ndarray, n_heads: int, kv: Optional[tuple] = None):
     """Causal multi-head self-attention. x (B, T, d) float32; weights (d, d).
@@ -121,7 +142,7 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     earlier tokens, or None for none. x's keys and values go in after them,
     and full buffers grow. Without a prefix the returned one is x's own
     heads, exactly full. -> (y (B, T, d) float32, the prefix after x, and
-    the float64 (q, k, v, p, ctx) the backward reuses).
+    the float64 (q, k, v, ctx) the backward reuses).
     """
     if x.ndim != 3:
         raise ShapeError(f"attention: expected (B, T, d), got {x.shape}")
@@ -148,27 +169,22 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
         kv = (kb, vb, n + T)
         if n:
             k, v = kb[:, :, :n + T], vb[:, :, :n + T]
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)  # (B, H, T, n + T)
-    later = np.arange(n + T) > np.arange(n, n + T)[:, None]  # key after query
-    np.copyto(scores, -np.inf, where=later)
-    scores -= scores.max(axis=-1, keepdims=True)
-    # in place: a second (B, H, T, n + T) float64 block freed per call makes
-    # glibc trim its heap and fault it back in on the next forward
-    p = np.exp(scores, out=scores)
-    p /= p.sum(axis=-1, keepdims=True)
-    ctx = (p @ v).transpose(0, 2, 1, 3).reshape(-1, d)  # (B*T, d)
+    ctx = (_probs(q, k, n) @ v).transpose(0, 2, 1, 3).reshape(-1, d)  # (B*T, d)
     y = (ctx @ wo.astype(np.float64, copy=False).T).astype(np.float32).reshape(B, T, d)
-    return y, kv, (q, k, v, p, ctx)
+    return y, kv, (q, k, v, ctx)
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> Tensor:
-    y, _, (q, k, v, p, ctx) = attention_f(x.data, wq.data, wk.data, wv.data, wo.data,
-                                          n_heads)
+    """The backward keeps the float64 heads and ctx, and recomputes the
+    (B, H, T, T) attention weights from q and k."""
+    y, _, (q, k, v, ctx) = attention_f(x.data, wq.data, wk.data, wv.data, wo.data,
+                                       n_heads)
     out = Tensor(y)
     B, T, d = y.shape
     hd = d // n_heads
 
     def bwd(g: np.ndarray):
+        p = _probs(q, k, 0)
         x2 = x.data.reshape(-1, d).astype(np.float64)
         g2 = g.reshape(-1, d).astype(np.float64)
         gctx = (g2 @ wo.data.astype(np.float64)).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
@@ -217,10 +233,17 @@ def embedding(tokens: np.ndarray, table: Tensor) -> Tensor:
     return record(out, (table,), bwd)
 
 
+def _shifted(logits: np.ndarray) -> np.ndarray:
+    """logits (..., V) as float64 rows (-1, V), each less its maximum."""
+    flat = logits.reshape(-1, logits.shape[-1]).astype(np.float64)
+    return flat - flat.max(axis=-1, keepdims=True)
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean next-token NLL. logits (B, T, V) or (T, V); targets same leading
     shape, int. Log-softmax and the mean run in float64; the scalar keeps a
-    float64 readout in .hi."""
+    float64 readout in .hi. The backward keeps the log-sum-exp per row and
+    recomputes the shifted logits."""
     V = logits.data.shape[-1]
     targets = np.asarray(targets)
     if targets.shape != logits.data.shape[:-1]:
@@ -228,11 +251,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
             f"cross_entropy: targets {targets.shape} do not match logits {logits.data.shape}"
         )
     _check_ids("cross_entropy: target", targets, V)
-    flat = logits.data.reshape(-1, V).astype(np.float64)
+    z = _shifted(logits.data)
     tflat = targets.reshape(-1)
-    n = flat.shape[0]
-    m = flat.max(axis=-1, keepdims=True)
-    z = flat - m
+    n = z.shape[0]
     lse = np.log(np.exp(z).sum(axis=-1))
     nll = lse - z[np.arange(n), tflat]
     total = nll.mean()
@@ -240,7 +261,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     out.hi = float(total)
 
     def bwd(g: np.ndarray):
-        p = np.exp(z - lse[:, None])
+        p = np.exp(_shifted(logits.data) - lse[:, None])
         p[np.arange(n), tflat] -= 1.0
         p *= float(g.reshape(())) / n
         return (f32(p.reshape(logits.data.shape)),)

@@ -20,9 +20,11 @@ exp(dt*A) and input term (dt*x) outer B, runs the float64 recurrence over
 them and reads y out at once from its states rounded to float32; the
 (B, T, c, N) decay, input terms and per-token states are never whole. Under
 an active tape the scan also keeps the float64 state at the start of each
-backward segment, a few chunks long, and nothing per token. The backward
-walks the segments in reverse: it recomputes a segment's states from its
-start state, then walks its chunks in reverse with the decay computed there.
+backward segment, a few chunks long, and no per-token state. Of the
+per-token pieces the backward keeps dtp, B and C, and recomputes dt and
+dt*x from dtp. It walks the segments in reverse: it recomputes a segment's
+states from its start state, then walks its chunks in reverse with the
+decay computed there.
 Chunking changes no operation or its order, so the bytes equal a
 one-step-at-a-time scan.
 """
@@ -114,14 +116,21 @@ def _cast64(t: Tensor) -> np.ndarray:
 
 def _project(p: SsmParams, x: np.ndarray,
              w64: Callable[[Tensor], np.ndarray] = _cast64) -> Tuple[np.ndarray, ...]:
-    """Input-dependent pieces from x (..., c): dtp, dt, B, C as float32."""
+    """Input-dependent projections of x (..., c): dtp, B, C as float32."""
     lead = x.shape[:-1]
     x2 = x.reshape(-1, p.channels).astype(np.float64)
     dtp = f32((x2 @ w64(p.x_to_dt.weight).T + w64(p.dt_bias)).reshape(lead + (p.channels,)))
-    dt = softplus_f(dtp)
     Bm = f32((x2 @ w64(p.x_to_B.weight).T).reshape(lead + (p.n_state,)))
     Cm = f32((x2 @ w64(p.x_to_C.weight).T).reshape(lead + (p.n_state,)))
-    return dtp, dt, Bm, Cm
+    return dtp, Bm, Cm
+
+
+def _steps(dtp: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The step sizes dt = softplus(dtp) and the input scale dt*x, float32.
+    The forward computes them, and the backward computes them again from the
+    dtp it keeps, to the same bytes."""
+    dt = softplus_f(dtp)
+    return dt, dt * x
 
 
 def _decay(A: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -208,9 +217,9 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     it is, float32.
 
     -> (y (B, T, c) float32, the float64 state after x, and the pieces the
-    backward reuses: dtp, dt, Bm, Cm, dt*x and, only under an active tape,
-    the float64 states at each segment start (None otherwise)). No call
-    keeps the per-token states: each chunk's are read out at once.
+    backward reuses: dtp, Bm, Cm and, only under an active tape, the float64
+    states at each segment start (None otherwise)). No call keeps the
+    per-token states: each chunk's are read out at once.
     """
     if x.ndim != 3 or x.shape[-1] != p.channels:
         raise ShapeError(f"selective_scan: input {x.shape}, expected (B, T, {p.channels})")
@@ -218,8 +227,8 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     N = p.n_state
     if h0 is not None and h0.shape != (B_, c, N):
         raise ShapeError(f"selective_scan: state {h0.shape}, expected {(B_, c, N)}")
-    dtp, dt, Bm, Cm = _project(p, x, w64)
-    dtx = dt * x                                           # (B,T,c)
+    dtp, Bm, Cm = _project(p, x, w64)
+    dt, dtx = _steps(dtp, x)                               # (B,T,c)
     A = p.neg_A()
     S = _segment_len(B_, c, N)
     # only a tape's backward reads the segment starts
@@ -251,12 +260,13 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
             np.einsum("tbcn,btn->btc", states, Cm[:, s], dtype=np.float64, out=y[:, s])
         h = h.copy()                                       # not a view of the chunk buffer
     y += w64(p.D_skip) * x
-    return y.astype(np.float32), h, (dtp, dt, Bm, Cm, dtx, starts)
+    return y.astype(np.float32), h, (dtp, Bm, Cm, starts)
 
 
 def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
-    """`scan_f` from a zero state, on the tape."""
-    y, _, (dtp, dt, Bm, Cm, dtx, starts) = scan_f(x.data, p)
+    """`scan_f` from a zero state, on the tape. The backward keeps dtp, B, C
+    and the segment starts, and recomputes dt and dt*x from dtp."""
+    y, _, (dtp, Bm, Cm, starts) = scan_f(x.data, p)
     out = Tensor(y)
     B_, T, c = y.shape
     N = p.n_state
@@ -269,6 +279,7 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
         A = A32.astype(np.float64)
         dD = (g64 * x.data).sum(axis=(0, 1))
         dx = g64 * p.D_skip.data.astype(np.float64)
+        dt, dtx = _steps(dtp, x.data)
         k = _Chunks(A32, dt, dtx, Bm, L)
         # time-major float64 copies of what the chunk terms read; float32
         # widens exactly, so each product rounds as the mixed-dtype one did

@@ -184,11 +184,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x), elementwise."""
+    """x * sigmoid(x), elementwise. The backward keeps only the input and
+    recomputes the sigmoid from it."""
+    # s is let go at return, after the output is wrapped: letting it go
+    # right after the product made glibc trim and refault its heap on every
+    # untaped forward (about 6300 minor faults per 2x4x128 calibration pass,
+    # against 0-2300 this way, over five checkout paths)
     s = sigmoid_f(a.data)
     out = Tensor(a.data * s)
 
     def bwd(g: np.ndarray):
+        s = sigmoid_f(a.data)
         return (g * (s * (1.0 + a.data * (1.0 - s))),)
 
     return record(out, (a,), bwd)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: float64, explicit loops, no code shared
 with the package under test. Expected values in the test files come from these.
-The one exception is `tape_sum`, a scalar test loss recorded on the package's
-tape so gradient tests can call backward.
+The exceptions are `tape_sum`, a scalar test loss recorded on the package's
+tape so gradient tests can call backward, `kept_arrays`, which lists what a
+tape closure holds, and the frozen tape ops at the end.
 """
 
 import numpy as np
@@ -155,6 +156,21 @@ def tape_sum(a):
     return tn.record(out, (a,), lambda g: (np.full_like(a.data, g.reshape(())),))
 
 
+def kept_arrays(bwd):
+    """Every ndarray a backward closure holds: in its cells, in tuples there,
+    and as the data of Tensors there."""
+    out, todo = [], [c.cell_contents for c in bwd.__closure__ or ()]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, tn.Tensor):
+            out.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Frozen kernels. Unlike the references above, these are verbatim copies of
 # the package's earlier numpy kernels: the masked sigmoid, the selective scan
@@ -269,3 +285,92 @@ def frozen_attention(x, wq, wk, wv, wo, n_heads):
     p /= p.sum(axis=-1, keepdims=True)
     ctx = (p @ v).transpose(0, 2, 1, 3).reshape(-1, d)
     return (ctx @ wo.astype(np.float64).T).reshape(B, T, d), k, v
+
+
+# Frozen backwards. Tape ops that keep what the package's closures kept
+# before they were made to recompute it: silu its sigmoid, attention its
+# float64 weights p, cross-entropy its shifted logits, and the scan every
+# per-token piece (through `frozen_selective_scan`). The package's grads
+# must equal theirs to the byte.
+
+
+def frozen_silu(a):
+    """silu on the tape, the forward's sigmoid s kept for the backward."""
+    s = frozen_sigmoid(a.data)
+    out = tn.Tensor(a.data * s)
+
+    def bwd(g):
+        return (g * (s * (1.0 + a.data * (1.0 - s))),)
+
+    return tn.record(out, (a,), bwd)
+
+
+def frozen_attention_op(x, wq, wk, wv, wo, n_heads):
+    """Attention on the tape, the forward's (B, H, T, T) p kept for the
+    backward. Tensors in, as `layers.attention` takes them."""
+    B, T, d = x.data.shape
+    hd = d // n_heads
+    x2 = x.data.reshape(-1, d).astype(np.float64)
+
+    def heads(w):
+        return (x2 @ w.data.astype(np.float64).T).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
+
+    q, k, v = heads(wq), heads(wk), heads(wv)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
+    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
+    scores[:, :, mask] = -np.inf
+    scores -= scores.max(axis=-1, keepdims=True)
+    p = np.exp(scores)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = (p @ v).transpose(0, 2, 1, 3).reshape(-1, d)
+    out = tn.Tensor((ctx @ wo.data.astype(np.float64).T).astype(np.float32).reshape(B, T, d))
+
+    def bwd(g):
+        g2 = g.reshape(-1, d).astype(np.float64)
+        gctx = (g2 @ wo.data.astype(np.float64)).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
+        gp = gctx @ v.transpose(0, 1, 3, 2)
+        gv = p.transpose(0, 1, 3, 2) @ gctx
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) / np.sqrt(hd)
+        gq = gs @ k
+        gk = gs.transpose(0, 1, 3, 2) @ q
+
+        def unheads(h):
+            return h.transpose(0, 2, 1, 3).reshape(-1, d)
+
+        gq2, gk2, gv2 = unheads(gq), unheads(gk), unheads(gv)
+        gx64 = (gq2 @ wq.data.astype(np.float64) + gk2 @ wk.data.astype(np.float64)
+                + gv2 @ wv.data.astype(np.float64))
+        return (_frozen_f32(gx64.reshape(B, T, d)), _frozen_f32(gq2.T @ x2),
+                _frozen_f32(gk2.T @ x2), _frozen_f32(gv2.T @ x2), _frozen_f32(g2.T @ ctx))
+
+    return tn.record(out, (x, wq, wk, wv, wo), bwd)
+
+
+def frozen_cross_entropy(logits, targets):
+    """Mean NLL on the tape, the shifted float64 logits z kept for the backward."""
+    V = logits.data.shape[-1]
+    flat = logits.data.reshape(-1, V).astype(np.float64)
+    tflat = np.asarray(targets).reshape(-1)
+    n = flat.shape[0]
+    z = flat - flat.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    total = (lse - z[np.arange(n), tflat]).mean()
+    out = tn.Tensor(np.float32(total))
+    out.hi = float(total)
+
+    def bwd(g):
+        p = np.exp(z - lse[:, None])
+        p[np.arange(n), tflat] -= 1.0
+        p *= float(g.reshape(())) / n
+        return (_frozen_f32(p.reshape(logits.data.shape)),)
+
+    return tn.record(out, (logits,), bwd)
+
+
+def frozen_scan_op(x, p):
+    """The selective scan on the tape through `frozen_selective_scan`."""
+    y, _, _ = frozen_selective_scan(x.data, p, np.zeros_like(x.data))
+    out = tn.Tensor(y.astype(np.float32))
+    return tn.record(out, (x, p.A_log, p.x_to_B.weight, p.x_to_C.weight, p.x_to_dt.weight,
+                           p.dt_bias, p.D_skip),
+                     lambda g: frozen_selective_scan(x.data, p, g)[2])

@@ -1,11 +1,15 @@
 """Timing harness: medians over raw batches, speedups, the unstable flag."""
 
 import csv
+import json
+import os
+import platform
 import statistics
 
 import numpy as np
 import pytest
 
+from ssmprune import THREAD_PINS
 from ssmprune import bench as bench_mod
 from ssmprune.bench import BenchConfig, bench, write_bench_csv
 from ssmprune.errors import ConfigError
@@ -134,6 +138,22 @@ def test_report_to_dict_carries_context():
     assert d["plan_summary"] == {"schedule": "ssm:1"}
     assert d["ppl_before"] == 12.0 and d["ppl_after"] == 13.5
     assert set(d["medians"]) == set(d["raw"]) == set(d["throughput"])
+    env = d["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"} and env["blas"]["name"]
+    assert env["thread_pins"] == {v: os.environ.get(v) for v in THREAD_PINS}
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["affinity_count"] == len(os.sched_getaffinity(0))
+    rev = env["git_revision"]
+    assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
+    assert json.loads(json.dumps(d)) == d
+
+
+def test_git_revision_is_null_outside_a_checkout(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_mod, "__file__", str(tmp_path / "bench.py"))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert bench_mod.environment()["git_revision"] is None
 
 
 def test_decode_only_times_steps():

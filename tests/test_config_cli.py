@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from ssmprune.bench import environment
 from ssmprune.cli import cli
 from ssmprune.config import DEFAULTS, SCHEMA, _bool, load_config, write_resolved
 from ssmprune.errors import ConfigError
@@ -294,6 +295,17 @@ def test_report_header_only_loss_csv(tmp_path, capsys):
     (tmp_path / "loss.csv").write_text("step,lr,loss,grad_norm,val_ppl\n")
     assert cli(["report", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.strip() == "loss curve: 0 steps"
+
+
+def test_report_reads_bench_reports_with_and_without_environment(tmp_path, capsys):
+    # reports written before they recorded their environment still read
+    rep = {"prefill_speedup": 1.25, "decode_speedup": 1.5, "unstable": False}
+    outs = []
+    for extra in ({}, {"environment": environment()}):
+        (tmp_path / "bench_report.json").write_text(json.dumps({**rep, **extra}))
+        assert cli(["report", "--out", str(tmp_path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == "bench: prefill speedup 1.250x, decode speedup 1.500x\n"
 
 
 # "\udcff" is written as the lone byte 0xff, which is not UTF-8

@@ -11,6 +11,9 @@ from ssmprune.model import TAPE
 from oracles import (
     finite_diff,
     frozen_attention,
+    frozen_attention_op,
+    frozen_cross_entropy,
+    kept_arrays,
     naive_attention,
     naive_causal_conv,
     naive_cross_entropy,
@@ -154,6 +157,37 @@ def test_attention_mask_matches_frozen_to_the_byte(B, T):
     assert vs.tobytes() == v.tobytes()
 
 
+@pytest.mark.parametrize("B,T", [(1, 1), (2, 9), (3, 33)])
+def test_attention_backward_matches_frozen_to_the_byte(B, T):
+    # the backward recomputes the attention weights from q and k; the frozen
+    # op keeps the forward's, and every grad byte must agree
+    rng = np.random.default_rng(24)
+    x = rnd(rng, B, T, 8, scale=0.5)
+    ws = [rnd(rng, 8, 8, scale=0.4) for _ in range(4)]
+    g = rnd(rng, B, T, 8)
+    got = []
+    for op in (ly.attention, frozen_attention_op):
+        with tn.tape() as graph:
+            out = op(tn.Tensor(x), *[tn.Tensor(w, requires_grad=True) for w in ws], n_heads=2)
+        (node,) = graph._nodes
+        got.append([out.data.tobytes()] + [a.tobytes() for a in node.bwd(g)])
+    assert got[0] == got[1]
+
+
+def test_attention_keeps_no_attention_weights():
+    # the float64 heads and ctx stay; no (B, H, T, T) array does
+    rng = np.random.default_rng(25)
+    B, H, T, d = 2, 2, 16, 8
+    with tn.tape() as graph:
+        ly.attention(tn.Tensor(rnd(rng, B, T, d)),
+                     *[tn.Tensor(rnd(rng, d, d), requires_grad=True) for _ in range(4)],
+                     n_heads=H)
+    (node,) = graph._nodes
+    shapes = [a.shape for a in kept_arrays(node.bwd)]
+    assert (B, H, T, T) not in shapes
+    assert shapes.count((B, H, T, d // H)) == 3
+
+
 def test_attention_gradients():
     rng = np.random.default_rng(19)
     x = tn.Tensor(rnd(rng, 1, 5, 8, scale=0.5), requires_grad=True, name="x")
@@ -292,6 +326,21 @@ def test_cross_entropy_gradients():
     logits = tn.Tensor(rnd(rng, 5, 7), requires_grad=True, name="logits")
     targets = rng.integers(0, 7, size=5)
     check_grads(lambda: ly.cross_entropy(logits, targets), [logits])
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 5), (3, 7, 11)])
+def test_cross_entropy_backward_matches_frozen_to_the_byte(shape):
+    # the backward recomputes the shifted logits; the frozen op keeps them
+    rng = np.random.default_rng(26)
+    logits = rnd(rng, *shape, scale=4.0)
+    targets = rng.integers(0, shape[-1], size=shape[:-1])
+    got = []
+    for op in (ly.cross_entropy, frozen_cross_entropy):
+        with tn.tape() as graph:
+            out = op(tn.Tensor(logits, requires_grad=True), targets)
+        (node,) = graph._nodes
+        got.append((out.hi, node.bwd(np.float32(0.7))[0].tobytes()))
+    assert got[0] == got[1]
 
 
 def test_cross_entropy_validates_targets():

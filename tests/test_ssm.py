@@ -9,7 +9,7 @@ from ssmprune import ssm
 from ssmprune import tensor as tn
 from ssmprune.errors import ShapeError
 
-from oracles import (finite_diff, frozen_selective_scan, naive_selective_scan,
+from oracles import (finite_diff, frozen_selective_scan, kept_arrays, naive_selective_scan,
                      rel_err, tape_sum)
 
 
@@ -110,7 +110,7 @@ def test_decay_stays_in_unit_interval():
     for variant in ("s6", "ssd"):
         p = build_params(rng, variant, c=8, N=4)
         x = rng.uniform(-3.0, 3.0, (2, 16, 8)).astype(np.float32)
-        _, dt, _, _ = ssm._project(p, x)
+        dt, _ = ssm._steps(ssm._project(p, x)[0], x)
         abar = ssm._decay(p.neg_A(), dt)
         assert abar.max() <= 1.0
         assert abar.min() > 0.0
@@ -252,6 +252,23 @@ def test_taped_scan_keeps_no_per_token_states(variant, B):
               for a in kept + list(pieces) + [out]]
     assert all(np.size(a) < per_token for a in arrays if isinstance(a, np.ndarray))
     assert held < 4 * per_token, f"{held} bytes held, states are {4 * per_token}"
+
+
+@pytest.mark.parametrize("T", [1, 5])
+def test_taped_scan_keeps_no_step_sizes(T):
+    # of the (B, T, c) arrays, the backward keeps its input and dtp only and
+    # recomputes dt and dt*x from dtp
+    rng = np.random.default_rng(53)
+    B, c, N = 3, 32, 16
+    p = build_params(rng, "s6", c, N, hot_dt=True)
+    x = tn.Tensor(rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32), requires_grad=True)
+    with tn.tape() as graph:
+        ssm.selective_scan(x, p)
+    (node,) = graph._nodes
+    kept = [a for a in kept_arrays(node.bwd) if a.shape == (B, T, c)]
+    others = [a for a in kept if a is not x.data]
+    assert len(kept) == 2 and len(others) == 1
+    assert others[0].tobytes() == ssm._project(p, x.data)[0].tobytes()  # dtp
 
 
 @pytest.mark.parametrize("variant", ssm.VARIANTS)

@@ -7,7 +7,7 @@ from ssmprune import layers as ly
 from ssmprune import tensor as tn
 from ssmprune.errors import ShapeError, StateError
 
-from oracles import finite_diff, frozen_sigmoid, rel_err, tape_sum
+from oracles import finite_diff, frozen_sigmoid, frozen_silu, kept_arrays, rel_err, tape_sum
 
 
 def rnd(rng, *shape):
@@ -177,3 +177,29 @@ def test_sigmoid_matches_masked_branches_to_the_byte(dtype):
         assert got.tobytes() == want.tobytes(), f"first {n} elements differ"
     grid = x[:2048].reshape(2, 8, 128)
     assert tn.sigmoid_f(grid).tobytes() == frozen_sigmoid(grid).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 7), (2, 9, 16)])
+def test_silu_backward_matches_frozen_to_the_byte(shape):
+    # the backward recomputes the sigmoid from the input; the frozen op keeps
+    # the forward's, and every grad byte must agree, at the extremes too
+    rng = np.random.default_rng(22)
+    x = (rng.standard_normal(shape) * 8).astype(np.float32)
+    x.reshape(-1)[:5] = [0.0, -0.0, 100.0, -100.0, 1e-30][:x.size]
+    g = rng.uniform(-2.0, 2.0, shape).astype(np.float32)
+    grads = []
+    for op in (tn.silu, frozen_silu):
+        with tn.tape() as graph:
+            out = op(tn.Tensor(x, requires_grad=True))
+        (node,) = graph._nodes
+        grads.append((out.data.tobytes(), node.bwd(g)[0].tobytes()))
+    assert grads[0] == grads[1]
+
+
+def test_silu_keeps_only_its_input():
+    x = tn.Tensor(rnd(np.random.default_rng(23), 2, 5, 4), requires_grad=True)
+    with tn.tape() as graph:
+        tn.silu(x)
+    (node,) = graph._nodes
+    kept = kept_arrays(node.bwd)
+    assert kept and all(a is x.data for a in kept)

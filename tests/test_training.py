@@ -1,11 +1,14 @@
 """Corpus handling, the Adam loop, and perplexity evaluation."""
 
+import contextlib
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from ssmprune import training as tr
 from ssmprune.errors import (CapacityError, ConfigError, DivergenceError,
                              TokenError)
 from ssmprune.model import Model, toy_descriptor
@@ -224,6 +227,41 @@ def test_training_is_deterministic():
         rows = train(model, c, cfg)
         runs.append([r["loss"] for r in rows])
     assert runs[0] == runs[1]
+
+
+def test_step_tape_is_freed_before_the_optimizer(monkeypatch):
+    # the tape holds a step's activations; the optimizer and the evaluation
+    # run after it is gone
+    graphs, seen = [], []
+    real_tape, real_step, real_ppl = tr.tape, tr.Adam.step, tr.split_perplexity
+
+    @contextlib.contextmanager
+    def watched_tape():
+        with real_tape() as g:
+            graphs.append(weakref.ref(g))
+            yield g
+
+    def check(where):
+        seen.append((where, len(graphs), [r() is None for r in graphs]))
+
+    def step(self, lr):
+        check("Adam.step")
+        return real_step(self, lr)
+
+    def split_perplexity(*args, **kw):
+        check("split_perplexity")
+        return real_ppl(*args, **kw)
+
+    monkeypatch.setattr(tr, "tape", watched_tape)
+    monkeypatch.setattr(tr.Adam, "step", step)
+    monkeypatch.setattr(tr, "split_perplexity", split_perplexity)
+    cfg = TrainConfig(steps=2, batch_size=2, seq_len=16, seed=3, eval_every=1,
+                      eval_windows=2)
+    rows = train(tiny_model(seed=3), Corpus.bundled(), cfg)
+    assert all("val_ppl" in r for r in rows)
+    assert [(w, n) for w, n, _ in seen] == [("Adam.step", 1), ("split_perplexity", 1),
+                                           ("Adam.step", 2), ("split_perplexity", 2)]
+    assert all(all(dead) for _, _, dead in seen)
 
 
 def test_divergence_carries_step_index():
