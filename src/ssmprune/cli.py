@@ -234,6 +234,18 @@ def cmd_report(args) -> int:
                         f"{g},{r['score']!r}\n")
         print(f"trace: {len(rows)} scored candidates -> {csv_path}")
         found = True
+    timings_path = os.path.join(out, "timings.jsonl")
+    if os.path.exists(timings_path):
+        rows = read_jsonl(timings_path)
+        if not rows or not isinstance(rows[-1], dict) \
+                or not is_a(rows[-1].get("peak_rss_mb"), "a number"):
+            raise ScheduleError(f"{timings_path}: last row holds no peak_rss_mb number")
+        check_rows(rows[:-1], {"iter": "an integer", "seconds": "a number"}, timings_path)
+        iters = [r for r in rows[:-1] if "candidates" in r]
+        wall = sum(r["seconds"] for r in iters)
+        print(f"timings: {len(iters)} iterations, {len(rows) - 1 - len(iters)} "
+              f"candidates in {wall:.2f} s; peak RSS {rows[-1]['peak_rss_mb']:.1f} MB")
+        found = True
     loss_path = os.path.join(out, "loss.csv")
     if os.path.exists(loss_path):
         lines = read_text(loss_path).split("\n")

@@ -116,6 +116,19 @@ def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     return record(out, (x, kernel), bwd)
 
 
+# Elements of one block of (B, H, T, n + T) attention weights: attention
+# walks its batch rows in blocks of at most this many weights (but at least
+# one row), so a long window's weights are never whole. Per-row matmuls give
+# the same bytes as one batched matmul.
+_WEIGHT_ELEMS = 1 << 18
+
+
+def _row_blocks(B: int, per_row: int):
+    """Slices over B batch rows of per_row weights each, in order."""
+    rows = max(1, _WEIGHT_ELEMS // per_row)
+    return [slice(b, b + rows) for b in range(0, B, rows)]
+
+
 def _probs(q: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     """Causal softmax of the scaled scores of queries q (B, H, T, hd) at
     positions n .. n+T-1 against keys k (B, H, n + T, hd): float64 (B, H, T,
@@ -169,7 +182,10 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
         kv = (kb, vb, n + T)
         if n:
             k, v = kb[:, :, :n + T], vb[:, :, :n + T]
-    ctx = (_probs(q, k, n) @ v).transpose(0, 2, 1, 3).reshape(-1, d)  # (B*T, d)
+    ctx = np.empty((B, n_heads, T, hd))
+    for r in _row_blocks(B, n_heads * T * (n + T)):
+        ctx[r] = _probs(q[r], k[r], n) @ v[r]
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(-1, d)      # (B*T, d)
     y = (ctx @ wo.astype(np.float64, copy=False).T).astype(np.float32).reshape(B, T, d)
     return y, kv, (q, k, v, ctx)
 
@@ -184,15 +200,20 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads
     hd = d // n_heads
 
     def bwd(g: np.ndarray):
-        p = _probs(q, k, 0)
         x2 = x.data.reshape(-1, d).astype(np.float64)
         g2 = g.reshape(-1, d).astype(np.float64)
         gctx = (g2 @ wo.data.astype(np.float64)).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
-        gp = gctx @ v.transpose(0, 1, 3, 2)
-        gv = p.transpose(0, 1, 3, 2) @ gctx
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) / np.sqrt(hd)
-        gq = gs @ k
-        gk = gs.transpose(0, 1, 3, 2) @ q
+        gq, gk, gv = (np.empty((B, n_heads, T, hd)) for _ in range(3))
+        for r in _row_blocks(B, n_heads * T * T):
+            p = _probs(q[r], k[r], 0)
+            gp = gctx[r] @ v[r].transpose(0, 1, 3, 2)
+            gv[r] = p.transpose(0, 1, 3, 2) @ gctx[r]
+            # gs = p * (gp - (gp * p).sum(-1)) / sqrt(hd), in place in gp
+            gp -= (gp * p).sum(axis=-1, keepdims=True)
+            gp *= p
+            gp /= np.sqrt(hd)
+            gq[r] = gp @ k[r]
+            gk[r] = gp.transpose(0, 1, 3, 2) @ q[r]
 
         def unheads(h):
             return h.transpose(0, 2, 1, 3).reshape(-1, d)

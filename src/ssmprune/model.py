@@ -252,17 +252,25 @@ class MambaBlock:
         )
 
     def _body(self, ops, x, state):
+        # each (B, T, width) activation is let go once its last reader has
+        # run; a tape keeps what its closures need
         tail, h = state
         hn = ops.rmsnorm(x, self.norm)
         xb = ops.linear(hn, self.in_x)
         zb = ops.linear(hn, self.in_z)
+        del hn
         xc, tail = ops.conv(xb, self.conv, tail)
+        del xb
         xs = ops.silu(xc)
+        del xc
         if self.ssm_alive:
             y, h = ops.scan(xs, self.ssm, h)
+            del xs
         else:
             y = xs  # scan bypassed: the gated conv path carries the block
-        y = ops.mul(y, ops.silu(zb))
+        zb = ops.silu(zb)
+        y = ops.mul(y, zb)
+        del zb
         if self.inner_norm is not None:
             y = ops.rmsnorm(y, self.inner_norm)
         return ops.add(x, ops.linear(y, self.out)), (tail, h)

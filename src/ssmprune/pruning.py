@@ -6,8 +6,17 @@ group width. One iteration scores every eligible candidate by the
 calibration perplexity of the model with that candidate gone, then applies
 the cheapest one. Each candidate is scored on a trial that copies only the
 candidate's own block and shares every other part, so the model under
-search is never perturbed by scoring, and a thread pool can fan the
-scoring out without changing any byte of the resulting plan or trace.
+search is never perturbed by scoring, and threads can share the scoring
+without changing any byte of the resulting plan or trace.
+
+With threads = N > 1, score_all fans out over N threads: the calling
+thread and N - 1 workers it starts take items (a calibration batch to
+bring up to date, then a candidate) from one shared queue, in order. The
+calling thread does not sit idle: its malloc arena already holds the
+memory that set-up and earlier calls freed, so one fewer arena grows. The
+results come back in item order. After an item fails, no further item is
+handed out; every worker is joined before the call returns, and the error
+of the earliest failing item is raised. No thread outlives the call.
 
 A removal in block i leaves blocks 0..i-1 as they were. So run_schedule
 builds one search object that holds the model under search, the
@@ -29,7 +38,9 @@ import copy as _copy
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import resource
+import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -156,7 +167,8 @@ class _Search:
     take it as their cal. A removal in block b leaves the inputs of blocks
     0..b as they were, so after one the rows keep those and drop the rest
     (`drop_after`); `grow` runs each row on from its last input. Rows are
-    replaced, never edited, so a reader sees a whole row."""
+    replaced, never edited, so a reader sees a whole row. score_all
+    leaves each of its candidates' wall seconds in `seconds`."""
 
     def __init__(self, model: Model, cal: CalibrationSet):
         self.model, self.cal = model, cal
@@ -164,6 +176,7 @@ class _Search:
         n, bs = cal.tokens.shape[0], cal.batch_size
         self.batches = [cal.tokens[i:i + bs] for i in range(0, n, bs)]
         self.rows: List[List[Tensor]] = [[] for _ in self.batches]
+        self.seconds: Tuple[float, ...] = ()
 
     def grow(self, stop: int, map_: Callable) -> None:
         """Extend every row to the inputs of blocks 0..stop, one batch per
@@ -239,30 +252,73 @@ def score_candidate(model: Model, cand: Candidate, cal: CalibrationSet) -> float
 
 def score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
               threads: int = 1) -> List[float]:
-    """Scores in candidate order. threads > 1 fans out; results are
-    reduced in candidate order either way, so traces match byte for byte.
+    """Scores in candidate order. With threads > 1 and more than one
+    candidate, `fan_out` runs the work on this thread and threads - 1
+    workers; results come back in candidate order either way, so traces
+    match byte for byte.
 
     First brings the held inputs of every calibration batch up to the
-    highest candidate block, one batch per worker; every candidate then
+    highest candidate block, one batch per item; every candidate then
     resumes at its own block. run_schedule passes its search as cal, whose
     inputs live for the whole run, so each call runs only the blocks a
     removal invalidated. On a plain calibration set, score_all builds a
     search of its own: it runs the model up to that block, holds count x
     length x d_model x 4 bytes per block, and frees them on return.
     """
-    if threads > 1 and len(cands) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _score_all(model, cands, cal, pool.map)
-    return _score_all(model, cands, cal, map)
-
-
-def _score_all(model: Model, cands: Sequence[Candidate], cal: CalibrationSet,
-               map_: Callable) -> List[float]:
     if not cands:
         return []
     search = cal if isinstance(cal, _Search) else _Search(model, cal)
+
+    def map_(fn: Callable, items) -> list:
+        return fan_out(fn, items, threads if len(cands) > 1 else 1)
+
+    def scored(c: Candidate) -> Tuple[float, float]:
+        t0 = time.perf_counter()
+        return score_candidate(model, c, search), time.perf_counter() - t0
+
     search.grow(max(c.block for c in cands), map_)
-    return list(map_(lambda c: score_candidate(model, c, search), cands))
+    scores, search.seconds = zip(*map_(scored, cands))
+    return list(scores)
+
+
+def fan_out(fn: Callable, items, threads: int) -> list:
+    """[fn(item) for item in items], run on the calling thread and on
+    min(threads, len(items)) - 1 worker threads, which take the items from
+    one queue in order. After an item raises, no further item is handed
+    out; every worker is joined, then the error of the earliest failing
+    item is raised."""
+    items = list(items)
+    results: list = [None] * len(items)
+    errors: Dict[int, BaseException] = {}
+    queue = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(queue, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:
+                with lock:
+                    errors[i] = e
+                return
+
+    workers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(threads, len(items)) - 1)]
+    try:
+        for w in workers:
+            w.start()
+        work()
+    finally:
+        for w in workers:
+            if w.ident is not None:
+                w.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def write_jsonl(path: str, rows: Sequence[dict]) -> None:
@@ -291,24 +347,31 @@ def _row(it: int, si: int, c: Candidate, score: float) -> dict:
 
 
 def _greedy(search: _Search, stages: Sequence[Stage],
-            threads: int) -> Tuple[list, list, list]:
-    """The greedy loop of run_schedule -> (plan, trace, stage_infos)."""
+            threads: int) -> Tuple[list, list, list, list]:
+    """The greedy loop of run_schedule -> (plan, trace, stage_infos,
+    timings): timings holds each iteration's trace rows, each with its
+    wall seconds, then a row with the iteration's wall seconds."""
     work = search.model
     plan: List[dict] = []
     trace: List[dict] = []
     stage_infos: List[dict] = []
+    timings: List[dict] = []
     it = 0
     for si, st in enumerate(stages):
         done = 0
         truncated = False
         for _ in range(st.steps):
+            t0 = time.perf_counter()
             cands = candidates_for(work, st)
             if not cands:
                 truncated = True
                 break
             scores = score_all(work, cands, search, threads=threads)
             trace.extend(_row(it, si, c, s) for c, s in zip(cands, scores))
+            timings.extend({**_row(it, si, c, s), "seconds": t}
+                           for c, s, t in zip(cands, scores, search.seconds))
             if all(s == math.inf for s in scores):
+                timings.append(_iteration(it, si, len(cands), t0))
                 it += 1  # no removal keeps the model finite: apply nothing
                 truncated = True
                 break
@@ -320,11 +383,17 @@ def _greedy(search: _Search, stages: Sequence[Stage],
             entry = _row(it, si, c, scores[j])
             entry["ratio"] = work.prune_ratio()
             plan.append(entry)
+            timings.append(_iteration(it, si, len(cands), t0))
             it += 1
             done += 1
         stage_infos.append({"spec": format_stage(st), "steps_done": done,
                             "truncated": truncated})
-    return plan, trace, stage_infos
+    return plan, trace, stage_infos, timings
+
+
+def _iteration(it: int, si: int, count: int, t0: float) -> dict:
+    return {"iter": it, "stage": si, "candidates": count,
+            "seconds": time.perf_counter() - t0}
 
 
 def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
@@ -341,7 +410,11 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
     leaves that iteration in the trace only. Returns a summary
     with the applied plan, the full candidate trace, per-stage bookkeeping,
     and the final ratio and calibration perplexity. With out_dir set, the
-    plan (and the trace, when emit_trace) are written as jsonl.
+    plan (and the trace, when emit_trace) are written as jsonl, and so is
+    timings.jsonl: per iteration, a row with each candidate's wall seconds
+    and one with the iteration's, then a last row with the process's peak
+    RSS so far (ru_maxrss, which Linux reports in KiB). Wall times vary from
+    run to run, so they stay out of the plan and the trace, which do not.
     """
     stages = parse_schedule(schedule) if isinstance(schedule, str) else list(schedule)
     work = model.clone() if plan_only else model
@@ -349,7 +422,7 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
     # it invalidated, and the final perplexity resumes at the shortest row
     # (at the embedding, when nothing was scored)
     search = _Search(work, cal)
-    plan, trace, stage_infos = _greedy(search, stages, threads)
+    plan, trace, stage_infos, timings = _greedy(search, stages, threads)
     start = max(min(map(len, search.rows)) - 1, 0)
     search.grow(start, map)
     final_ppl = search.ppl(work, start)
@@ -365,6 +438,9 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
         write_jsonl(os.path.join(out_dir, "plan.jsonl"), plan)
         if emit_trace:
             write_jsonl(os.path.join(out_dir, "trace.jsonl"), trace)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        write_jsonl(os.path.join(out_dir, "timings.jsonl"),
+                    timings + [{"peak_rss_mb": peak / 1024}])
     return summary
 
 

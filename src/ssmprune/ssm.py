@@ -219,7 +219,8 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     -> (y (B, T, c) float32, the float64 state after x, and the pieces the
     backward reuses: dtp, Bm, Cm and, only under an active tape, the float64
     states at each segment start (None otherwise)). No call keeps the
-    per-token states: each chunk's are read out at once.
+    per-token states: each chunk's are read out at once, into a float64
+    buffer one segment long, and no call holds a whole-sequence float64 y.
     """
     if x.ndim != 3 or x.shape[-1] != p.channels:
         raise ShapeError(f"selective_scan: input {x.shape}, expected (B, T, {p.channels})")
@@ -244,23 +245,33 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
         hc += _decay(A, dt[:, 0]) * h                      # h = abar*h + input term
         y = np.einsum("bcn,bn->bc", hc.astype(np.float32), Cm[:, 0],
                       dtype=np.float64)[:, None]
-        h = hc
-    else:
-        L = _chunk_len(B_, c, N)
-        k = _Chunks(A, dt, dtx, Bm, L)
-        y = np.empty((B_, T, c), dtype=np.float64)
-        for t0 in range(0, T, L):
-            s = slice(t0, t0 + L)
-            if starts is not None and t0 % S == 0:
-                starts[t0 // S] = h
-            hc = k.states(s, h, k.decay(s, k.abar[:min(L, T - t0)]))
-            h = hc[-1]
-            states = k.f32[:len(hc)]
-            np.copyto(states, hc)
-            np.einsum("tbcn,btn->btc", states, Cm[:, s], dtype=np.float64, out=y[:, s])
-        h = h.copy()                                       # not a view of the chunk buffer
-    y += w64(p.D_skip) * x
-    return y.astype(np.float32), h, (dtp, Bm, Cm, starts)
+        y += w64(p.D_skip) * x
+        return y.astype(np.float32), hc, (dtp, Bm, Cm, starts)
+    L = _chunk_len(B_, c, N)
+    k = _Chunks(A, dt, dtx, Bm, L)
+    del dt, dtx                                            # k holds time-major copies
+    D = w64(p.D_skip)
+    y = np.empty((B_, T, c), dtype=np.float32)
+    # the float64 readout of one segment; D*x is added and the sum rounded
+    # to float32 once the segment is full
+    seg = np.empty((B_, min(S, T), c), dtype=np.float64)
+    for t0 in range(0, T, L):
+        s = slice(t0, t0 + L)
+        if starts is not None and t0 % S == 0:
+            starts[t0 // S] = h
+        hc = k.states(s, h, k.decay(s, k.abar[:min(L, T - t0)]))
+        h = hc[-1]
+        states = k.f32[:len(hc)]
+        np.copyto(states, hc)
+        j = t0 % S
+        np.einsum("tbcn,btn->btc", states, Cm[:, s], dtype=np.float64,
+                  out=seg[:, j:j + len(hc)])
+        if j + len(hc) == S or t0 + len(hc) == T:
+            r = slice(t0 - j, t0 + len(hc))
+            out = seg[:, :j + len(hc)]
+            out += D * x[:, r]
+            np.copyto(y[:, r], out)
+    return y, h.copy(), (dtp, Bm, Cm, starts)              # h: not a view of a chunk buffer
 
 
 def selective_scan(x: Tensor, p: SsmParams) -> Tensor:

@@ -171,9 +171,13 @@ def test_prune_then_report_trace_csv(run_dir, capsys):
                     "schedule = ssm:2\ncal_count = 4\ncal_length = 32\n")
     out = str(run_dir["root"] / "prune_out")
     assert cli(["prune", "--config", ini, "--out", out, "--emit-trace"]) == 0
-    assert cli(["report", "--out", out]) == 0
     capsys.readouterr()
+    assert cli(["report", "--out", out]) == 0
+    said = capsys.readouterr().out
     rows = read_jsonl(os.path.join(out, "trace.jsonl"))
+    timed = read_jsonl(os.path.join(out, "timings.jsonl"))
+    assert f"timings: 2 iterations, {len(rows)} candidates in " in said
+    assert f"peak RSS {timed[-1]['peak_rss_mb']:.1f} MB" in said
     lines = open(os.path.join(out, "trace.csv")).read().strip().splitlines()
     assert lines[0] == "iter,stage,kind,block,g,score"
     assert len(lines) - 1 == len(rows)
@@ -370,8 +374,13 @@ _TRACE_ROW = '{"iter": 0, "stage": 0, "kind": "ssm", "block": 0, "score": 1.5}\n
      "decode_speedup '1.2' is not a number"),
     ("curves.csv", "kind,steps,PPL,ratio\nmamba1:block,0,21.5,0\nmamba1:block,x,25,0.125\n",
      "line 3 has steps 'x', expected an integer"),
+    ("timings.jsonl", '{"iter": 0, "seconds": 0.5, "candidates": 2}\n{"peak_rss_mb": "big"}\n',
+     "last row holds no peak_rss_mb number"),
+    ("timings.jsonl", '{"iter": 0, "seconds": "slow", "candidates": 2}\n{"peak_rss_mb": 9}\n',
+     "row 1 has seconds 'slow', expected a number"),
 ], ids=["plan-str-ratio", "plan-int-kind", "trace-str-score", "trace-float-block",
-        "trace-bool-block", "bench-str-prefill", "bench-str-decode", "curves-str-steps"])
+        "trace-bool-block", "bench-str-prefill", "bench-str-decode", "curves-str-steps",
+        "timings-str-peak", "timings-str-seconds"])
 def test_report_wrongly_typed_value_is_one_error_line(tmp_path, capsys, name, text,
                                                       where):
     (tmp_path / name).write_text(text)

@@ -174,6 +174,26 @@ def test_attention_backward_matches_frozen_to_the_byte(B, T):
     assert got[0] == got[1]
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_attention_in_row_blocks_matches_frozen_to_the_byte(rows, monkeypatch):
+    # forward and backward walk the batch rows in blocks of `rows` (3 rows:
+    # blocks of 1, 1, 1 or 2, 1); per-row matmuls give the batched bytes
+    rng = np.random.default_rng(26)
+    B, H, T, d = 3, 2, 17, 8
+    monkeypatch.setattr(ly, "_WEIGHT_ELEMS", rows * H * T * T)
+    assert len(ly._row_blocks(B, H * T * T)) == -(-B // rows)
+    x = rnd(rng, B, T, d, scale=0.5)
+    ws = [rnd(rng, d, d, scale=0.4) for _ in range(4)]
+    g = rnd(rng, B, T, d)
+    got = []
+    for op in (ly.attention, frozen_attention_op):
+        with tn.tape() as graph:
+            out = op(tn.Tensor(x), *[tn.Tensor(w, requires_grad=True) for w in ws], n_heads=H)
+        (node,) = graph._nodes
+        got.append([out.data.tobytes()] + [a.tobytes() for a in node.bwd(g)])
+    assert got[0] == got[1]
+
+
 def test_attention_keeps_no_attention_weights():
     # the float64 heads and ctx stay; no (B, H, T, T) array does
     rng = np.random.default_rng(25)

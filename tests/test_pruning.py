@@ -334,6 +334,83 @@ def test_concurrent_score_all_on_one_pair_matches_serial(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("threads,n", [(2, 6), (3, 6), (4, 2)])
+def test_fan_out_scores_on_the_calling_thread_too(threads, n, monkeypatch):
+    model = dead_around()
+    cands = every_kind(model)[:n]
+    want = score_all(model, cands, short_cal())
+    idents = []
+    score = pruning.score_candidate
+    # a thread holds one candidate at a time, so the first k candidates
+    # meet at the barrier only once k threads hold one each
+    k = min(threads, n)
+    lock, barrier = threading.Lock(), threading.Barrier(k, timeout=30)
+
+    def recorded(model, cand, cal):
+        with lock:
+            idents.append(threading.get_ident())
+            first = len(idents) <= k
+        if first:
+            barrier.wait()
+        return score(model, cand, cal)
+
+    monkeypatch.setattr(pruning, "score_candidate", recorded)
+    before = threading.active_count()
+    assert score_all(model, cands, short_cal(), threads=threads) == want
+    assert threading.active_count() == before
+    assert len(idents) == n
+    assert threading.get_ident() in idents
+    assert len(set(idents)) == k
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_fan_out_raises_the_earliest_failing_candidate(threads, monkeypatch):
+    # candidate 1 fails only after candidate 3 has failed: candidate 1's
+    # error is raised whichever thread ran it, after every worker is joined
+    model = dead_around()
+    cands = every_kind(model)[:6]
+    calls = []
+    three_failed = threading.Event()
+
+    def failing(model, cand, cal):
+        i = cands.index(cand)
+        calls.append(i)
+        if i == 1:
+            three_failed.wait(timeout=10)
+            raise RuntimeError("candidate 1")
+        if i == 3:
+            three_failed.set()
+            raise RuntimeError("candidate 3")
+        time.sleep(0.01)
+        return 1.0
+
+    monkeypatch.setattr(pruning, "score_candidate", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="candidate 1"):
+        score_all(model, cands, short_cal(), threads=threads)
+    assert threading.active_count() == before
+    assert 1 in calls and 3 in calls
+
+
+def test_fan_out_hands_out_nothing_after_a_failure():
+    ran = []
+
+    def fn(i):
+        ran.append(i)
+        if i == 0:
+            raise ValueError("first")
+        time.sleep(0.05)
+        return i
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="first"):
+        pruning.fan_out(fn, range(8), 2)
+    assert threading.active_count() == before
+    assert 0 in ran and len(ran) <= 2  # item 0 and the one in flight beside it
+    assert pruning.fan_out(lambda i: i * i, range(5), 3) == [0, 1, 4, 9, 16]
+    assert pruning.fan_out(lambda i: i, [], 3) == []
+
+
 def components(model):
     """The blocks list, then every object reachable from the model's
     attributes (blocks, layers, Linears, Tensors), in a fixed order."""
@@ -616,6 +693,24 @@ def test_serial_and_parallel_runs_emit_identical_bytes(tmp_path):
     assert (a_dir / "trace.jsonl").read_bytes() == (b_dir / "trace.jsonl").read_bytes()
     rows = read_jsonl(str(a_dir / "trace.jsonl"))
     assert all(set(r) >= {"iter", "stage", "kind", "block", "score"} for r in rows)
+
+
+def test_timings_sit_beside_the_plan_and_trace(tmp_path):
+    out = run_schedule(hybrid(seed=10), "ssm&mha:2", small_cal(), out_dir=str(tmp_path),
+                       threads=2, emit_trace=True)
+    rows = read_jsonl(str(tmp_path / "timings.jsonl"))
+    assert set(rows[-1]) == {"peak_rss_mb"} and rows[-1]["peak_rss_mb"] > 0
+    iters = [r for r in rows[:-1] if "candidates" in r]
+    cands = [r for r in rows[:-1] if "kind" in r]
+    assert len(iters) + len(cands) == len(rows) - 1
+    assert [r["iter"] for r in iters] == [0, 1]
+    assert [r["candidates"] for r in iters] == [
+        sum(t["iter"] == it for t in out["trace"]) for it in (0, 1)]
+    # each candidate row is its trace row with its wall seconds
+    assert [{**t, "seconds": r["seconds"]} for r, t in zip(cands, out["trace"])] == cands
+    assert all(r["seconds"] > 0 for r in iters + cands)
+    for name in ("plan.jsonl", "trace.jsonl"):
+        assert "seconds" not in (tmp_path / name).read_text()
 
 
 @pytest.mark.parametrize("plan,match", [
