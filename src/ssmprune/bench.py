@@ -1,10 +1,11 @@
 """Prefill and decode throughput measurement, dense vs pruned.
 
-Each batch times the full-sequence forward (prefill) and the token-by-token
-cached path (decode, prefill excluded) for both models. Medians over the
-timed batches give the headline numbers; every raw timing is kept so any
-emitted speedup can be recomputed from the same report. The report also
-records the environment it was measured in, so two reports can be compared.
+Each batch runs one decode session per model and times the session's
+prefill of the prompt, then its token-by-token cached steps (decode,
+prefill excluded). Medians over the timed batches give the headline
+numbers; every raw timing is kept so any emitted speedup can be
+recomputed from the same report. The report also records the environment
+it was measured in, so two reports can be compared.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import statistics
 import subprocess
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,22 +101,16 @@ def environment() -> dict:
 _SERIES = ("dense.prefill", "dense.decode", "pruned.prefill", "pruned.decode")
 
 
-def _time_prefill(model: Model, tokens: np.ndarray) -> float:
-    t0 = time.perf_counter()
-    model.forward(tokens)
-    return time.perf_counter() - t0
-
-
-def _time_decode(model: Model, tokens: np.ndarray, new_tokens: int) -> float:
-    """Seconds for new_tokens cached steps; the prefill is not counted."""
+def _time(model: Model, tokens: np.ndarray, new_tokens: int) -> Tuple[float, float]:
+    """(prefill, decode) seconds of one decode session: its prefill of
+    tokens, then new_tokens cached steps."""
     session = DecodeSession(model, capacity_hint=tokens.shape[1] + new_tokens + 1)
-    logits = session.prefill(tokens)
-    nxt = logits.argmax(axis=-1)
     t0 = time.perf_counter()
+    nxt = session.prefill(tokens).argmax(axis=-1)
+    t1 = time.perf_counter()
     for _ in range(new_tokens):
-        logits = session.step(nxt)
-        nxt = logits.argmax(axis=-1)
-    return time.perf_counter() - t0
+        nxt = session.step(nxt).argmax(axis=-1)
+    return t1 - t0, time.perf_counter() - t1
 
 
 def _spread(series: List[float]) -> float:
@@ -143,8 +138,7 @@ def bench(dense: Model, pruned: Model, cfg: BenchConfig, seed: int = 0,
     for i in range(cfg.warmup + cfg.batches):
         keep = i >= cfg.warmup
         for name, model in (("dense", dense), ("pruned", pruned)):
-            tp = _time_prefill(model, tokens)
-            td = _time_decode(model, tokens, cfg.new_tokens)
+            tp, td = _time(model, tokens, cfg.new_tokens)
             if keep:
                 raw[f"{name}.prefill"].append(tp)
                 raw[f"{name}.decode"].append(td)

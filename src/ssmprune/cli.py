@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -54,14 +55,13 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _fields(cls, cfg: dict) -> dict:
+    """The entries of cfg that name a field of the dataclass cls."""
+    return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+
+
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        steps=cfg["steps"], batch_size=cfg["batch_size"],
-        seq_len=cfg["seq_len"], lr=cfg["lr"], min_lr=cfg["min_lr"],
-        warmup=cfg["warmup"], clip_norm=cfg["clip_norm"], beta1=cfg["beta1"],
-        beta2=cfg["beta2"], eps=cfg["eps"], seed=cfg["seed"],
-        eval_every=cfg.get("eval_every", 0),
-        eval_windows=cfg.get("eval_windows", 32))
+    return TrainConfig(**_fields(TrainConfig, cfg))
 
 
 def cmd_train(args) -> int:
@@ -184,8 +184,7 @@ def cmd_bench(args) -> int:
     plan_summary = {k: pmeta[k] for k in
                     ("schedule", "final_ratio", "final_cal_ppl", "actions")
                     if k in pmeta} or None
-    bcfg = BenchConfig(prompt=cfg["prompt"], new_tokens=cfg["new_tokens"],
-                       batches=cfg["batches"], warmup=cfg["warmup"])
+    bcfg = BenchConfig(**_fields(BenchConfig, cfg))
     report = bench(dense, pruned, bcfg, seed=cfg["seed"],
                    plan_summary=plan_summary, ppl_before=ppl_before,
                    ppl_after=ppl_after)
@@ -295,11 +294,7 @@ def cmd_study(args) -> int:
         cfg["seed"] = args.seed
     out = _outdir(args)
     corpus = _corpus(cfg["corpus"])
-    scfg = StudyConfig(
-        n_blocks=cfg["n_blocks"], d_model=cfg["d_model"],
-        d_state=cfg["d_state"], removals=cfg["removals"],
-        cal_count=cfg["cal_count"], cal_length=cfg["cal_length"],
-        train=_train_config(cfg))
+    scfg = StudyConfig(**_fields(StudyConfig, cfg), train=_train_config(cfg))
     write_resolved(os.path.join(out, "resolved.ini"), "study", cfg)
     summary = study_sensitivity(corpus, scfg, out_dir=out, seed=cfg["seed"],
                                 log_every=max(cfg["steps"] // 5, 1))

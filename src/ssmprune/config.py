@@ -8,9 +8,13 @@ self-describing.
 from __future__ import annotations
 
 import configparser
+from dataclasses import asdict
 from typing import Callable, Dict, Optional, Tuple
 
+from .bench import BenchConfig
 from .errors import ConfigError
+from .study import StudyConfig
+from .training import TrainConfig
 
 
 def _posint(s: str) -> int:
@@ -135,14 +139,14 @@ SCHEMA: Dict[str, Dict[str, Callable]] = {
     },
 }
 
+_STUDY = asdict(StudyConfig())
+_STUDY_TRAIN = _STUDY.pop("train")
+
 DEFAULTS: Dict[str, Dict[str, object]] = {
     "train": {
         "corpus": "bundled", "variant": "mamba1", "n_blocks": 6,
         "transformer_at": (2,), "d_model": 64, "d_state": 16,
-        "mlp_hidden": 128, "steps": 600, "batch_size": 8, "seq_len": 128,
-        "lr": 2e-3, "min_lr": 2e-4, "warmup": 40, "clip_norm": 1.0,
-        "beta1": 0.9, "beta2": 0.95, "eps": 1e-8, "seed": 0,
-        "eval_every": 0, "eval_windows": 32,
+        "mlp_hidden": 128, **asdict(TrainConfig(steps=600, warmup=40)),
     },
     "prune": {
         "corpus": "bundled", "checkpoint": "", "schedule": "",
@@ -155,15 +159,11 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
     },
     "bench": {
         "corpus": "bundled", "dense_checkpoint": "", "pruned_checkpoint": "",
-        "prompt": 512, "new_tokens": 16, "batches": 10, "warmup": 2,
-        "seed": 0, "ppl_windows": 16, "ppl_length": 128,
+        **asdict(BenchConfig()), "seed": 0, "ppl_windows": 16, "ppl_length": 128,
     },
     "study": {
-        "corpus": "bundled", "n_blocks": 8, "d_model": 64, "d_state": 16,
-        "steps": 500, "batch_size": 8, "seq_len": 128, "lr": 2e-3,
-        "min_lr": 2e-4, "warmup": 40, "clip_norm": 1.0, "beta1": 0.9,
-        "beta2": 0.95, "eps": 1e-8, "seed": 0, "removals": 6,
-        "cal_count": 24, "cal_length": 96,
+        "corpus": "bundled", **_STUDY,
+        **{k: _STUDY_TRAIN[k] for k in _TRAINISH},
     },
 }
 

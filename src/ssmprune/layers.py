@@ -47,28 +47,32 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
     return record(out, (x, weight), bwd)
 
 
-def _inv_rms(x64: np.ndarray, eps: float) -> np.ndarray:
+# added to the mean square, so an all-zeros row divides by no zero
+_RMS_EPS = 1e-5
+
+
+def _inv_rms(x64: np.ndarray) -> np.ndarray:
     # sum / d is what mean computes, without its Python-level wrapper
-    return 1.0 / np.sqrt((x64 * x64).sum(axis=-1, keepdims=True) / x64.shape[-1] + eps)
+    return 1.0 / np.sqrt((x64 * x64).sum(axis=-1, keepdims=True) / x64.shape[-1] + _RMS_EPS)
 
 
-def rmsnorm_f(x: np.ndarray, scale: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def rmsnorm_f(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Root-mean-square norm over the last dim, then elementwise scale."""
     d = x.shape[-1]
     if scale.shape != (d,):
         raise ShapeError(f"rmsnorm: scale {scale.shape} does not match feature dim {d}")
     x64 = x.astype(np.float64)
-    return (x64 * _inv_rms(x64, eps) * scale.astype(np.float64, copy=False)).astype(np.float32)
+    return (x64 * _inv_rms(x64) * scale.astype(np.float64, copy=False)).astype(np.float32)
 
 
-def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-5) -> Tensor:
+def rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
     xd, sd = x.data, scale.data
-    out = Tensor(rmsnorm_f(xd, sd, eps))
+    out = Tensor(rmsnorm_f(xd, sd))
 
     def bwd(g: np.ndarray):
         d = xd.shape[-1]
         x64 = xd.astype(np.float64)
-        inv = _inv_rms(x64, eps)
+        inv = _inv_rms(x64)
         g64 = g.astype(np.float64)
         gs64 = g64 * sd.astype(np.float64)
         dot = (gs64 * x64).sum(axis=-1, keepdims=True)
@@ -260,23 +264,27 @@ def _shifted(logits: np.ndarray) -> np.ndarray:
     return flat - flat.max(axis=-1, keepdims=True)
 
 
+def _nll(logits: np.ndarray, targets: np.ndarray,
+         what: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Float64 log-sum-exp and NLL per row of logits (..., V) at int targets
+    of its leading shape, both flat; errors name the caller `what`."""
+    targets = np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise ShapeError(
+            f"{what}: targets {targets.shape} do not match logits {logits.shape}")
+    _check_ids(f"{what}: target", targets, logits.shape[-1])
+    z = _shifted(logits)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    return lse, lse - z[np.arange(z.shape[0]), targets.reshape(-1)]
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean next-token NLL. logits (B, T, V) or (T, V); targets same leading
     shape, int. Log-softmax and the mean run in float64; the scalar keeps a
     float64 readout in .hi. The backward keeps the log-sum-exp per row and
     recomputes the shifted logits."""
-    V = logits.data.shape[-1]
-    targets = np.asarray(targets)
-    if targets.shape != logits.data.shape[:-1]:
-        raise ShapeError(
-            f"cross_entropy: targets {targets.shape} do not match logits {logits.data.shape}"
-        )
-    _check_ids("cross_entropy: target", targets, V)
-    z = _shifted(logits.data)
-    tflat = targets.reshape(-1)
-    n = z.shape[0]
-    lse = np.log(np.exp(z).sum(axis=-1))
-    nll = lse - z[np.arange(n), tflat]
+    lse, nll = _nll(logits.data, targets, "cross_entropy")
+    tflat, n = np.asarray(targets).reshape(-1), lse.shape[0]
     total = nll.mean()
     out = Tensor(np.float32(total))
     out.hi = float(total)
@@ -293,19 +301,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 def per_token_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Inference-path NLLs, no tape. logits (..., V) -> (...,), float64;
     targets are checked as cross_entropy checks them."""
-    V = logits.shape[-1]
-    targets = np.asarray(targets)
-    if targets.shape != logits.shape[:-1]:
-        raise ShapeError(
-            f"per_token_nll: targets {targets.shape} do not match logits {logits.shape}")
-    _check_ids("per_token_nll: target", targets, V)
-    flat = logits.reshape(-1, V).astype(np.float64)
-    tflat = targets.reshape(-1)
-    m = flat.max(axis=-1, keepdims=True)
-    z = flat - m
-    lse = np.log(np.exp(z).sum(axis=-1))
-    nll = lse - z[np.arange(flat.shape[0]), tflat]
-    return nll.reshape(targets.shape)
+    return _nll(logits, targets, "per_token_nll")[1].reshape(np.shape(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +335,8 @@ class Linear:
 
 
 class RmsNorm:
-    def __init__(self, scale: Tensor, eps: float = 1e-5):
+    def __init__(self, scale: Tensor):
         self.scale = scale
-        self.eps = eps
 
     @staticmethod
     def build(d: int, prefix: str) -> "RmsNorm":

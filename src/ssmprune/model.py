@@ -175,7 +175,7 @@ TAPE = SimpleNamespace(
     mul=lambda a, b: tn.mul(a, b),
     silu=lambda a: tn.silu(a),
     linear=lambda x, lin: layers.linear(x, lin.weight),
-    rmsnorm=lambda x, norm: layers.rmsnorm(x, norm.scale, norm.eps),
+    rmsnorm=lambda x, norm: layers.rmsnorm(x, norm.scale),
     conv=lambda x, conv, tail: (layers.causal_conv1d(x, conv.kernel), None),
     scan=lambda x, p, h: (selective_scan(x, p), None),
     attention=lambda x, mha, kv: (layers.attention(
@@ -203,7 +203,7 @@ def _array_ops() -> SimpleNamespace:
         mul=np.multiply,
         silu=lambda a: a * sigmoid_f(a),
         linear=lambda x, lin: linear_f(x, w64(lin.weight)),
-        rmsnorm=lambda x, norm: rmsnorm_f(x, w64(norm.scale), norm.eps),
+        rmsnorm=lambda x, norm: rmsnorm_f(x, w64(norm.scale)),
         conv=lambda x, conv, tail: causal_conv1d_f(x, conv.kernel.data, tail),
         scan=lambda x, p, h: scan_f(x, p, h, w64)[:2],
         attention=lambda x, mha, kv: attention_f(

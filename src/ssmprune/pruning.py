@@ -163,12 +163,13 @@ def apply_action(model: Model, kind: str, block: int, g: Optional[int] = None) -
 class _Search:
     """One greedy search: the model under search, its calibration set and,
     for every calibration batch by number, a row with the model's
-    residual-stream inputs of blocks 0..k. score_all and score_candidate
-    take it as their cal. A removal in block b leaves the inputs of blocks
-    0..b as they were, so after one the rows keep those and drop the rest
-    (`drop_after`); `grow` runs each row on from its last input. Rows are
-    replaced, never edited, so a reader sees a whole row. score_all
-    leaves each of its candidates' wall seconds in `seconds`."""
+    residual-stream inputs of blocks 0..k. score_all takes it as its cal,
+    and score_candidate scores only through it. A removal in block b
+    leaves the inputs of blocks 0..b as they were, so after one the rows
+    keep those and drop the rest (`drop_after`); `grow` runs each row on
+    from its last input. Rows are replaced, never edited, so a reader sees
+    a whole row. score_all leaves each of its candidates' wall seconds in
+    `seconds`."""
 
     def __init__(self, model: Model, cal: CalibrationSet):
         self.model, self.cal = model, cal
@@ -233,20 +234,19 @@ def _trial(model: Model, block: int) -> Model:
     return trial
 
 
-def score_candidate(model: Model, cand: Candidate, cal: CalibrationSet) -> float:
+def score_candidate(model: Model, cand: Candidate, search: _Search) -> float:
     """Calibration perplexity of the model with the candidate removed.
 
     Applies the action to a trial that copies only the candidate's block and
-    shares the rest; the model is untouched. Non-finite perplexity scores
-    as +inf so a destabilizing removal can never win the argmin. On a plain
-    calibration set the trial runs its full forward. On the search that
-    score_all passes, it resumes at the candidate's block from the held
-    input of that block, since a change in block i leaves blocks before i
-    as they were; the two give the same bytes.
+    shares the rest; the model is untouched. The trial resumes at the
+    candidate's block from the search's held input of that block, since a
+    change in block i leaves blocks before i as they were; every row must
+    hold that input, as score_all sees to. Non-finite perplexity scores as
+    +inf so a destabilizing removal can never win the argmin.
     """
     trial = _trial(model, cand.block)
     apply_action(trial, cand.kind, cand.block, cand.g)
-    p = cal.ppl(trial, cand.block) if isinstance(cal, _Search) else cal.ppl(trial)
+    p = search.ppl(trial, cand.block)
     return p if math.isfinite(p) else math.inf
 
 

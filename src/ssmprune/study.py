@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .errors import ConfigError, read_text
@@ -35,12 +35,10 @@ class StudyConfig:
     removals: int = 6
     cal_count: int = 24
     cal_length: int = 96
-    train: TrainConfig = None  # type: ignore[assignment]
+    train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(steps=500, warmup=40))
 
     def __post_init__(self):
-        if self.train is None:
-            self.train = TrainConfig(steps=500, batch_size=8, seq_len=128,
-                                     lr=2e-3, min_lr=2e-4, warmup=40)
         if not 1 <= self.removals < self.n_blocks:
             raise ConfigError(
                 f"removals must lie in [1, n_blocks), got {self.removals} "

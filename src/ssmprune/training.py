@@ -24,7 +24,6 @@ from .tensor import Tensor, tape
 
 CHARSET = "\n" + "".join(chr(c) for c in range(0x20, 0x7F))
 VOCAB = len(CHARSET)
-_DECODE = np.frombuffer(CHARSET.encode("ascii"), dtype=np.uint8)
 
 
 def encode(text: str) -> np.ndarray:
@@ -40,18 +39,6 @@ def encode(text: str) -> np.ndarray:
         i = int(np.argmax(bad))
         raise TokenError(f"encode: unmappable character {text[i]!r} at offset {i}")
     return np.where(raw == 0x0A, 0, raw.astype(np.int64) - 0x1F)
-
-
-def decode(ids: np.ndarray) -> str:
-    """(n,) int ids -> str. Inverse of encode for valid ids."""
-    ids = np.asarray(ids)
-    bad = (ids < 0) | (ids >= VOCAB)
-    if bad.any():
-        pos = tuple(int(j) for j in np.argwhere(bad)[0])
-        raise TokenError(
-            f"decode: id {int(ids[pos])} at position {pos} outside vocab of {VOCAB}"
-        )
-    return _DECODE[ids.reshape(-1)].tobytes().decode("ascii")
 
 
 def bundled_text() -> str:

@@ -13,7 +13,7 @@ from ssmprune import THREAD_PINS
 from ssmprune import bench as bench_mod
 from ssmprune.bench import BenchConfig, bench, write_bench_csv
 from ssmprune.errors import ConfigError
-from ssmprune.model import Model, toy_descriptor
+from ssmprune.model import DecodeSession, Model, toy_descriptor
 
 
 def tiny_model(seed=0, n_blocks=4):
@@ -61,10 +61,8 @@ def test_same_model_speedup_near_one():
 
 def test_fixed_timers_give_exact_speedups(monkeypatch):
     dense, pruned = tiny_model(0), tiny_model(1)
-    monkeypatch.setattr(bench_mod, "_time_prefill",
-                        lambda m, t: 0.010 if m is dense else 0.005)
-    monkeypatch.setattr(bench_mod, "_time_decode",
-                        lambda m, t, n: 0.009 if m is dense else 0.003)
+    monkeypatch.setattr(bench_mod, "_time",
+                        lambda m, t, n: (0.010, 0.009) if m is dense else (0.005, 0.003))
     rep = bench(dense, pruned, small_cfg(), seed=0)
     assert rep.prefill_speedup == pytest.approx(2.0)
     assert rep.decode_speedup == pytest.approx(3.0)
@@ -77,12 +75,11 @@ def test_unstable_flag_survives_with_full_report(monkeypatch):
     dense, pruned = tiny_model(0), tiny_model(1)
     calls = {"n": 0}
 
-    def spiky(m, t):
+    def spiky(m, t, n):
         calls["n"] += 1
-        return 0.100 if calls["n"] == 4 else 0.010
+        return 0.100 if calls["n"] == 4 else 0.010, 0.004
 
-    monkeypatch.setattr(bench_mod, "_time_prefill", spiky)
-    monkeypatch.setattr(bench_mod, "_time_decode", lambda m, t, n: 0.004)
+    monkeypatch.setattr(bench_mod, "_time", spiky)
     rep = bench(dense, pruned, small_cfg(warmup=0), seed=0)
     assert rep.unstable is True
     assert max(rep.spreads.values()) > 0.25
@@ -95,14 +92,13 @@ def test_warmup_batches_excluded(monkeypatch):
     dense, pruned = tiny_model(0), tiny_model(1)
     seen = []
 
-    def tagging(m, t):
+    def tagging(m, t, n):
         seen.append(len(seen))
-        return 1.0 if len(seen) <= 4 else 0.010
+        return 1.0 if len(seen) <= 4 else 0.010, 0.004
 
-    monkeypatch.setattr(bench_mod, "_time_prefill", tagging)
-    monkeypatch.setattr(bench_mod, "_time_decode", lambda m, t, n: 0.004)
+    monkeypatch.setattr(bench_mod, "_time", tagging)
     rep = bench(dense, pruned, small_cfg(warmup=2, batches=3), seed=0)
-    # two warmup iterations x two models hit the prefill timer first
+    # two warmup iterations x two models hit the timer first
     assert all(s == 0.010 for s in rep.raw["dense.prefill"])
     assert all(s == 0.010 for s in rep.raw["pruned.prefill"])
     assert rep.unstable is False
@@ -163,3 +159,25 @@ def test_decode_only_times_steps():
     cfg = BenchConfig(prompt=256, new_tokens=1, batches=5, warmup=2)
     rep = bench(model, model, cfg, seed=3)
     assert rep.medians["dense.decode"] < rep.medians["dense.prefill"]
+
+
+def test_each_batch_runs_one_prefill_per_model(monkeypatch):
+    """The prefill timed is the decode session's own: one per model per
+    batch, warmup included, and no separate full forward."""
+    dense, pruned = tiny_model(0), tiny_model(1)
+    prefills, forwards = [], []
+    prefill, forward = DecodeSession.prefill, Model.forward
+
+    def counted_prefill(self, tokens):
+        prefills.append(self.model)
+        return prefill(self, tokens)
+
+    def counted_forward(self, tokens):
+        forwards.append(self)
+        return forward(self, tokens)
+
+    monkeypatch.setattr(DecodeSession, "prefill", counted_prefill)
+    monkeypatch.setattr(Model, "forward", counted_forward)
+    bench(dense, pruned, small_cfg(prompt=16, new_tokens=2, batches=2, warmup=1))
+    assert list(map(id, prefills)) == [id(dense), id(pruned)] * 3  # 1 warmup + 2
+    assert forwards == []

@@ -77,7 +77,7 @@ def test_rmsnorm_forward_matches_oracle():
 
 
 def test_rmsnorm_zero_input_is_finite():
-    # eps=1e-5 keeps the all-zeros row out of a divide-by-zero
+    # _RMS_EPS keeps the all-zeros row out of a divide-by-zero
     out = ly.rmsnorm(tn.Tensor(np.zeros((3, 8))), tn.Tensor(np.ones(8))).data
     assert np.isfinite(out).all()
     assert np.abs(out).max() == 0.0

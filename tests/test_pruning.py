@@ -17,7 +17,7 @@ from ssmprune.model import KIND_ORDER, MambaBlock, Model, TransformerBlock, toy_
 from ssmprune.pruning import (CalibrationSet, Candidate, Stage, apply_action,
                               candidates_for, format_stage, parse_schedule,
                               read_jsonl, replay_plan, run_schedule,
-                              score_all, score_candidate)
+                              score_all)
 from ssmprune.tensor import Tensor
 from ssmprune.training import Corpus, perplexity
 
@@ -126,7 +126,7 @@ def test_scoring_never_touches_the_model():
     for stage in (Stage(("mamba_block", "ssm", "mha", "mlp"), 1),
                   Stage(("mlp_channels",), 1, 8)):
         for c in candidates_for(model, stage):
-            s = score_candidate(model, c, cal)
+            s, = score_all(model, [c], cal)
             assert math.isfinite(s)
     now_flags, now_data = snapshot(model)
     assert now_flags == flags
@@ -138,19 +138,19 @@ def test_score_equals_post_apply_calibration_ppl():
     cal = small_cal()
     for c in (Candidate("ssm", 0), Candidate("mha", 2),
               Candidate("mlp_channels", 2, 8)):
-        s = score_candidate(model, c, cal)
+        s, = score_all(model, [c], cal)
         applied = model.clone()
         apply_action(applied, c.kind, c.block, c.g)
         assert cal.ppl(applied) == s
 
 
 def test_non_finite_score_becomes_inf():
-    class _NanCal:
+    class _NanCal(CalibrationSet):
         def ppl(self, model):
             return float("nan")
 
-    s = score_candidate(hybrid(), Candidate("ssm", 0), _NanCal())
-    assert s == math.inf
+    cal = _NanCal(Corpus.bundled(), count=6, length=40, batch_size=3)
+    assert score_all(hybrid(), [Candidate("ssm", 0)], cal) == [math.inf]
 
 
 # -- resumed scoring --------------------------------------------------------
@@ -260,11 +260,6 @@ def test_prefix_is_freed_when_score_all_returns(monkeypatch):
     refs.clear()
     score_all(model, [cand], cal)
     assert_freed(refs)
-    calls = count_block_forwards(monkeypatch)
-    for c in (failing, cal):  # nothing held any more: the full forward
-        calls.clear()
-        score_candidate(model, cand, c)
-        assert len(calls) == 3 * live_from(model, 0)
 
 
 def test_resumed_forward_refuses_a_batch_it_does_not_hold():
