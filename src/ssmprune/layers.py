@@ -408,8 +408,7 @@ class GatedMlp:
     def body(self, ops, x):
         """The mlp over an ops table (model.TAPE on Tensors, a decode
         session's array ops on arrays)."""
-        return ops.linear(ops.mul(ops.silu(ops.linear(x, self.gate)), ops.linear(x, self.up)),
-                          self.down)
+        return ops.linear(ops.gate(ops.linear(x, self.gate), ops.linear(x, self.up)), self.down)
 
     def slice_trailing(self, g: int) -> None:
         """Permanently drop the last g hidden channels."""

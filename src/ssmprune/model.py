@@ -172,7 +172,7 @@ def _count(tensors: Dict[str, Tensor]) -> int:
 # start from an empty state and return None for the state after.
 TAPE = SimpleNamespace(
     add=lambda a, b: tn.add(a, b),
-    mul=lambda a, b: tn.mul(a, b),
+    gate=lambda a, b: tn.gate(a, b),
     silu=lambda a: tn.silu(a),
     linear=lambda x, lin: layers.linear(x, lin.weight),
     rmsnorm=lambda x, norm: layers.rmsnorm(x, norm.scale),
@@ -200,7 +200,7 @@ def _array_ops() -> SimpleNamespace:
 
     return SimpleNamespace(
         add=np.add,
-        mul=np.multiply,
+        gate=lambda a, b: a * sigmoid_f(a) * b,
         silu=lambda a: a * sigmoid_f(a),
         linear=lambda x, lin: linear_f(x, w64(lin.weight)),
         rmsnorm=lambda x, norm: rmsnorm_f(x, w64(norm.scale)),
@@ -268,8 +268,7 @@ class MambaBlock:
             del xs
         else:
             y = xs  # scan bypassed: the gated conv path carries the block
-        zb = ops.silu(zb)
-        y = ops.mul(y, zb)
+        y = ops.gate(zb, y)
         del zb
         if self.inner_norm is not None:
             y = ops.rmsnorm(y, self.inner_norm)

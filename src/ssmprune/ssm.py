@@ -22,9 +22,12 @@ them and reads y out at once from its states rounded to float32; the
 an active tape the scan also keeps the float64 state at the start of each
 backward segment, a few chunks long, and no per-token state. Of the
 per-token pieces the backward keeps dtp, B and C, and recomputes dt and
-dt*x from dtp. It walks the segments in reverse: it recomputes a segment's
-states from its start state, then walks its chunks in reverse with the
-decay computed there.
+dt*x from dtp. It walks the segments in reverse: it fills one segment's
+time-major float64 copies of what the chunk terms read (g, C, B, x, dt,
+dt*x), recomputes the segment's states from its start state, then walks
+its chunks in reverse with the decay computed there. These working arrays
+are one segment long, allocated once per call, and let go with the chunk
+kernels' float32 inputs before the weight-grad tail.
 Chunking changes no operation or its order, so the bytes equal a
 one-step-at-a-time scan.
 """
@@ -274,6 +277,92 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     return y, h.copy(), (dtp, Bm, Cm, starts)              # h: not a view of a chunk buffer
 
 
+def _adjoint(p: SsmParams, x: np.ndarray, g: np.ndarray, dtp: np.ndarray,
+             Bm: np.ndarray, Cm: np.ndarray, starts: np.ndarray,
+             dx: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The recurrence part of `selective_scan`'s backward for the output grad
+    g: adds its share of the input grad into dx (B, T, c) float64 and returns
+    the float64 grads of dt, B and C, time-major, and of A. Its working
+    arrays are one segment or one chunk long, but for the chunk kernels'
+    time-major float32 dt, dt*x and B, and all are let go at return."""
+    B_, T, c = x.shape
+    N = p.n_state
+    L = _chunk_len(B_, c, N)
+    S = _segment_len(B_, c, N)
+    A32 = p.neg_A()
+    A = A32.astype(np.float64)
+    k = _Chunks(A32, *_steps(dtp, x), Bm, L)               # time-major dt, dt*x, B
+    # one segment's time-major float64 copies of what the chunk terms read,
+    # filled per segment; float32 widens exactly, so each product rounds as
+    # the mixed-dtype one did
+    gt, dtt, dtxt, xt = (np.empty((min(S, T), B_, c)) for _ in range(4))
+    Ct, Bt = (np.empty((min(S, T), B_, N)) for _ in range(2))
+    d_dt = np.empty((T, B_, c), dtype=np.float64)          # time-major, like dBm, dCm
+    dBm = np.empty((T, B_, N), dtype=np.float64)
+    dCm = np.empty((T, B_, N), dtype=np.float64)
+    dA_t = np.empty((len(k.hc), c, N) if p.variant == "s6" else (len(k.hc), c))
+    dA = np.zeros(dA_t.shape[1:], dtype=np.float64)
+    # one segment's float32 states, row 0 its start state, and its decay
+    seg = np.empty((min(S, T) + 1,) + k.hc.shape[1:], dtype=np.float32)
+    seg_abar = np.empty(seg[1:].shape, dtype=np.float64)
+    h64 = np.empty((len(k.hc) + 1,) + k.hc.shape[1:], dtype=np.float64)
+    lams, prod, tmp = np.empty_like(k.hc), np.empty_like(k.hc), np.empty_like(k.tmp)
+    carry = np.zeros_like(k.tmp)                            # lam*abar of the step after
+    # Segments in reverse; each recomputes its states from its start state,
+    # then runs the backward over its chunks in reverse with the decay
+    # computed there. Only lam's recurrence runs step by step. The terms it
+    # feeds are elementwise or reduce per step, so they run over the whole
+    # chunk.
+    for k0 in reversed(range(0, T, S)):
+        m = min(S, T - k0)
+        r = slice(k0, k0 + m)
+        for buf, a in ((gt, g), (Ct, Cm), (xt, x)):
+            np.copyto(buf[:m], a[:, r].swapaxes(0, 1))
+        for buf, a in ((dtt, k.dt), (dtxt, k.dtx), (Bt, k.Bm)):
+            np.copyto(buf[:m], a[r])
+        h = starts[k0 // S]
+        np.copyto(seg[0], h)
+        for j in range(0, m, L):
+            s = slice(k0 + j, k0 + j + L)
+            hc = k.states(s, h, k.decay(s, seg_abar[j:min(j + L, m)]))
+            h = hc[-1]
+            np.copyto(seg[j + 1:j + 1 + len(hc)], hc)
+        for j in reversed(range(0, m, L)):
+            abar = seg_abar[j:min(j + L, m)]
+            n = len(abar)
+            s, q = slice(k0 + j, k0 + j + n), slice(j, j + n)  # steps in T, in the segment
+            lam = np.einsum("tbc,tbn->tbcn", gt[q], Ct[q], out=lams[:n])
+            # the latest step adds the zero carry too: 0 + g*C turns -0 into +0
+            np.add(lam[n - 1], carry, out=lam[n - 1])
+            for i in range(n - 2, -1, -1):
+                np.multiply(lam[i + 1], abar[i + 1], out=tmp)
+                np.add(lam[i], tmp, out=lam[i])
+            np.multiply(lam[0], abar[0], out=carry)
+            hp = h64[:n + 1]
+            np.copyto(hp, seg[j:j + n + 1])                 # h_prev, then the states
+            np.einsum("tbc,tbcn->tbn", gt[q], hp[1:], out=dCm[s])
+            d = np.multiply(lam, hp[:n], out=prod[:n])       # d_abar
+            # einsum sums over b or c one product at a time from 0, the
+            # order and start of a product-then-sum() over a leading axis
+            if p.variant == "s6":
+                np.multiply(d, abar, out=d)                   # d_arg
+                # h_prev is read: its rows hold d_arg*A now
+                np.multiply(d, A, out=hp[:n]).sum(axis=-1, out=d_dt[s])
+                np.einsum("tbcn,tbc->tcn", d, dtt[q], out=dA_t[:n])
+            else:
+                d_red = d.sum(axis=-1) * abar[..., 0]
+                np.multiply(d_red, A, out=d_dt[s])
+                np.einsum("tbc,tbc->tc", d_red, dtt[q], out=dA_t[:n])
+            # one step at a time, latest first: the float64 sum rounds as before
+            for i in range(n - 1, -1, -1):
+                dA += dA_t[i]
+            lam_b = np.einsum("tbcn,tbn->tbcn", lam, Bt[q], out=prod[:n]).sum(axis=-1)
+            d_dt[s] += lam_b * xt[q]
+            np.einsum("tbcn,tbc->tbn", lam, dtxt[q], out=dBm[s])
+            dx[:, s] += (lam_b * dtt[q]).swapaxes(0, 1)
+    return d_dt, dBm, dCm, dA
+
+
 def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
     """`scan_f` from a zero state, on the tape. The backward keeps dtp, B, C
     and the segment starts, and recomputes dt and dt*x from dtp."""
@@ -281,80 +370,16 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
     out = Tensor(y)
     B_, T, c = y.shape
     N = p.n_state
-    L = _chunk_len(B_, c, N)
-    S = _segment_len(B_, c, N)
 
     def bwd(g: np.ndarray):
         g64 = g.astype(np.float64)
-        A32 = p.neg_A()
-        A = A32.astype(np.float64)
         dD = (g64 * x.data).sum(axis=(0, 1))
         dx = g64 * p.D_skip.data.astype(np.float64)
-        dt, dtx = _steps(dtp, x.data)
-        k = _Chunks(A32, dt, dtx, Bm, L)
-        # time-major float64 copies of what the chunk terms read; float32
-        # widens exactly, so each product rounds as the mixed-dtype one did
-        gt, Ct, Bt, dtt, dtxt, xt = (_time_major(a, np.float64)
-                                     for a in (g64, Cm, Bm, dt, dtx, x.data))
-        d_dt = np.empty((T, B_, c), dtype=np.float64)     # time-major, like dBm, dCm
-        dBm = np.empty((T, B_, N), dtype=np.float64)
-        dCm = np.empty((T, B_, N), dtype=np.float64)
-        dA_t = np.empty((len(k.hc), c, N) if p.variant == "s6" else (len(k.hc), c))
-        dA = np.zeros(dA_t.shape[1:], dtype=np.float64)
-        # one segment's float32 states, row 0 its start state, and its decay
-        seg = np.empty((min(S, T) + 1,) + k.hc.shape[1:], dtype=np.float32)
-        seg_abar = np.empty(seg[1:].shape, dtype=np.float64)
-        h64 = np.empty((len(k.hc) + 1,) + k.hc.shape[1:], dtype=np.float64)
-        lams, prod, tmp = np.empty_like(k.hc), np.empty_like(k.hc), np.empty_like(k.tmp)
-        carry = np.zeros_like(k.tmp)                       # lam*abar of the step after
-        # Segments in reverse; each recomputes its states from its start
-        # state, then runs the backward over its chunks in reverse with the
-        # decay computed there. Only lam's recurrence runs step by step. The
-        # terms it feeds are elementwise or reduce per step, so they run over
-        # the whole chunk.
-        for k0 in reversed(range(0, T, S)):
-            m = min(S, T - k0)
-            h = starts[k0 // S]
-            np.copyto(seg[0], h)
-            for j in range(0, m, L):
-                s = slice(k0 + j, k0 + j + L)
-                hc = k.states(s, h, k.decay(s, seg_abar[j:min(j + L, m)]))
-                h = hc[-1]
-                np.copyto(seg[j + 1:j + 1 + len(hc)], hc)
-            for j in reversed(range(0, m, L)):
-                s = slice(k0 + j, k0 + j + L)
-                abar = seg_abar[j:min(j + L, m)]
-                n = len(abar)
-                lam = np.einsum("tbc,tbn->tbcn", gt[s], Ct[s], out=lams[:n])
-                # the latest step adds the zero carry too: 0 + g*C turns -0 into +0
-                np.add(lam[n - 1], carry, out=lam[n - 1])
-                for i in range(n - 2, -1, -1):
-                    np.multiply(lam[i + 1], abar[i + 1], out=tmp)
-                    np.add(lam[i], tmp, out=lam[i])
-                np.multiply(lam[0], abar[0], out=carry)
-                hp = h64[:n + 1]
-                np.copyto(hp, seg[j:j + n + 1])            # h_prev, then the states
-                np.einsum("tbc,tbcn->tbn", gt[s], hp[1:], out=dCm[s])
-                d = np.multiply(lam, hp[:n], out=prod[:n])  # d_abar
-                # einsum sums over b or c one product at a time from 0, the
-                # order and start of a product-then-sum() over a leading axis
-                if p.variant == "s6":
-                    np.multiply(d, abar, out=d)              # d_arg
-                    # h_prev is read: its rows hold d_arg*A now
-                    np.multiply(d, A, out=hp[:n]).sum(axis=-1, out=d_dt[s])
-                    np.einsum("tbcn,tbc->tcn", d, dtt[s], out=dA_t[:n])
-                else:
-                    d_red = d.sum(axis=-1) * abar[..., 0]
-                    np.multiply(d_red, A, out=d_dt[s])
-                    np.einsum("tbc,tbc->tc", d_red, dtt[s], out=dA_t[:n])
-                # one step at a time, latest first: the float64 sum rounds as before
-                for i in range(n - 1, -1, -1):
-                    dA += dA_t[i]
-                lam_b = np.einsum("tbcn,tbn->tbcn", lam, Bt[s], out=prod[:n]).sum(axis=-1)
-                d_dt[s] += lam_b * xt[s]
-                np.einsum("tbcn,tbc->tbn", lam, dtxt[s], out=dBm[s])
-                dx[:, s] += (lam_b * dtt[s]).swapaxes(0, 1)
-        d_dtp = _time_major(d_dt) * sigmoid_f(dtp).astype(np.float64)
+        del g64
+        d_dt, dBm, dCm, dA = _adjoint(p, x.data, g, dtp, Bm, Cm, starts, dx)
+        d_dtp = _time_major(d_dt)
+        del d_dt
+        d_dtp *= sigmoid_f(dtp).astype(np.float64)
         x2 = x.data.reshape(-1, c).astype(np.float64)
         dW = {}
         for name, gout, lin in (("dt", d_dtp.reshape(-1, c), p.x_to_dt),
@@ -363,8 +388,8 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
             dW[name] = f32(gout.T @ x2)
             dx += (gout @ lin.weight.data.astype(np.float64)).reshape(B_, T, c)
         # d/dA_log of A = -exp(A_log) is A itself
-        return (f32(dx), f32(dA * A), dW["B"], dW["C"], dW["dt"],
-                f32(d_dtp.sum(axis=(0, 1))), f32(dD))
+        return (f32(dx), f32(dA * p.neg_A().astype(np.float64)), dW["B"], dW["C"],
+                dW["dt"], f32(d_dtp.sum(axis=(0, 1))), f32(dD))
 
     return record(out, (x, p.A_log, p.x_to_B.weight, p.x_to_C.weight,
                         p.x_to_dt.weight, p.dt_bias, p.D_skip), bwd)

@@ -1,7 +1,7 @@
 """Reverse-mode autodiff on numpy float32 arrays.
 
-Ops run under `tape()` record a backward closure through `record`. The only
-primitive ops here are `add`, `mul` and `silu`; every other op is fused in
+Ops run under `tape()` record a backward closure through `record`. The
+primitive ops here are `add`, `gate` and `silu`; every other op is fused in
 `layers` or `ssm` and records its own backward through the same hook.
 Storage is float32 throughout. Elementwise ops take same-shape operands
 only -- anything richer has to live inside a fused op.
@@ -70,6 +70,7 @@ class Graph:
     def __init__(self):
         self._nodes: List[_Node] = []
         self._produced: set = set()
+        self._spent = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -79,13 +80,22 @@ class Graph:
 
         Grads add onto whatever is already in .grad; call zero_grad between
         steps. Intermediate grads live only for the duration of this call.
+        Each node is dropped once its grads are out, so its closure and what
+        it keeps are freed as the backward goes: a graph is spent after one
+        backward, holds no node after it, and refuses a second.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward: loss has shape {loss.data.shape}, expected a scalar")
+        if self._spent:
+            raise StateError("backward: this graph is spent; record a new tape for another backward")
         if id(loss) not in self._produced:
             raise StateError("backward: loss was not produced under this tape")
+        self._spent = True
+        nodes, produced = self._nodes, self._produced
         grads = {id(loss): np.ones_like(loss.data)}
-        for node in reversed(self._nodes):
+        while nodes:
+            node = nodes.pop()
+            produced.discard(id(node.out))  # no earlier node reads it
             gout = grads.pop(id(node.out), None)
             if gout is None:
                 continue  # not on any path to the loss
@@ -95,7 +105,7 @@ class Graph:
                     raise ShapeError(
                         f"backward: grad shape {g.shape} does not match input shape {t.data.shape}"
                     )
-                if id(t) in self._produced:
+                if id(t) in produced:
                     if id(t) in grads:
                         grads[id(t)] = grads[id(t)] + g
                     else:
@@ -178,6 +188,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    # no block records a bare product any more (they use `gate`); mul stays
+    # because the tests' gradient checks and perfbench/tracing.py's patch
+    # list name it
     _check_elementwise("mul", a, b)
     out = Tensor(a.data * b.data)
     return record(out, (a, b), lambda g: (g * b.data, g * a.data))
@@ -198,6 +211,22 @@ def silu(a: Tensor) -> Tensor:
         return (g * (s * (1.0 + a.data * (1.0 - s))),)
 
     return record(out, (a,), bwd)
+
+
+def gate(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b, elementwise: the ops and bytes of `mul(silu(a), b)`, with
+    no silu(a) kept. The backward keeps a and b and recomputes the sigmoid."""
+    _check_elementwise("gate", a, b)
+    s = sigmoid_f(a.data)  # let go at return, as in silu
+    y = a.data * s
+    y *= b.data  # in place: the bytes of (a*s)*b with one array fewer
+    out = Tensor(y)
+
+    def bwd(g: np.ndarray):
+        s = sigmoid_f(a.data)
+        return (g * b.data * (s * (1.0 + a.data * (1.0 - s))), g * (a.data * s))
+
+    return record(out, (a, b), bwd)
 
 
 def softplus_f(x: np.ndarray) -> np.ndarray:

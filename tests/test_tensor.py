@@ -26,7 +26,7 @@ def test_tape_sum_gradient_vs_finite_diff():
     assert rel_err(x.grad, fd) < 1e-3
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "silu"])
+@pytest.mark.parametrize("op", ["add", "mul", "silu", "gate"])
 def test_elementwise_gradients_vs_finite_diff(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     x = tn.Tensor(rnd(rng, 4, 6), requires_grad=True)
@@ -38,6 +38,8 @@ def test_elementwise_gradients_vs_finite_diff(op):
             z = tn.add(x, y)
         elif op == "mul":
             z = tn.mul(x, y)
+        elif op == "gate":
+            z = tn.gate(x, y)
         else:
             z = tn.silu(x)
         return tape_sum(tn.mul(z, r))
@@ -45,10 +47,11 @@ def test_elementwise_gradients_vs_finite_diff(op):
     with tn.tape() as g:
         loss = build()
     g.backward(loss)
-    arrays = [x.data, y.data] if op in ("add", "mul") else [x.data]
+    binary = op != "silu"
+    arrays = [x.data, y.data] if binary else [x.data]
     fds = finite_diff(lambda: build().scalar(), arrays)
     assert rel_err(x.grad, fds[0]) < 1e-3
-    if op in ("add", "mul"):
+    if binary:
         assert rel_err(y.grad, fds[1]) < 1e-3
 
 
@@ -79,14 +82,31 @@ def test_reused_tensor_accumulates_both_paths():
 
 
 def test_backward_accumulates_until_zeroed():
+    # two tapes, each with its own backward, add into one .grad
     x = tn.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    with tn.tape() as g:
-        loss = tape_sum(x)
-    g.backward(loss)
-    g.backward(loss)
+    for _ in range(2):
+        with tn.tape() as g:
+            loss = tape_sum(x)
+        g.backward(loss)
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0, dtype=np.float32))
     x.zero_grad()
     assert x.grad is None
+
+
+def test_graph_is_spent_after_one_backward():
+    # backward drops each node once its grads are out; a second backward on
+    # the same graph is refused, and the grads of the first stay as they were
+    x = tn.Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    with tn.tape() as g:
+        loss = tape_sum(tn.silu(tn.silu(x)))
+    assert len(g) == 3
+    g.backward(loss)
+    assert len(g) == 0
+    first = x.grad.copy()
+    with pytest.raises(StateError, match="spent"):
+        g.backward(loss)
+    assert len(g) == 0
+    assert x.grad.tobytes() == first.tobytes()
 
 
 def test_no_tape_records_nothing():
@@ -130,6 +150,8 @@ def test_row_broadcast_is_rejected():
             tn.add(a, b)
         with pytest.raises(ShapeError):
             tn.mul(a, b)
+        with pytest.raises(ShapeError):
+            tn.gate(a, b)
 
 
 def test_storage_is_float32_row_major():
@@ -203,3 +225,39 @@ def test_silu_keeps_only_its_input():
     (node,) = graph._nodes
     kept = kept_arrays(node.bwd)
     assert kept and all(a is x.data for a in kept)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 7), (2, 9, 16)])
+def test_gate_matches_silu_then_mul_to_the_byte(shape):
+    # gate(a, b) runs the ops of mul(b, silu(a)) in the same order, and its
+    # backward recomputes the sigmoid: forward and both grads agree to the
+    # byte, on large |a|, on +-0 and on mixed signs of a, b and g
+    rng = np.random.default_rng(24)
+    a = (rng.standard_normal(shape) * 8).astype(np.float32)
+    b = (rng.standard_normal(shape) * 2).astype(np.float32)
+    a.reshape(-1)[:7] = [0.0, -0.0, 100.0, -100.0, 1e-30, 90.0, -90.0][:a.size]
+    b.reshape(-1)[:4] = [-0.0, 0.0, -3.0, 1e30][:b.size]
+    g = rng.uniform(-2.0, 2.0, shape).astype(np.float32)
+    with tn.tape() as graph:
+        out = tn.gate(tn.Tensor(a, requires_grad=True), tn.Tensor(b, requires_grad=True))
+    (node,) = graph._nodes
+    got = [out.data] + list(node.bwd(g))
+    with tn.tape() as graph:
+        out = tn.mul(tn.Tensor(b, requires_grad=True), tn.silu(tn.Tensor(a, requires_grad=True)))
+    silu_node, mul_node = graph._nodes
+    g_b, g_s = mul_node.bwd(g)
+    (g_a,) = silu_node.bwd(g_s)
+    want = [out.data, g_a, g_b]
+    for name, x, y in zip(("out", "grad a", "grad b"), got, want):
+        assert x.dtype == np.float32 and x.tobytes() == y.tobytes(), f"{name} differs"
+
+
+def test_gate_keeps_only_its_inputs():
+    rng = np.random.default_rng(25)
+    a = tn.Tensor(rnd(rng, 2, 5, 4), requires_grad=True)
+    b = tn.Tensor(rnd(rng, 2, 5, 4), requires_grad=True)
+    with tn.tape() as graph:
+        tn.gate(a, b)
+    (node,) = graph._nodes
+    kept = kept_arrays(node.bwd)
+    assert {id(k) for k in kept} == {id(a.data), id(b.data)}
