@@ -121,15 +121,14 @@ def cmd_prune(args) -> int:
     write_resolved(os.path.join(out, "resolved.ini"), "prune", cfg)
     summary = run_schedule(model, stages, cal, out_dir=out,
                            threads=cfg["threads"],
-                           emit_trace=cfg["emit_trace"],
-                           plan_only=cfg["plan_only"])
+                           emit_trace=cfg["emit_trace"])
     for st in summary["stages"]:
         flag = "  (truncated)" if st["truncated"] else ""
         print(f"stage {st['spec']}: {st['steps_done']} removals{flag}")
     print(f"final ratio {summary['final_ratio']:.4f}  "
           f"cal ppl {summary['final_cal_ppl']:.4f}")
     if cfg["plan_only"]:
-        print("plan-only: model untouched, no checkpoint written")
+        print("plan-only: no checkpoint written")
         return 0
     meta = {"schedule": cfg["schedule"],
             "final_ratio": summary["final_ratio"],
@@ -315,30 +314,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, prune, and benchmark toy selective-scan stacks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, prune_flags=False):
+    def add(name, fn, help_, config=True, seed=True):
+        """A subcommand that takes --out, and --config and --seed when it
+        reads them."""
         sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--config", metavar="PATH", default=None,
-                        help="INI config; missing keys take defaults")
-        sp.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="override the configured seed")
+        if config:
+            sp.add_argument("--config", metavar="PATH", default=None,
+                            help="INI config; missing keys take defaults")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None, metavar="N",
+                            help="override the configured seed")
         sp.add_argument("--out", metavar="DIR", default=None,
                         help="output directory")
-        if prune_flags:
-            sp.add_argument("--threads", type=int, default=None, metavar="N",
-                            help="parallel scorer width")
-            sp.add_argument("--emit-trace", action="store_true",
-                            help="write every scored candidate to trace.jsonl")
-            sp.add_argument("--plan-only", action="store_true",
-                            help="search without mutating or saving the model")
         sp.set_defaults(func=fn)
         return sp
 
     add("train", cmd_train, "train a model and write a checkpoint")
-    add("prune", cmd_prune, "greedy calibration-scored structure removal",
-        prune_flags=True)
-    add("eval", cmd_eval, "perplexity of a checkpoint on one split")
+    sp = add("prune", cmd_prune, "greedy calibration-scored structure removal",
+             seed=False)
+    sp.add_argument("--threads", type=int, default=None, metavar="N",
+                    help="parallel scorer width")
+    sp.add_argument("--emit-trace", action="store_true",
+                    help="write every scored candidate to trace.jsonl")
+    sp.add_argument("--plan-only", action="store_true",
+                    help="search and write the plan, but no checkpoint")
+    add("eval", cmd_eval, "perplexity of a checkpoint on one split", seed=False)
     add("bench", cmd_bench, "prefill/decode throughput, dense vs pruned")
-    add("report", cmd_report, "summarize the artifacts in a run directory")
+    add("report", cmd_report, "summarize the artifacts in a run directory",
+        config=False, seed=False)
     add("study-sensitivity", cmd_study,
         "train both scan variants and compare removal tolerance")
     return p

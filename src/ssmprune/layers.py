@@ -17,6 +17,7 @@ again in the backward, by the helper the forward calls, to the same bytes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -305,8 +306,9 @@ def per_token_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# layer classes: thin wrappers owning named parameter tensors. Their builds
-# take rng None for a skeleton that a checkpoint then overwrites.
+# layer classes: dataclasses whose fields are the named parameter tensors or
+# layers they own; `tensors` walks them. Their builds take rng None for a
+# skeleton that a checkpoint then overwrites.
 
 
 def _draw(rng: Optional[np.random.Generator], dist: str, a: float, b: float,
@@ -318,11 +320,31 @@ def _draw(rng: Optional[np.random.Generator], dist: str, a: float, b: float,
     return getattr(rng, dist)(a, b, shape)
 
 
+def tensors(*objs) -> Dict[str, Tensor]:
+    """Name -> tensor for everything objs own, in order. A Tensor owns
+    itself; a layer, scan or block dataclass owns what its fields own, in
+    field order; None, a str or an int owns nothing."""
+    out: Dict[str, Tensor] = {}
+    for o in objs:
+        _walk(o, out)
+    return out
+
+
+def _walk(o, out: Dict[str, Tensor]) -> None:
+    if isinstance(o, Tensor):
+        out[o.name] = o
+    elif o is not None and not isinstance(o, (str, int)):
+        # the class's field table: dataclasses.fields() per call costs more
+        # than the walk itself
+        for f in o.__dataclass_fields__:
+            _walk(getattr(o, f), out)
+
+
+@dataclass(eq=False)
 class Linear:
     """weight (out, in)."""
 
-    def __init__(self, weight: Tensor):
-        self.weight = weight
+    weight: Tensor
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], d_in: int, d_out: int,
@@ -330,27 +352,21 @@ class Linear:
         return Linear(Tensor(_draw(rng, "normal", 0.0, d_in ** -0.5, (d_out, d_in)),
                              requires_grad=True, name=f"{prefix}.weight"))
 
-    def tensors(self) -> Dict[str, Tensor]:
-        return {self.weight.name: self.weight}
 
-
+@dataclass(eq=False)
 class RmsNorm:
-    def __init__(self, scale: Tensor):
-        self.scale = scale
+    scale: Tensor
 
     @staticmethod
     def build(d: int, prefix: str) -> "RmsNorm":
         return RmsNorm(Tensor(np.ones(d), requires_grad=True, name=f"{prefix}.scale"))
 
-    def tensors(self) -> Dict[str, Tensor]:
-        return {self.scale.name: self.scale}
 
-
+@dataclass(eq=False)
 class CausalConv1d:
     """Depthwise, fixed width; kernel (c, w)."""
 
-    def __init__(self, kernel: Tensor):
-        self.kernel = kernel
+    kernel: Tensor
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], channels: int, width: int,
@@ -360,14 +376,14 @@ class CausalConv1d:
                    requires_grad=True, name=f"{prefix}.kernel")
         return CausalConv1d(k)
 
-    def tensors(self) -> Dict[str, Tensor]:
-        return {self.kernel.name: self.kernel}
 
-
+@dataclass(eq=False)
 class MultiHeadAttention:
-    def __init__(self, q: Linear, k: Linear, v: Linear, o: Linear, n_heads: int):
-        self.q, self.k, self.v, self.o = q, k, v, o
-        self.n_heads = n_heads
+    q: Linear
+    k: Linear
+    v: Linear
+    o: Linear
+    n_heads: int
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], d: int, n_heads: int,
@@ -375,13 +391,8 @@ class MultiHeadAttention:
         mk = lambda nm: Linear.build(rng, d, d, f"{prefix}.{nm}")
         return MultiHeadAttention(mk("q"), mk("k"), mk("v"), mk("o"), n_heads)
 
-    def tensors(self) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        for lin in (self.q, self.k, self.v, self.o):
-            out.update(lin.tensors())
-        return out
 
-
+@dataclass(eq=False)
 class GatedMlp:
     """down(silu(gate(x)) * up(x)) with a sliceable hidden dim.
 
@@ -389,8 +400,9 @@ class GatedMlp:
     last g rows of up/gate and the last g columns of down, permanently.
     """
 
-    def __init__(self, up: Linear, gate: Linear, down: Linear):
-        self.up, self.gate, self.down = up, gate, down
+    up: Linear
+    gate: Linear
+    down: Linear
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], d: int, hidden: int,
@@ -421,16 +433,10 @@ class GatedMlp:
         for t in (self.up.weight, self.gate.weight, self.down.weight):
             t.grad = None
 
-    def tensors(self) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        for lin in (self.up, self.gate, self.down):
-            out.update(lin.tensors())
-        return out
 
-
+@dataclass(eq=False)
 class Embedding:
-    def __init__(self, table: Tensor):
-        self.table = table
+    table: Tensor
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], vocab: int, d: int,
@@ -441,6 +447,3 @@ class Embedding:
 
     def __call__(self, tokens: np.ndarray) -> Tensor:
         return embedding(tokens, self.table)
-
-    def tensors(self) -> Dict[str, Tensor]:
-        return {self.table.name: self.table}

@@ -11,12 +11,15 @@ with TAPE (Tensors, backward recorded), `decode_step(x, state, ops)` with a
 decode session's array ops (array kernels that carry the conv tail, scan
 state and key/value prefix).
 
-Each block class declares its removable parts once, in its PARTS table:
-registry kind -> the tensors that part owns outright, parent block first
-(mamba: mamba_block, ssm; transformer: transformer_block, mha, mlp).
-ALIVE_FLAG names the block attribute each kind flips. The registry,
-removal, parameter traversal, compaction and the checkpoint flag rows all
-loop over these two tables, in their order.
+Layers and blocks are dataclasses: their fields are what they own, and
+`layers.tensors` walks them for every name -> tensor map. Each block class
+declares its removable parts once, in its PARTS table: registry kind -> the
+fields that part owns outright, parent block first (mamba: mamba_block, ssm;
+transformer: transformer_block, mha, mlp). A field that is None, such as
+mamba1's inner norm, owns nothing. ALIVE_FLAG names the block attribute each
+kind flips. The registry, removal, parameter traversal, compaction and the
+checkpoint flag rows and payload all loop over these two tables, in their
+order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import copy as _copy
 import json
 import struct
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,18 +96,11 @@ class ArchDescriptor:
                 f"descriptor: d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab": self.vocab, "d_model": self.d_model, "n_blocks": self.n_blocks,
-            "block_kinds": list(self.block_kinds), "d_state": self.d_state,
-            "mlp_hidden": list(self.mlp_hidden), "conv_width": self.conv_width,
-            "n_heads": self.n_heads,
-        }
-
     @staticmethod
     def from_dict(d) -> "ArchDescriptor":
-        """The inverse of to_dict; ConfigError naming the first field that is
-        missing or of the wrong type."""
+        """The descriptor from the JSON object a checkpoint header holds for
+        it; ConfigError naming the first field that is missing or of the
+        wrong type."""
         if not isinstance(d, dict):
             raise ConfigError(f"descriptor: {d!r} is not an object")
         missing = [k for k in _DESC_INTS + ("block_kinds", "mlp_hidden") if k not in d]
@@ -216,22 +212,24 @@ def _array_ops() -> SimpleNamespace:
 # blocks
 
 
+@dataclass(eq=False)
 class MambaBlock:
     """Residual branch: norm -> (conv, silu, scan) gated by silu(z) -> out."""
 
-    def __init__(self, variant: str, norm: RmsNorm, in_x: Linear, in_z: Linear,
-                 conv: CausalConv1d, ssm: SsmParams,
-                 inner_norm: Optional[RmsNorm], out: Linear):
-        self.variant = variant
-        self.norm = norm
-        self.in_x = in_x
-        self.in_z = in_z
-        self.conv = conv
-        self.ssm = ssm
-        self.inner_norm = inner_norm
-        self.out = out
-        self.alive = True
-        self.ssm_alive = True
+    variant: str
+    norm: RmsNorm
+    in_x: Linear
+    in_z: Linear
+    conv: CausalConv1d
+    ssm: SsmParams
+    inner_norm: Optional[RmsNorm]  # mamba2 only
+    out: Linear
+    alive: bool = field(default=True, init=False)
+    ssm_alive: bool = field(default=True, init=False)
+
+    # removable parts, parent first: registry kind -> the fields it owns outright
+    PARTS = {"mamba_block": ("norm", "in_x", "in_z", "conv", "inner_norm", "out"),
+             "ssm": ("ssm",)}
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], desc: ArchDescriptor,
@@ -244,11 +242,11 @@ class MambaBlock:
                               di, desc.d_state, f"{px}.ssm")
         inner = RmsNorm.build(di, f"{px}.inner_norm") if variant == "mamba2" else None
         return MambaBlock(
-            variant, RmsNorm.build(d, f"{px}.norm"),
-            Linear.build(rng, d, di, f"{px}.in_x"),
-            Linear.build(rng, d, di, f"{px}.in_z"),
-            CausalConv1d.build(rng, di, desc.conv_width, f"{px}.conv"),
-            ssm, inner, Linear.build(rng, di, d, f"{px}.out"),
+            variant=variant, norm=RmsNorm.build(d, f"{px}.norm"),
+            in_x=Linear.build(rng, d, di, f"{px}.in_x"),
+            in_z=Linear.build(rng, d, di, f"{px}.in_z"),
+            conv=CausalConv1d.build(rng, di, desc.conv_width, f"{px}.conv"),
+            ssm=ssm, inner_norm=inner, out=Linear.build(rng, di, d, f"{px}.out"),
         )
 
     def _body(self, ops, x, state):
@@ -286,33 +284,21 @@ class MambaBlock:
         """(conv tail, scan state) before the first token: zeros for both."""
         return None, None
 
-    def shell_tensors(self) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        out.update(self.norm.tensors())
-        out.update(self.in_x.tensors())
-        out.update(self.in_z.tensors())
-        out.update(self.conv.tensors())
-        if self.inner_norm is not None:
-            out.update(self.inner_norm.tensors())
-        out.update(self.out.tensors())
-        return out
 
-    # removable parts, parent first: registry kind -> its exclusive tensors
-    PARTS = {"mamba_block": shell_tensors, "ssm": lambda b: b.ssm.tensors()}
-
-
+@dataclass(eq=False)
 class TransformerBlock:
     """Pre-norm attention and gated-mlp residual branches."""
 
-    def __init__(self, norm1: RmsNorm, mha: MultiHeadAttention,
-                 norm2: RmsNorm, mlp: GatedMlp):
-        self.norm1 = norm1
-        self.mha = mha
-        self.norm2 = norm2
-        self.mlp = mlp
-        self.alive = True
-        self.mha_alive = True
-        self.mlp_alive = True
+    norm1: RmsNorm
+    mha: MultiHeadAttention
+    norm2: RmsNorm
+    mlp: GatedMlp
+    alive: bool = field(default=True, init=False)
+    mha_alive: bool = field(default=True, init=False)
+    mlp_alive: bool = field(default=True, init=False)
+
+    # removable parts, parent first; the block itself owns no field
+    PARTS = {"transformer_block": (), "mha": ("norm1", "mha"), "mlp": ("norm2", "mlp")}
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], desc: ArchDescriptor, i: int,
@@ -352,20 +338,11 @@ class TransformerBlock:
         shape = (batch, H, capacity, self.norm1.scale.data.shape[0] // H)
         return np.zeros(shape), np.zeros(shape), 0
 
-    def mha_tensors(self) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        out.update(self.norm1.tensors())
-        out.update(self.mha.tensors())
-        return out
 
-    def mlp_tensors(self) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        out.update(self.norm2.tensors())
-        out.update(self.mlp.tensors())
-        return out
-
-    # removable parts, parent first; the block itself owns no tensors
-    PARTS = {"transformer_block": lambda b: {}, "mha": mha_tensors, "mlp": mlp_tensors}
+def part_tensors(block, kind: str) -> Dict[str, Tensor]:
+    """The tensors the part `kind` of `block` owns outright: those of its
+    PARTS fields, in their order."""
+    return layers.tensors(*(getattr(block, f) for f in block.PARTS[kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +446,8 @@ class Model:
     # -- registry ---------------------------------------------------------
 
     def structures(self) -> List[Structure]:
-        return [Structure(kind, i, getattr(b, ALIVE_FLAG[kind]), _count(tensors(b)))
-                for i, b in enumerate(self.blocks) for kind, tensors in b.PARTS.items()]
+        return [Structure(kind, i, getattr(b, ALIVE_FLAG[kind]), _count(part_tensors(b, kind)))
+                for i, b in enumerate(self.blocks) for kind in b.PARTS]
 
     def _block(self, i: int):
         if not 0 <= i < len(self.blocks):
@@ -514,29 +491,25 @@ class Model:
         """Fraction of the dense build's parameters no longer live."""
         return 1.0 - self.live_param_count() / self.dense_params
 
+    def _tensors(self, live_only: bool) -> Dict[str, Tensor]:
+        """Name -> tensor in the fixed traversal order: the embedding, each
+        block's parts in PARTS order, the final norm and the head. With
+        live_only, a removed or shadowed part contributes nothing."""
+        out = layers.tensors(self.embedding)
+        for b in self.blocks:
+            for kind in b.PARTS:
+                if not live_only or (b.alive and getattr(b, ALIVE_FLAG[kind])):
+                    out.update(part_tensors(b, kind))
+        out.update(layers.tensors(self.final_norm, self.head))
+        return out
+
     def named_tensors(self) -> Dict[str, Tensor]:
         """Every tensor present in the object graph, dead structures included."""
-        out: Dict[str, Tensor] = {}
-        out.update(self.embedding.tensors())
-        for b in self.blocks:
-            for tensors in b.PARTS.values():
-                out.update(tensors(b))
-        out.update(self.final_norm.tensors())
-        out.update(self.head.tensors())
-        return out
+        return self._tensors(live_only=False)
 
     def parameters(self) -> List[Tensor]:
         """Effectively-live trainable tensors, fixed traversal order."""
-        out = list(self.embedding.tensors().values())
-        for b in self.blocks:
-            if not b.alive:
-                continue
-            for kind, tensors in b.PARTS.items():
-                if getattr(b, ALIVE_FLAG[kind]):
-                    out.extend(tensors(b).values())
-        out.extend(self.final_norm.tensors().values())
-        out.extend(self.head.tensors().values())
-        return out
+        return list(self._tensors(live_only=True).values())
 
     # -- compaction -------------------------------------------------------
 
@@ -550,9 +523,8 @@ class Model:
         emb, blocks, fin, head = _copy.deepcopy(
             (self.embedding, [self.blocks[i] for i in keep], self.final_norm, self.head))
         for new, (old, b) in enumerate(zip(keep, blocks)):
-            for tensors in b.PARTS.values():
-                for t in tensors(b).values():
-                    t.name = f"blocks.{new}." + t.name[len(f"blocks.{old}."):]
+            for t in layers.tensors(b).values():
+                t.name = f"blocks.{new}." + t.name[len(f"blocks.{old}."):]
         desc = replace(self.desc, n_blocks=len(keep),
                        block_kinds=tuple(self.desc.block_kinds[i] for i in keep),
                        mlp_hidden=tuple(b.mlp.hidden if isinstance(b, TransformerBlock)
@@ -574,7 +546,7 @@ VERSION = 1
 def save_model(model: Model, path: str, meta: Optional[dict] = None) -> None:
     named = model.named_tensors()
     header = {
-        "descriptor": model.desc.to_dict(),
+        "descriptor": asdict(model.desc),
         "structures": [[s.kind, s.block, s.alive] for s in model.structures()],
         "mlp_hidden_now": [
             (b.mlp.hidden if isinstance(b, TransformerBlock) else 0)

@@ -208,13 +208,10 @@ class _Search:
 class _Resumed:
     """Stands in for a model inside cal.ppl, which runs the calibration
     batches in order: the n-th forward resumes the model at `start` from
-    row n. Every other attribute is the model's."""
+    row n."""
 
     def __init__(self, model: Model, start: int, rows: List[List[Tensor]]):
         self.model, self.start, self.rows = model, start, iter(rows)
-
-    def __getattr__(self, name: str):
-        return getattr(self.model, name)
 
     def forward(self, tokens: np.ndarray) -> Tensor:
         x = next(self.rows)[self.start]
@@ -398,40 +395,37 @@ def _iteration(it: int, si: int, count: int, t0: float) -> dict:
 
 def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
                  cal: CalibrationSet, out_dir: Optional[str] = None,
-                 threads: int = 1, emit_trace: bool = False,
-                 plan_only: bool = False) -> dict:
+                 threads: int = 1, emit_trace: bool = False) -> dict:
     """Greedy search over the whole schedule.
 
-    Mutates the model stage by stage unless plan_only, in which case the
-    search runs on an internal clone and the input model is returned
-    unchanged. A stage that runs out of eligible candidates before its step
-    count is marked truncated and the schedule moves on; so is a stage
-    whose iteration scores every candidate +inf, which applies nothing and
-    leaves that iteration in the trace only. Returns a summary
-    with the applied plan, the full candidate trace, per-stage bookkeeping,
-    and the final ratio and calibration perplexity. With out_dir set, the
-    plan (and the trace, when emit_trace) are written as jsonl, and so is
-    timings.jsonl: per iteration, a row with each candidate's wall seconds
-    and one with the iteration's, then a last row with the process's peak
-    RSS so far (ru_maxrss, which Linux reports in KiB). Wall times vary from
-    run to run, so they stay out of the plan and the trace, which do not.
+    Mutates the model stage by stage. A stage that runs out of eligible
+    candidates before its step count is marked truncated and the schedule
+    moves on; so is a stage whose iteration scores every candidate +inf,
+    which applies nothing and leaves that iteration in the trace only.
+    Returns a summary with the applied plan, the full candidate trace,
+    per-stage bookkeeping, and the final ratio and calibration perplexity.
+    With out_dir set, the plan (and the trace, when emit_trace) are written
+    as jsonl, and so is timings.jsonl: per iteration, a row with each
+    candidate's wall seconds and one with the iteration's, then a last row
+    with the process's peak RSS so far (ru_maxrss, which Linux reports in
+    KiB). Wall times vary from run to run, so they stay out of the plan and
+    the trace, which do not.
     """
     stages = parse_schedule(schedule) if isinstance(schedule, str) else list(schedule)
-    work = model.clone() if plan_only else model
     # the block inputs live for the whole search; each removal drops those
     # it invalidated, and the final perplexity resumes at the shortest row
     # (at the embedding, when nothing was scored)
-    search = _Search(work, cal)
+    search = _Search(model, cal)
     plan, trace, stage_infos, timings = _greedy(search, stages, threads)
     start = max(min(map(len, search.rows)) - 1, 0)
     search.grow(start, map)
-    final_ppl = search.ppl(work, start)
+    final_ppl = search.ppl(model, start)
     summary = {
         "plan": plan,
         "trace": trace,
         "stages": stage_infos,
         "truncated": any(s["truncated"] for s in stage_infos),
-        "final_ratio": work.prune_ratio(),
+        "final_ratio": model.prune_ratio(),
         "final_cal_ppl": final_ppl,
     }
     if out_dir is not None:

@@ -34,7 +34,8 @@ one-step-at-a-time scan.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -45,30 +46,30 @@ from .tensor import Tensor, active_graph, f32, record, sigmoid_f, softplus_f
 VARIANTS = ("s6", "ssd")
 
 
+@dataclass(eq=False)
 class SsmParams:
-    """Scan parameters for one block; channels c is the block's inner width."""
+    """Scan parameters for one block; channels c is the block's inner width.
+    The tensor fields run in checkpoint payload order."""
 
-    def __init__(self, variant: str, A_log: Tensor, x_to_B: Linear, x_to_C: Linear,
-                 x_to_dt: Linear, dt_bias: Tensor, D_skip: Tensor):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown ssm variant {variant!r}")
-        c = dt_bias.data.shape[0]
-        want = (c,) if variant == "ssd" else (c, x_to_B.weight.data.shape[0])
-        if A_log.data.shape != want:
-            raise ShapeError(f"A_log shape {A_log.data.shape}, expected {want} for {variant}")
-        self.variant = variant
-        self.A_log = A_log
-        self.x_to_B = x_to_B
-        self.x_to_C = x_to_C
-        self.x_to_dt = x_to_dt
-        self.dt_bias = dt_bias
-        self.D_skip = D_skip
+    variant: str
+    A_log: Tensor
+    dt_bias: Tensor
+    D_skip: Tensor
+    x_to_B: Linear
+    x_to_C: Linear
+    x_to_dt: Linear
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown ssm variant {self.variant!r}")
+        want = (self.channels,) if self.variant == "ssd" else (self.channels, self.n_state)
+        if self.A_log.data.shape != want:
+            raise ShapeError(f"A_log shape {self.A_log.data.shape}, expected {want} "
+                             f"for {self.variant}")
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], variant: str, channels: int,
               n_state: int, prefix: str) -> "SsmParams":
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown ssm variant {variant!r}")
         if rng is None:  # a skeleton for a checkpoint to overwrite: nothing drawn
             a_log = np.empty((channels, n_state) if variant == "s6" else channels,
                              dtype=np.float32)
@@ -83,13 +84,13 @@ class SsmParams:
             # softplus(dt_bias) lands uniformly in [1e-3, 1e-1]
             dt_bias = np.log(np.expm1(rng.uniform(1e-3, 1e-1, channels)))
         return SsmParams(
-            variant,
-            Tensor(a_log, requires_grad=True, name=f"{prefix}.A_log"),
-            Linear.build(rng, channels, n_state, f"{prefix}.x_to_B"),
-            Linear.build(rng, channels, n_state, f"{prefix}.x_to_C"),
-            Linear.build(rng, channels, channels, f"{prefix}.x_to_dt"),
-            Tensor(dt_bias, requires_grad=True, name=f"{prefix}.dt_bias"),
-            Tensor(np.ones(channels), requires_grad=True, name=f"{prefix}.D_skip"),
+            variant=variant,
+            A_log=Tensor(a_log, requires_grad=True, name=f"{prefix}.A_log"),
+            dt_bias=Tensor(dt_bias, requires_grad=True, name=f"{prefix}.dt_bias"),
+            D_skip=Tensor(np.ones(channels), requires_grad=True, name=f"{prefix}.D_skip"),
+            x_to_B=Linear.build(rng, channels, n_state, f"{prefix}.x_to_B"),
+            x_to_C=Linear.build(rng, channels, n_state, f"{prefix}.x_to_C"),
+            x_to_dt=Linear.build(rng, channels, channels, f"{prefix}.x_to_dt"),
         )
 
     @property
@@ -103,13 +104,6 @@ class SsmParams:
     def neg_A(self) -> np.ndarray:
         """A = -exp(A_log); (c, N) for s6, (c,) for ssd. Always negative."""
         return -np.exp(self.A_log.data)
-
-    def tensors(self) -> Dict[str, Tensor]:
-        out = {self.A_log.name: self.A_log, self.dt_bias.name: self.dt_bias,
-               self.D_skip.name: self.D_skip}
-        for lin in (self.x_to_B, self.x_to_C, self.x_to_dt):
-            out.update(lin.tensors())
-        return out
 
 
 def _cast64(t: Tensor) -> np.ndarray:

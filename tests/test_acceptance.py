@@ -118,7 +118,7 @@ def _grad_cases(rng):
     rm = tn.Tensor(rnd(rng, 1, 4, 5))
     cases.append(("gated_mlp",
                   lambda: tape_sum(tn.mul(mlp.body(TAPE, xm), rm)),
-                  [xm] + list(mlp.tensors().values()), 1e-3))
+                  [xm] + list(ly.tensors(mlp).values()), 1e-3))
 
     xa = rt(1, 5, 8, scale=0.5)
     ws = [rt(8, 8, scale=0.4) for _ in range(4)]
@@ -144,7 +144,7 @@ def _grad_cases(rng):
             return tape_sum(tn.mul(ssm_mod.selective_scan(xs, p), rs))
 
         cases.append((variant, build,
-                      [xs] + list(p.tensors().values()), 5e-3))
+                      [xs] + list(ly.tensors(p).values()), 5e-3))
     return cases
 
 
@@ -203,7 +203,7 @@ def test_criterion_4_slice_equals_mask():
     d, D, g = 6, 96, 16
     mlp = ly.GatedMlp.build(rng, d, D, "mlp")
     masked = ly.GatedMlp.build(rng, d, D, "masked")
-    for a, b in zip(masked.tensors().values(), mlp.tensors().values()):
+    for a, b in zip(ly.tensors(masked).values(), ly.tensors(mlp).values()):
         a.data = b.data.copy()
     masked.up.weight.data[D - g:] = 0.0
     masked.gate.weight.data[D - g:] = 0.0

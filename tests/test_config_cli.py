@@ -227,6 +227,19 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
         assert err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["prune", "--seed", "1"],
+    ["eval", "--seed", "1"],
+    ["report", "--config", "/nonexistent.ini"],
+    ["report", "--seed", "1"],
+])
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli(argv + ["--out", str(tmp_path)])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_train_rejects_transformer_index_past_the_blocks(tmp_path, capsys):
     ini = write_ini(tmp_path / "t.ini", "[train]\nn_blocks = 2\ntransformer_at = 5\n")
     out = tmp_path / "o"

@@ -282,8 +282,8 @@ def test_two_small_slices_equal_one_big():
     a.slice_trailing(2)
     a.slice_trailing(2)
     b.slice_trailing(4)
-    for (na, ta), (nb, tb) in zip(sorted(a.tensors().items()),
-                                  sorted(b.tensors().items())):
+    for (na, ta), (nb, tb) in zip(sorted(ly.tensors(a).items()),
+                                  sorted(ly.tensors(b).items())):
         assert ta.data.tobytes() == tb.data.tobytes()
 
 

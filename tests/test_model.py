@@ -64,30 +64,55 @@ def test_analytic_counts_match_allocation():
         assert m.prune_ratio() == 0.0
         # per-block analytic vs actual tensors
         for i, b in enumerate(m.blocks):
-            if isinstance(b, md.MambaBlock):
-                actual = sum(t.data.size for t in b.shell_tensors().values()) \
-                    + sum(t.data.size for t in b.ssm.tensors().values())
-            else:
-                actual = sum(t.data.size for t in b.mha_tensors().values()) \
-                    + sum(t.data.size for t in b.mlp_tensors().values())
+            actual = sum(t.data.size for kind in b.PARTS
+                         for t in md.part_tensors(b, kind).values())
             assert actual == md.block_param_count(desc, i), f"block {i}"
 
 
 def test_registry_partitions_all_tensors():
     m = Model.build(tiny_desc(), 1)
     seen = {}
-    groups = []
-    for b in m.blocks:
-        if isinstance(b, md.MambaBlock):
-            groups += [b.shell_tensors(), b.ssm.tensors()]
-        else:
-            groups += [b.mha_tensors(), b.mlp_tensors()]
-    groups += [m.embedding.tensors(), m.final_norm.tensors(), m.head.tensors()]
+    groups = [md.part_tensors(b, kind) for b in m.blocks for kind in b.PARTS]
+    groups += [ly.tensors(m.embedding), ly.tensors(m.final_norm), ly.tensors(m.head)]
     for g in groups:
         for name in g:
             assert name not in seen, f"{name} owned twice"
             seen[name] = True
     assert set(seen) == set(m.named_tensors())
+
+
+@pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
+def test_parts_partition_the_tensors_of_every_field(variant):
+    # a field that owns tensors but no part names would be missing from the
+    # registry, the parameters and the checkpoint
+    m = Model.build(tiny_desc(variant=variant), 1)
+    for b in m.blocks:
+        named = [f for fields in b.PARTS.values() for f in fields]
+        assert len(named) == len(set(named)), f"{type(b).__name__}: a field in two parts"
+        assert set(named) <= set(b.__dataclass_fields__)
+        owners = {f for f in b.__dataclass_fields__ if ly.tensors(getattr(b, f))}
+        assert owners <= set(named), f"{type(b).__name__}: {owners - set(named)} in no part"
+        parts = [n for kind in b.PARTS for n in md.part_tensors(b, kind)]
+        assert len(parts) == len(set(parts))
+        assert sorted(parts) == sorted(ly.tensors(b))
+
+
+def test_named_tensors_order_is_pinned():
+    # the checkpoint payload's order: embedding, each block's parts in PARTS
+    # order with each part's fields in order, then the final norm and head
+    m = Model.build(tiny_desc(n_blocks=2, variant="mamba2"), 0)
+    ssm = ["A_log", "dt_bias", "D_skip", "x_to_B.weight", "x_to_C.weight",
+           "x_to_dt.weight"]
+    assert list(m.named_tensors()) == (
+        ["embedding.table"]
+        + [f"blocks.0.{n}" for n in ("norm.scale", "in_x.weight", "in_z.weight",
+                                     "conv.kernel", "inner_norm.scale", "out.weight")]
+        + [f"blocks.0.ssm.{n}" for n in ssm]
+        + [f"blocks.1.{n}" for n in ("norm1.scale", "mha.q.weight", "mha.k.weight",
+                                     "mha.v.weight", "mha.o.weight", "norm2.scale",
+                                     "mlp.up.weight", "mlp.gate.weight",
+                                     "mlp.down.weight")]
+        + ["final_norm.scale", "head.weight"])
 
 
 def test_structures_listing_shape():
@@ -185,8 +210,9 @@ def test_dead_weights_do_not_touch_forward():
     m.remove("mamba_block", 3)
     want = m.forward(toks).data.copy()
     rng = np.random.default_rng(99)
-    scram = {**m.blocks[0].ssm.tensors(), **m.blocks[1].mha_tensors(),
-             **m.blocks[3].shell_tensors(), **m.blocks[3].ssm.tensors()}
+    scram = {**md.part_tensors(m.blocks[0], "ssm"), **md.part_tensors(m.blocks[1], "mha"),
+             **md.part_tensors(m.blocks[3], "mamba_block"),
+             **md.part_tensors(m.blocks[3], "ssm")}
     for t in scram.values():
         t.data = rng.normal(size=t.data.shape).astype(np.float32)
     got = m.forward(toks).data

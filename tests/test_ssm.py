@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ssmprune import layers as ly
 from ssmprune import ssm
 from ssmprune import tensor as tn
 from ssmprune.errors import ShapeError
@@ -71,8 +72,8 @@ def test_ssd_equals_s6_with_tied_rows():
     c, N, T = 5, 6, 24
     pd = build_params(rng, "ssd", c, N)
     tied = tn.Tensor(np.tile(pd.A_log.data[:, None], (1, N)), name="tied")
-    ps = ssm.SsmParams("s6", tied, pd.x_to_B, pd.x_to_C, pd.x_to_dt,
-                       pd.dt_bias, pd.D_skip)
+    ps = ssm.SsmParams(variant="s6", A_log=tied, dt_bias=pd.dt_bias, D_skip=pd.D_skip,
+                       x_to_B=pd.x_to_B, x_to_C=pd.x_to_C, x_to_dt=pd.x_to_dt)
     x = tn.Tensor(rng.uniform(-2.0, 2.0, (2, T, c)).astype(np.float32))
     vd = ssm.selective_scan(x, pd).data
     vs = ssm.selective_scan(x, ps).data
@@ -212,7 +213,7 @@ def test_scan_f_gives_the_same_bytes_for_float64_weights(variant):
     p = build_params(rng, variant, c=6, N=3, hot_dt=True)
     x = rng.uniform(-2.0, 2.0, (2, 7, 6)).astype(np.float32)
     h0 = rng.normal(0.0, 1.0, (2, 6, 3))
-    casts = {t: t.data.astype(np.float64) for t in p.tensors().values()}
+    casts = {t: t.data.astype(np.float64) for t in ly.tensors(p).values()}
     asked = []
 
     def w64(t):
@@ -222,7 +223,7 @@ def test_scan_f_gives_the_same_bytes_for_float64_weights(variant):
     y32, h32, _ = ssm.scan_f(x, p, h0.copy())
     y64, h64, _ = ssm.scan_f(x, p, h0.copy(), w64)
     assert y64.tobytes() == y32.tobytes() and h64.tobytes() == h32.tobytes()
-    assert sorted(set(asked)) == sorted(n for n in p.tensors() if n != "ssm.A_log")
+    assert sorted(set(asked)) == sorted(n for n in ly.tensors(p) if n != "ssm.A_log")
 
 
 @pytest.mark.parametrize("variant", ssm.VARIANTS)
@@ -340,5 +341,5 @@ def test_scan_shape_validation():
         ssm.scan_step(p, np.zeros((1, 4, 3)), np.zeros((1, 7), dtype=np.float32))
     with pytest.raises(ShapeError):
         # ssd A_log must be per-channel, not per-channel-per-state
-        ssm.SsmParams("ssd", tn.Tensor(np.zeros((4, 3))), p.x_to_B, p.x_to_C,
-                      p.x_to_dt, p.dt_bias, p.D_skip)
+        ssm.SsmParams(variant="ssd", A_log=tn.Tensor(np.zeros((4, 3))), dt_bias=p.dt_bias,
+                      D_skip=p.D_skip, x_to_B=p.x_to_B, x_to_C=p.x_to_C, x_to_dt=p.x_to_dt)

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from ssmprune import layers as ly
 from ssmprune import training as tr
 from ssmprune.errors import (CapacityError, ConfigError, DivergenceError,
                              TokenError)
@@ -284,7 +285,7 @@ def test_recovery_tune_never_touches_dead_tensors():
     model = tiny_model(seed=6)
     model.remove("ssm", 0)
     model.slice_mlp(1, 16)
-    dead = {k: t.data.copy() for k, t in model.blocks[0].ssm.tensors().items()}
+    dead = {k: t.data.copy() for k, t in ly.tensors(model.blocks[0].ssm).items()}
     cfg = TrainConfig(steps=6, batch_size=2, seq_len=24, lr=5e-4,
                       min_lr=5e-5, warmup=2, eval_windows=4)
     corpus = Corpus.bundled()
@@ -293,7 +294,7 @@ def test_recovery_tune_never_touches_dead_tensors():
     after = split_perplexity(model, corpus, "val", cfg.eval_windows, cfg.seq_len)
     assert math.isfinite(before) and math.isfinite(after)
     assert len(rows) == 6
-    for k, t in model.blocks[0].ssm.tensors().items():
+    for k, t in ly.tensors(model.blocks[0].ssm).items():
         assert np.array_equal(t.data, dead[k]), k
 
 
