@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
@@ -84,7 +84,7 @@ def cmd_train(args) -> int:
                            cfg["seq_len"])
     path = os.path.join(out, "model.ckpt")
     save_model(model, path, meta={
-        "train_config": tcfg.to_dict(), "final_val_ppl": val,
+        "train_config": asdict(tcfg), "final_val_ppl": val,
         "val_windows": cfg["eval_windows"], "val_length": cfg["seq_len"]})
     print(f"trained {cfg['steps']} steps; final loss {rows[-1]['loss']:.4f}; "
           f"val ppl {val:.4f}")

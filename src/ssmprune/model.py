@@ -4,7 +4,7 @@ A model is an embedding, a list of residual blocks (mamba and transformer
 kinds mixed per the descriptor), a final norm, and an lm head. Every removable
 structure sits in a registry; removal flips an alive flag and the forward pass
 takes the residual bypass, so weights stay in memory until compact() makes a
-copy of the surviving blocks.
+copy of the surviving blocks that lets go of every part that does not run.
 
 Each block class writes its body once, over an ops table: `forward` runs it
 with TAPE (Tensors, backward recorded), `decode_step(x, state, ops)` with a
@@ -18,7 +18,7 @@ fields that part owns outright, parent block first (mamba: mamba_block, ssm;
 transformer: transformer_block, mha, mlp). A field that is None, such as
 mamba1's inner norm, owns nothing. ALIVE_FLAG names the block attribute each
 kind flips. The registry, removal, parameter traversal, compaction and the
-checkpoint flag rows and payload all loop over these two tables, in their
+checkpoint's removal rows and payload all loop over these two tables, in their
 order.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy as _copy
 import json
 import struct
-from collections import Counter
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import layers
 from . import tensor as tn
-from .errors import CheckpointError, ConfigError, ShapeError, StateError
+from .errors import CapacityError, CheckpointError, ConfigError, ShapeError, StateError
 from .layers import (CausalConv1d, Embedding, GatedMlp, Linear, MultiHeadAttention,
                      RmsNorm, attention_f, causal_conv1d_f, linear, linear_f, rmsnorm, rmsnorm_f)
 # scan_step is unused here; perfbench/tracing.py patches it under this name too
@@ -144,9 +144,9 @@ def toy_descriptor(n_blocks: int = 12, variant: str = "mamba1",
 class Structure:
     """One registry row: a removable structure and its exclusive parameters.
 
-    param_count covers only tensors the structure owns outright. A
-    transformer_block owns nothing itself (its mha/mlp rows carry the params),
-    so its exclusive count is 0; removing it still deadens both branches.
+    param_count covers the tensors the structure owns outright (none once a
+    dead part is let go); a transformer_block owns none itself (its mha/mlp
+    rows carry the params), yet removing it deadens both branches.
     """
 
     kind: str
@@ -301,16 +301,15 @@ class TransformerBlock:
     PARTS = {"transformer_block": (), "mha": ("norm1", "mha"), "mlp": ("norm2", "mlp")}
 
     @staticmethod
-    def build(rng: Optional[np.random.Generator], desc: ArchDescriptor, i: int,
-              hidden: Optional[int] = None) -> "TransformerBlock":
+    def build(rng: Optional[np.random.Generator], desc: ArchDescriptor,
+              i: int) -> "TransformerBlock":
         d = desc.d_model
         px = f"blocks.{i}"
-        D = desc.mlp_hidden[i] if hidden is None else hidden
         return TransformerBlock(
             RmsNorm.build(d, f"{px}.norm1"),
             MultiHeadAttention.build(rng, d, desc.n_heads, f"{px}.mha"),
             RmsNorm.build(d, f"{px}.norm2"),
-            GatedMlp.build(rng, d, D, f"{px}.mlp"),
+            GatedMlp.build(rng, d, desc.mlp_hidden[i], f"{px}.mlp"),
         )
 
     def _body(self, ops, x, kv):
@@ -343,6 +342,16 @@ def part_tensors(block, kind: str) -> Dict[str, Tensor]:
     """The tensors the part `kind` of `block` owns outright: those of its
     PARTS fields, in their order."""
     return layers.tensors(*(getattr(block, f) for f in block.PARTS[kind]))
+
+
+def let_go_dead_parts(blocks) -> None:
+    """Sets the fields of every part that does not run (removed, or under a
+    removed parent) to None; the alive flags stay."""
+    for b in blocks:
+        for kind, fields in b.PARTS.items():
+            if not (b.alive and getattr(b, ALIVE_FLAG[kind])):
+                for f in fields:
+                    setattr(b, f, None)
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +401,14 @@ class Model:
         return Model._assemble(desc, np.random.default_rng(seed))
 
     @staticmethod
-    def _assemble(desc: ArchDescriptor, rng: Optional[np.random.Generator],
-                  hidden_now: Optional[Sequence[int]] = None) -> "Model":
+    def _assemble(desc: ArchDescriptor, rng: Optional[np.random.Generator]) -> "Model":
         """The one construction traversal. rng None draws nothing: weights
         are left undrawn (np.empty) or constant, for a loader to overwrite."""
         emb = Embedding.build(rng, desc.vocab, desc.d_model, "embedding")
         blocks: List[object] = []
         for i, kind in enumerate(desc.block_kinds):
-            if kind == "transformer":
-                h = None if hidden_now is None else hidden_now[i]
-                blocks.append(TransformerBlock.build(rng, desc, i, hidden=h))
-            else:
-                blocks.append(MambaBlock.build(rng, desc, i))
+            block = TransformerBlock if kind == "transformer" else MambaBlock
+            blocks.append(block.build(rng, desc, i))
         fin = RmsNorm.build(desc.d_model, "final_norm")
         head = Linear.build(rng, desc.d_model, desc.vocab, "head")
         return Model(desc, emb, blocks, fin, head)
@@ -515,9 +520,9 @@ class Model:
 
     def compact(self) -> "Model":
         """A copy of the surviving blocks, without the dead ones; survivors
-        are renumbered densely. Dead sub-structures (ssm/mha/mlp) stay as
-        flagged bypasses, since the descriptor has no way to express their
-        absence; sliced mlps carry over at their current width and count as
+        are renumbered densely. Dead parts (ssm/mha/mlp) keep their flags but
+        not their fields, which are None. Mlps carry over at their current
+        width (a dead one already let go, at its built width) and count as
         dense in the new model. Shares nothing with self; carries no grads."""
         keep = [i for i, b in enumerate(self.blocks) if b.alive]
         emb, blocks, fin, head = _copy.deepcopy(
@@ -527,9 +532,11 @@ class Model:
                 t.name = f"blocks.{new}." + t.name[len(f"blocks.{old}."):]
         desc = replace(self.desc, n_blocks=len(keep),
                        block_kinds=tuple(self.desc.block_kinds[i] for i in keep),
-                       mlp_hidden=tuple(b.mlp.hidden if isinstance(b, TransformerBlock)
-                                        else 0 for b in blocks))
+                       mlp_hidden=tuple(self.desc.mlp_hidden[old]
+                                        if getattr(b, "mlp", None) is None else b.mlp.hidden
+                                        for old, b in zip(keep, blocks)))
         desc.validate()
+        let_go_dead_parts(blocks)
         out = Model(desc, emb, blocks, fin, head)
         for t in out.named_tensors().values():
             t.grad = None
@@ -540,48 +547,50 @@ class Model:
 # checkpoints
 
 MAGIC = b"SSMPRUNE"
-VERSION = 1
+VERSION = 2
+# after the magic: version, header length, crc32 of every byte after the prefix
+PREFIX = struct.Struct("<IQI")
+_BODY = len(MAGIC) + PREFIX.size
+
+
+def _removal_rows(model: Model) -> List[list]:
+    """The plan actions that take a build of model.desc to model's flags and
+    widths. Per block: ["mlp_channels", i, g] when its live mlp is narrower
+    than built, then [kind, i] for each removed part, children before their
+    parent, so every row replays in order."""
+    rows: List[list] = []
+    for i, b in enumerate(model.blocks):
+        if model.is_effective("mlp", i) and b.mlp.hidden < model.desc.mlp_hidden[i]:
+            rows.append(["mlp_channels", i, model.desc.mlp_hidden[i] - b.mlp.hidden])
+        rows += [[kind, i] for kind in reversed(b.PARTS) if not getattr(b, ALIVE_FLAG[kind])]
+    return rows
 
 
 def save_model(model: Model, path: str, meta: Optional[dict] = None) -> None:
-    named = model.named_tensors()
+    """Writes the tensors that run and no others; the removal rows name the
+    parts of a build of the descriptor that are left out."""
+    named = model._tensors(live_only=True)
     header = {
         "descriptor": asdict(model.desc),
-        "structures": [[s.kind, s.block, s.alive] for s in model.structures()],
-        "mlp_hidden_now": [
-            (b.mlp.hidden if isinstance(b, TransformerBlock) else 0)
-            for b in model.blocks
-        ],
+        "removed": _removal_rows(model),
         "tensors": [[name, list(t.data.shape)] for name, t in named.items()],
         "meta": meta or {},
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = [json.dumps(header, sort_keys=True).encode("utf-8")]
+    body += [t.data.astype("<f4").tobytes() for t in named.values()]
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IQ", VERSION, len(blob)))
-        f.write(blob)
-        for t in named.values():
-            f.write(t.data.astype("<f4").tobytes())
+        f.write(MAGIC + PREFIX.pack(VERSION, len(body[0]), crc))
+        f.writelines(body)
 
 
-_HEADER_KEYS = ("descriptor", "structures", "mlp_hidden_now", "tensors", "meta")
+_HEADER_KEYS = ("descriptor", "removed", "tensors", "meta")
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_widths(path: str, desc: ArchDescriptor, hidden_now) -> None:
-    """One-line CheckpointError for mlp_hidden_now entries that do not fit
-    the descriptor's blocks."""
-    if not isinstance(hidden_now, list) or len(hidden_now) != desc.n_blocks:
-        raise CheckpointError(f"{path}: mlp_hidden_now {hidden_now!r} needs one entry "
-                              f"per block ({desc.n_blocks})")
-    for i, (kind, h) in enumerate(zip(desc.block_kinds, hidden_now)):
-        lo, hi = (1, desc.mlp_hidden[i]) if kind == "transformer" else (0, 0)
-        if not _is_int(h) or not lo <= h <= hi:
-            raise CheckpointError(f"{path}: mlp_hidden_now[{i}] = {h!r} on {kind} "
-                                  f"block {i}, expected {lo}..{hi}")
 
 
 def _check_tensor_rows(path: str, rows) -> None:
@@ -599,53 +608,49 @@ def _check_tensor_rows(path: str, rows) -> None:
         names.add(row[0])
 
 
-def _check_rows(path: str, model: Model, rows) -> None:
-    """One-line CheckpointError unless the structures rows hold exactly one
-    well-formed row per part of the built skeleton."""
-    n_blocks = len(model.blocks)
+def _replay(path: str, model: Model, rows) -> None:
+    """Replays the removal rows through Model.remove and Model.slice_mlp,
+    which refuse a row that does not fit; one-line CheckpointError naming
+    the row."""
     if not isinstance(rows, list):
-        raise CheckpointError(f"{path}: structures {rows!r} is not a list")
+        raise CheckpointError(f"{path}: removed {rows!r} is not a list")
     for row in rows:
-        if not isinstance(row, list) or len(row) != 3:
-            raise CheckpointError(f"{path}: structures row {row!r} is not "
-                                  "[kind, block, alive]")
-        kind, i, alive = row
-        if not _is_int(i) or not 0 <= i < n_blocks:
-            raise CheckpointError(f"{path}: structures row {row!r} names block {i!r}; "
-                                  f"model has {n_blocks}")
-        if not isinstance(kind, str) or kind not in ALIVE_FLAG:
-            raise CheckpointError(f"{path}: structures row {row!r} has unknown kind {kind!r}")
-        if kind not in model.blocks[i].PARTS:
-            raise CheckpointError(f"{path}: structures row {row!r}: {kind} does not fit "
-                                  f"{model.desc.block_kinds[i]} block {i}")
-        if not isinstance(alive, bool):
-            raise CheckpointError(f"{path}: structures row {row!r} has alive flag "
-                                  f"{alive!r}, expected true or false")
-    seen = Counter((kind, i) for kind, i, _ in rows)
-    for s in model.structures():
-        n = seen[s.kind, s.block]
-        if n != 1:
-            raise CheckpointError(f"{path}: structures row {s.kind} {s.block} is "
-                                  f"{'missing' if n == 0 else 'duplicated'}")
+        sig = [type(v).__name__ for v in row] if isinstance(row, list) else None
+        try:
+            if sig == ["str", "int"]:
+                model.remove(*row)
+            elif sig == ["str", "int", "int"] and row[0] == "mlp_channels":
+                model.slice_mlp(*row[1:])
+            else:
+                raise ValueError("is not [kind, block] or ['mlp_channels', block, g]")
+        except (ValueError, StateError, CapacityError) as e:
+            raise CheckpointError(f"{path}: removed row {row!r}: {e}") from None
 
 
 def load_model(path: str):
-    """-> (Model, meta dict). Bit-identical round trip with save_model.
+    """-> (Model, meta dict), holding only the parts that run, as
+    compact() leaves them. Round trip with save_model: the same live
+    tensors and flags, and a re-save writes the same bytes.
 
     The skeleton comes from `Model._assemble`, the traversal `Model.build`
-    runs, with no rng: nothing is drawn, and the payload then overwrites
-    every tensor in place."""
+    runs, with no rng: nothing is drawn. The removal rows replay on it, the
+    parts that do not run are let go, and the payload then overwrites every
+    tensor left in place."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:8]!r}")
-    if len(raw) < 20:
+    if len(raw) < _BODY:
         raise CheckpointError(f"{path}: truncated header")
-    version, hlen = struct.unpack("<IQ", raw[8:20])
+    version, hlen, crc = PREFIX.unpack(raw[8:_BODY])
     if version != VERSION:
         raise CheckpointError(f"{path}: version {version}, expected {VERSION}")
+    got = zlib.crc32(memoryview(raw)[_BODY:])
+    if got != crc:
+        raise CheckpointError(f"{path}: crc32 {got:08x} of the {len(raw) - _BODY} bytes "
+                              f"after the prefix, expected {crc:08x} (corrupt or truncated)")
     try:
-        header = json.loads(raw[20:20 + hlen].decode("utf-8"))
+        header = json.loads(raw[_BODY:_BODY + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
     missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
@@ -659,16 +664,16 @@ def load_model(path: str):
     except ConfigError as e:
         raise CheckpointError(f"{path}: {e}") from None
     _check_tensor_rows(path, header["tensors"])
-    _check_widths(path, desc, header["mlp_hidden_now"])
-    model = Model._assemble(desc, None, hidden_now=header["mlp_hidden_now"])
-    _check_rows(path, model, header["structures"])
+    model = Model._assemble(desc, None)
+    _replay(path, model, header["removed"])
+    let_go_dead_parts(model.blocks)
     have = model.named_tensors()
     want = {name: tuple(shape) for name, shape in header["tensors"]}
     if set(have) != set(want):
         missing = sorted(set(want) - set(have))[:3]
         extra = sorted(set(have) - set(want))[:3]
         raise CheckpointError(f"{path}: tensor set mismatch (missing {missing}, extra {extra})")
-    off = 20 + hlen
+    off = _BODY + hlen
     for name, shape in header["tensors"]:
         t = have[name]
         shape = tuple(shape)
@@ -682,8 +687,6 @@ def load_model(path: str):
         off = end
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
-    for kind, i, alive in header["structures"]:
-        setattr(model.blocks[i], ALIVE_FLAG[kind], alive)
     return model, header["meta"]
 
 

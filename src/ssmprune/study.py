@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 from .errors import ConfigError, read_text
@@ -69,7 +69,7 @@ def study_sensitivity(corpus: Corpus, cfg: StudyConfig,
             n_blocks=cfg.n_blocks, variant=variant, transformer_at=(),
             d_model=cfg.d_model, d_state=cfg.d_state)
         model = Model.build(desc, seed)
-        tcfg = TrainConfig(**{**cfg.train.to_dict(), "seed": seed})
+        tcfg = replace(cfg.train, seed=seed)
         train(model, corpus, tcfg, log_every=log_every)
         cal = CalibrationSet(corpus, cfg.cal_count, cfg.cal_length)
         dense_ppl = cal.ppl(model)

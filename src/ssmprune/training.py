@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -143,9 +143,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1), got {b}")
         if self.eval_every < 0 or self.eval_windows < 1:
             raise ConfigError("eval_every must be >= 0 and eval_windows >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:

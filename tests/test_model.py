@@ -1,8 +1,13 @@
 """Registry, removal semantics, accounting, checkpoints, compaction, decode."""
 
+import json
+import pathlib
+import random
 import re
+import struct
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -354,9 +359,15 @@ def test_compact_shares_nothing_with_the_overlay():
     names = {n: t.data.tobytes() for n, t in m.named_tensors().items()}
     flags = m.structures()
     c = m.compact()
-    fresh = Model.build(c.desc, 0).named_tensors()
+    # c owns exactly what a fresh build of c.desc holds, minus its dead parts
+    fresh = Model.build(c.desc, 0)
+    for fb, cb in zip(fresh.blocks, c.blocks):
+        for kind in fb.PARTS:
+            setattr(fb, md.ALIVE_FLAG[kind], getattr(cb, md.ALIVE_FLAG[kind]))
+    md.let_go_dead_parts(fresh.blocks)
     assert {n: t.data.shape for n, t in c.named_tensors().items()} == \
-        {n: t.data.shape for n, t in fresh.items()}
+        {n: t.data.shape for n, t in fresh.named_tensors().items()}
+    assert len(fresh.named_tensors()) < len(Model.build(c.desc, 0).named_tensors())
     assert all(t.grad is None for t in c.named_tensors().values())
     for t in c.named_tensors().values():
         t.data[...] = 7.0
@@ -372,26 +383,33 @@ def test_compact_shares_nothing_with_the_overlay():
 
 # -- checkpoints ------------------------------------------------------------
 
+BODY = len(md.MAGIC) + md.PREFIX.size  # where the crc-covered bytes start
+
+
+def _live_bytes(m):
+    return {t.name: t.data.tobytes() for t in m.parameters()}
+
+
 def test_checkpoint_round_trip_bit_identical(tmp_path):
     desc = tiny_desc()
     m = Model.build(desc, 10)
     m.remove("ssm", 2)
     m.slice_mlp(1, 8)
     meta = {"note": "fixture", "val_ppl": 12.5}
-    p = str(tmp_path / "m.ckpt")
-    md.save_model(m, p, meta)
-    m2, meta2 = md.load_model(p)
+    p = tmp_path / "m.ckpt"
+    md.save_model(m, str(p), meta)
+    m2, meta2 = md.load_model(str(p))
     assert meta2 == meta
-    a = m.named_tensors()
-    b = m2.named_tensors()
-    assert set(a) == set(b)
-    for name in a:
-        assert a[name].data.tobytes() == b[name].data.tobytes(), name
+    assert list(_live_bytes(m2)) == list(_live_bytes(m))
+    assert _live_bytes(m2) == _live_bytes(m)
     assert [(s.kind, s.block, s.alive) for s in m.structures()] == \
            [(s.kind, s.block, s.alive) for s in m2.structures()]
     toks = tokens_for(desc, np.random.default_rng(10))
     np.testing.assert_array_equal(m.forward(toks).data, m2.forward(toks).data)
     assert m2.prune_ratio() == pytest.approx(m.prune_ratio(), rel=1e-12)
+    again = tmp_path / "again.ckpt"
+    md.save_model(m2, str(again), meta2)
+    assert again.read_bytes() == p.read_bytes()
 
 
 def test_checkpoint_loads_without_drawing(tmp_path, monkeypatch):
@@ -411,11 +429,33 @@ def test_checkpoint_loads_without_drawing(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # undrawn memory is never computed on
         m2, _ = md.load_model(p)
-    a, b = m.named_tensors(), m2.named_tensors()
-    assert list(a) == list(b)
-    for name in a:
-        assert a[name].data.tobytes() == b[name].data.tobytes(), name
+    assert list(_live_bytes(m2)) == list(_live_bytes(m))
+    assert _live_bytes(m2) == _live_bytes(m)
     assert m2.forward(toks).data.tobytes() == m.forward(toks).data.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
+def test_loaded_and_compacted_models_own_only_what_runs(tmp_path, variant):
+    m = compact_case(variant, 22)
+    m.remove("mlp", 1)  # sliced, then removed
+    overlay_names = list(m.named_tensors())
+    p = str(tmp_path / "m.ckpt")
+    md.save_model(m, p)
+    loaded, _ = md.load_model(p)
+    for model in (loaded, m.compact(), loaded.compact()):
+        assert list(model.named_tensors()) == [t.name for t in model.parameters()]
+        for i, b in enumerate(model.blocks):
+            for kind, fields in b.PARTS.items():
+                if not model.is_effective(kind, i):
+                    assert all(getattr(b, f) is None for f in fields), (i, kind)
+    assert list(loaded.named_tensors()) == [t.name for t in m.parameters()]
+    # the in-memory overlay keeps every dead tensor
+    assert list(m.named_tensors()) == overlay_names
+    assert len(overlay_names) > len(loaded.named_tensors())
+    toks = tokens_for(m.desc, np.random.default_rng(22))
+    want = m.forward(toks).data.tobytes()
+    assert loaded.forward(toks).data.tobytes() == want
+    assert loaded.compact().forward(toks).data.tobytes() == want
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -431,7 +471,6 @@ def test_checkpoint_rejects_garbage(tmp_path):
         md.load_model(bad)
 
     bad = str(tmp_path / "bad_version.ckpt")
-    import struct
     open(bad, "wb").write(raw[:8] + struct.pack("<IQ", 99, 0) + raw[20:])
     with pytest.raises(CheckpointError, match="version"):
         md.load_model(bad)
@@ -442,22 +481,88 @@ def test_checkpoint_rejects_garbage(tmp_path):
         md.load_model(bad)
 
 
-def _rewrite_header(src, dst, edit):
-    """Copy a checkpoint with its JSON header passed through edit(header)."""
-    import json
-    import pathlib
-    import struct
+def test_checkpoint_refuses_version_1(tmp_path):
+    # version 1's prefix was <IQ, no crc; its header held structures rows
+    header = {"descriptor": {}, "structures": [], "mlp_hidden_now": [], "tensors": [],
+              "meta": {}}
+    blob = json.dumps(header).encode()
+    p = tmp_path / "v1.ckpt"
+    p.write_bytes(md.MAGIC + struct.pack("<IQ", 1, len(blob)) + blob + bytes(64))
+    with pytest.raises(CheckpointError) as err:
+        md.load_model(str(p))
+    assert str(err.value) == f"{p}: version 1, expected 2"
+
+
+def _pruned():
+    """mamba1 at 0 and 3, transformers at 1 and 2: ssm 0 and mlp 1 removed,
+    mlp 2 sliced to 24 of 32 channels, block 3 removed."""
+    m = Model.build(tiny_desc(transformer_at=(1, 2)), 12)
+    m.remove("ssm", 0)
+    m.remove("mlp", 1)
+    m.slice_mlp(2, 8)
+    m.remove("mamba_block", 3)
+    return m
+
+
+def test_checkpoint_rejects_flipped_bytes_by_crc(tmp_path):
+    # a header edit that still parses and fits (another divisor of d_model),
+    # and one flipped payload bit, both fail the crc
+    m = _pruned()
+    p = tmp_path / "m.ckpt"
+    md.save_model(m, str(p))
+    raw = p.read_bytes()
+    assert raw.count(b'"n_heads": 2') == 1
+    bad = tmp_path / "bad.ckpt"
+    for edited in (raw.replace(b'"n_heads": 2', b'"n_heads": 4'),
+                   raw[:-5] + bytes([raw[-5] ^ 1]) + raw[-4:]):
+        bad.write_bytes(edited)
+        with pytest.raises(CheckpointError, match="crc32 .* expected") as err:
+            md.load_model(str(bad))
+        assert "\n" not in str(err.value)
+
+
+def test_checkpoint_byte_fuzz_fails_in_one_line(tmp_path):
+    # seeded single-byte flips over every region, truncations and an
+    # appended byte: each is a CheckpointError of one line, nothing else
+    m = _pruned()
+    p = tmp_path / "m.ckpt"
+    md.save_model(m, str(p))
+    raw = p.read_bytes()
+    hlen = md.PREFIX.unpack(raw[len(md.MAGIC):BODY])[1]
+    rng = random.Random(2501)
+    regions = [(0, len(md.MAGIC)), (len(md.MAGIC), BODY), (BODY, BODY + hlen),
+               (BODY + hlen, len(raw))]
+    cases = []
+    for lo, hi in regions:
+        for _ in range(40):
+            k = rng.randrange(lo, hi)
+            cases.append(raw[:k] + bytes([raw[k] ^ (1 << rng.randrange(8))]) + raw[k + 1:])
+    cases += [raw[:rng.randrange(len(raw))] for _ in range(39)]
+    cases.append(raw + bytes([rng.randrange(256)]))
+    bad = tmp_path / "bad.ckpt"
+    for case in cases:
+        bad.write_bytes(case)
+        with pytest.raises(CheckpointError) as err:
+            md.load_model(str(bad))
+        assert "\n" not in str(err.value)
+
+
+def _rewrite_header(src, dst, edit, extra=b""):
+    """Copy a checkpoint with its JSON header passed through edit(header)
+    and extra appended to its payload, under a recomputed crc32."""
     raw = pathlib.Path(src).read_bytes()
-    version, hlen = struct.unpack("<IQ", raw[8:20])
-    header = json.loads(raw[20:20 + hlen].decode("utf-8"))
+    version, hlen, _ = md.PREFIX.unpack(raw[len(md.MAGIC):BODY])
+    header = json.loads(raw[BODY:BODY + hlen].decode("utf-8"))
     edit(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    pathlib.Path(dst).write_bytes(raw[:8] + struct.pack("<IQ", version, len(blob))
-                                  + blob + raw[20 + hlen:])
+    body = blob + raw[BODY + hlen:] + extra
+    pathlib.Path(dst).write_bytes(raw[:len(md.MAGIC)]
+                                  + md.PREFIX.pack(version, len(blob), zlib.crc32(body)) + body)
 
 
-def _load_edited(tmp_path, edit):
-    m = Model.build(tiny_desc(), 12)  # mamba at 0, 2, 3; a transformer at 1
+def _load_edited(tmp_path, edit, m=None):
+    if m is None:
+        m = Model.build(tiny_desc(), 12)  # mamba at 0, 2, 3; a transformer at 1
     p = str(tmp_path / "m.ckpt")
     md.save_model(m, p)
     bad = str(tmp_path / "bad.ckpt")
@@ -468,60 +573,82 @@ def _load_edited(tmp_path, edit):
     return str(err.value)
 
 
+def _append(*rows):
+    def edit(h):
+        h["removed"] += list(rows)
+    return edit
+
+
+# on _pruned(): ["ssm", 0], ["mlp", 1], ["mlp_channels", 2, 8], ["mamba_block", 3]
 @pytest.mark.parametrize("row,match", [
-    (["ssm", 4, False], "block 4"),
-    (["ssm", -1, False], "block -1"),
-    (["attention", 0, False], "unknown kind"),
-    (["mlp_channels", 1, False], "unknown kind"),
-    (["ssm", 1, False], "ssm does not fit transformer block 1"),
-    (["mha", 0, False], "mha does not fit mamba1 block 0"),
-    (["transformer_block", 2, False], "transformer_block does not fit mamba1"),
-    (["mamba_block", 1, False], "mamba_block does not fit transformer"),
-    (["ssm", 0], "kind, block, alive"),
-    (["ssm", 0, "no"], "alive flag"),
+    (["ssm", 4], "no block 4; model has 4"),
+    (["ssm", -1], "no block -1"),
+    (["attention", 0], "unknown structure kind 'attention'"),
+    (["mlp_channels", 2], "unknown structure kind 'mlp_channels'"),
+    (["ssm", 1], "block 1 has no ssm"),
+    (["mha", 0], "block 0 has no mha"),
+    (["transformer_block", 0], "block 0 has no transformer_block"),
+    (["mamba_block", 1], "block 1 has no mamba_block"),
+    (["ssm"], r"is not \[kind, block\]"),
+    (["ssm", 0, "no"], r"is not \[kind, block\]"),
+    (["ssm", 0, False], r"is not \[kind, block\]"),
+    (["ssm", True], r"is not \[kind, block\]"),
+    ("ssm 0", r"is not \[kind, block\]"),
+    (["ssm", 3], "ssm 3: parent block already removed"),
+    (["mlp_channels", 1, 8], "block 1 has no live mlp to slice"),
+    (["mlp_channels", 2, "8"], r"is not \[kind, block\]"),
 ], ids=["block-past-end", "negative-block", "unknown-kind", "channels-kind",
         "ssm-on-transformer", "mha-on-mamba", "transformer-on-mamba",
-        "mamba-on-transformer", "short-row", "non-bool-alive"])
+        "mamba-on-transformer", "short-row", "non-bool-alive", "v1-row", "bool-block",
+        "string-row", "child-after-parent", "slice-dead-mlp",
+        "string-g"])
 def test_checkpoint_rejects_structure_rows_that_do_not_fit(tmp_path, row, match):
-    msg = _load_edited(tmp_path, lambda h: h["structures"].append(row))
+    msg = _load_edited(tmp_path, _append(row), _pruned())
     assert re.search(match, msg), msg
+    assert f"removed row {row!r}" in msg
 
 
-@pytest.mark.parametrize("block,hidden", [(0, 8), (1, 0), (1, 64), (1, None)],
-                         ids=["width-on-mamba", "zero-width", "wider-than-built",
-                              "missing-entry"])
-def test_checkpoint_rejects_mlp_widths_that_do_not_fit(tmp_path, block, hidden):
+def _drop(row):
     def edit(h):
-        if hidden is None:
-            h["mlp_hidden_now"].pop()
-        else:
-            h["mlp_hidden_now"][block] = hidden
-    assert "mlp_hidden_now" in _load_edited(tmp_path, edit)
-
-
-def _drop_row(kind, block):
-    def edit(h):
-        h["structures"] = [r for r in h["structures"] if r[:2] != [kind, block]]
+        h["removed"].remove(row)
     return edit
 
 
 @pytest.mark.parametrize("edit,match", [
-    (lambda h: h["structures"].clear(), "mamba_block 0 is missing"),
-    (_drop_row("ssm", 0), "ssm 0 is missing"),
-    (_drop_row("mlp", 1), "mlp 1 is missing"),
-    (lambda h: h["structures"].append(["ssm", 0, False]), "ssm 0 is duplicated"),
-    (lambda h: h["structures"].append(["ssm", 0, True]), "ssm 0 is duplicated"),
-    (lambda h: h["structures"].append(["transformer_block", 1, True]),
-     "transformer_block 1 is duplicated"),
-], ids=["no-rows", "missing-ssm", "missing-mlp", "contradicting-duplicate",
-        "same-duplicate", "duplicate-parent"])
-def test_checkpoint_rejects_missing_or_duplicated_structure_rows(tmp_path, edit, match):
-    msg = _load_edited(tmp_path, edit)
+    (_append(["mlp_channels", 0, 8]), "block 0 has no live mlp to slice"),
+    (_append(["mlp_channels", 2, 24]), "cannot drop 24 of 24 channels"),
+    (_append(["mlp_channels", 2, -8]), "cannot drop -8 of 24 channels"),
+    (_drop(["mlp_channels", 2, 8]),
+     r"blocks\.2\.mlp\.up\.weight has shape \(24, 16\), expected \(32, 16\)"),
+    (_append(["mlp_channels", 2, 0]), "cannot drop 0 of 24 channels"),
+], ids=["width-on-mamba", "zero-width", "wider-than-built", "missing-entry", "zero-g"])
+def test_checkpoint_rejects_mlp_widths_that_do_not_fit(tmp_path, edit, match):
+    msg = _load_edited(tmp_path, edit, _pruned())
     assert re.search(match, msg), msg
 
 
-def test_checkpoint_rejects_header_without_structures(tmp_path):
-    assert "lacks ['structures']" in _load_edited(tmp_path, lambda h: h.pop("structures"))
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h["removed"].clear(), r"tensor set mismatch \(missing \[\], extra \['blocks"),
+    (_drop(["ssm", 0]), r"tensor set mismatch \(missing \[\], extra \['blocks\.0\.ssm\.A_log'"),
+    (_drop(["mlp", 1]), r"tensor set mismatch \(missing \[\], extra \['blocks\.1\.mlp\.down"),
+    (_append(["mha", 2]), r"tensor set mismatch \(missing \['blocks\.2\.mha\.k\.weight'"),
+    (_append(["transformer_block", 1]),
+     r"tensor set mismatch \(missing \['blocks\.1\.mha\.k\.weight'"),
+    (_append(["mlp_channels", 2, 8]),
+     r"blocks\.2\.mlp\.up\.weight has shape \(24, 16\), expected \(16, 16\)"),
+    (_append(["ssm", 0]), "removed row \\['ssm', 0\\]: ssm 0 already removed"),
+    (_append(["mamba_block", 3]), "mamba_block 3 already removed"),
+], ids=["no-rows", "missing-ssm", "missing-mlp", "added-mha", "added-parent",
+        "contradicting-duplicate", "same-duplicate", "duplicate-parent"])
+def test_checkpoint_rejects_missing_or_duplicated_structure_rows(tmp_path, edit, match):
+    # a row added or dropped without its tensors no longer fits the table
+    msg = _load_edited(tmp_path, edit, _pruned())
+    assert re.search(match, msg), msg
+
+
+def test_checkpoint_rejects_header_without_removed(tmp_path):
+    assert "lacks ['removed']" in _load_edited(tmp_path, lambda h: h.pop("removed"))
+    assert "removed {} is not a list" in _load_edited(tmp_path, lambda h: h.update(removed={}))
 
 
 def _set(section, key, value):
@@ -550,20 +677,13 @@ def test_checkpoint_rejects_malformed_header_fields(tmp_path, edit, match):
 
 def test_checkpoint_rejects_a_tensor_named_twice(tmp_path):
     # the repeated row comes with its own payload slice, so every size adds up
-    import json
-    import struct
     m = Model.build(tiny_desc(), 12)
     p = tmp_path / "m.ckpt"
     md.save_model(m, str(p))
-    raw = p.read_bytes()
-    version, hlen = struct.unpack("<IQ", raw[8:20])
-    header = json.loads(raw[20:20 + hlen].decode("utf-8"))
-    name, shape = header["tensors"][-1]
-    header["tensors"].append([name, shape])
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    name, last = list(m.named_tensors().items())[-1]
     bad = tmp_path / "twice.ckpt"
-    bad.write_bytes(raw[:8] + struct.pack("<IQ", version, len(blob)) + blob
-                    + raw[20 + hlen:] + raw[-4 * int(np.prod(shape)):])
+    _rewrite_header(p, bad, lambda h: h["tensors"].append([name, list(last.data.shape)]),
+                    extra=p.read_bytes()[-4 * last.data.size:])
     with pytest.raises(CheckpointError, match=f"name {name} twice") as err:
         md.load_model(str(bad))
     assert "\n" not in str(err.value)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -91,8 +92,7 @@ def test_curve_point_equals_replayed_prefix(study_run):
                           d_state=cfg.d_state)
     model = Model.build(desc, run["seed"])
     corpus = Corpus.bundled()
-    train(model, corpus, TrainConfig(**{**cfg.train.to_dict(),
-                                        "seed": run["seed"]}))
+    train(model, corpus, replace(cfg.train, seed=run["seed"]))
     cal = CalibrationSet(corpus, cfg.cal_count, cfg.cal_length)
     by = {(r["kind"], r["steps"]): r["PPL"] for r in summary["curves"]}
     for t in (1, 2):
