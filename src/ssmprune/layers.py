@@ -11,8 +11,12 @@ gated mlp is one body over an ops table, the blocks' tape or array ops, and
 needs no backward of its own.
 
 A backward closure keeps its inputs and what no cheap pass rebuilds.
-Attention's softmax weights and cross-entropy's shifted logits are computed
-again in the backward, by the helper the forward calls, to the same bytes.
+Attention keeps only x and its weights: its backward rebuilds the float64
+heads, the softmax weights and ctx, and cross-entropy's its shifted logits,
+by the helpers the forward calls, to the same bytes. Attention builds its
+weights one (batch rows, heads) block at a time, forward and backward:
+whole rows while one row's H * T * (n + T) weights fit in `_WEIGHT_ELEMS`,
+else one row's heads in blocks of at least one head.
 """
 
 from __future__ import annotations
@@ -122,25 +126,48 @@ def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
 
 
 # Elements of one block of (B, H, T, n + T) attention weights: attention
-# walks its batch rows in blocks of at most this many weights (but at least
-# one row), so a long window's weights are never whole. Per-row matmuls give
-# the same bytes as one batched matmul.
+# walks its batch rows in blocks of at most this many weights, and one row's
+# heads in blocks when a whole row's do not fit (but at least one head), so a
+# long window's weights are never whole. Per-block matmuls give the same bytes
+# as one batched matmul.
 _WEIGHT_ELEMS = 1 << 18
 
 
-def _row_blocks(B: int, per_row: int):
-    """Slices over B batch rows of per_row weights each, in order."""
-    rows = max(1, _WEIGHT_ELEMS // per_row)
-    return [slice(b, b + rows) for b in range(0, B, rows)]
+def _row_blocks(B: int, H: int, per_head: int):
+    """(batch slice, head slice) blocks over B rows of H heads with per_head
+    weights each, in order: whole rows while one row's weights fit, else one
+    row cut into blocks of heads."""
+    if H * per_head <= _WEIGHT_ELEMS:
+        rows = _WEIGHT_ELEMS // (H * per_head)
+        return [(slice(b, b + rows), slice(None)) for b in range(0, B, rows)]
+    heads = max(1, _WEIGHT_ELEMS // per_head)
+    return [(slice(b, b + 1), slice(h, h + heads))
+            for b in range(B) for h in range(0, H, heads)]
+
+
+def _heads(x2: np.ndarray, w: np.ndarray, B: int, n_heads: int) -> np.ndarray:
+    """x2 (B*T, d) float64 projected by w (d, d): float64 heads (B, H, T, hd).
+    The forward builds q, k and v through it, and the backward builds them
+    again from the same x and weights, to the same bytes."""
+    d = w.shape[0]
+    return ((x2 @ w.astype(np.float64, copy=False).T)
+            .reshape(B, -1, n_heads, d // n_heads).transpose(0, 2, 1, 3))
+
+
+def _unheads(h: np.ndarray) -> np.ndarray:
+    """(B, H, T, hd) -> (B*T, d), the inverse of `_heads`' split."""
+    B, H, T, hd = h.shape
+    return h.transpose(0, 2, 1, 3).reshape(-1, H * hd)
 
 
 def _probs(q: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     """Causal softmax of the scaled scores of queries q (B, H, T, hd) at
     positions n .. n+T-1 against keys k (B, H, n + T, hd): float64 (B, H, T,
     n + T). The forward computes it, and the backward computes it again from
-    the q and k it keeps, to the same bytes."""
+    the q and k it rebuilds, to the same bytes."""
     T, hd = q.shape[2:]
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= np.sqrt(hd)
     later = np.arange(n + T) > np.arange(n, n + T)[:, None]  # key after query
     np.copyto(scores, -np.inf, where=later)
     scores -= scores.max(axis=-1, keepdims=True)
@@ -159,8 +186,7 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     and value buffers (B, H, capacity, hd) whose first n positions hold the
     earlier tokens, or None for none. x's keys and values go in after them,
     and full buffers grow. Without a prefix the returned one is x's own
-    heads, exactly full. -> (y (B, T, d) float32, the prefix after x, and
-    the float64 (q, k, v, ctx) the backward reuses).
+    heads, exactly full. -> (y (B, T, d) float32, the prefix after x).
     """
     if x.ndim != 3:
         raise ShapeError(f"attention: expected (B, T, d), got {x.shape}")
@@ -169,12 +195,8 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
         raise ShapeError(f"attention: d={d} not divisible by n_heads={n_heads}")
     hd = d // n_heads
     x2 = x.reshape(-1, d).astype(np.float64)
-
-    def heads(w):
-        w64 = w.astype(np.float64, copy=False)
-        return (x2 @ w64.T).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
-
-    q, k, v = heads(wq), heads(wk), heads(wv)           # (B, H, T, hd)
+    q, k, v = (_heads(x2, w, B, n_heads) for w in (wq, wk, wv))  # (B, H, T, hd)
+    del x2
     if kv is None:
         n, kv = 0, (k, v, T)
     else:
@@ -188,29 +210,31 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
         if n:
             k, v = kb[:, :, :n + T], vb[:, :, :n + T]
     ctx = np.empty((B, n_heads, T, hd))
-    for r in _row_blocks(B, n_heads * T * (n + T)):
+    for r in _row_blocks(B, n_heads, T * (n + T)):
         ctx[r] = _probs(q[r], k[r], n) @ v[r]
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(-1, d)      # (B*T, d)
-    y = (ctx @ wo.astype(np.float64, copy=False).T).astype(np.float32).reshape(B, T, d)
-    return y, kv, (q, k, v, ctx)
+    del q, k, v
+    ctx = _unheads(ctx)                                    # (B*T, d)
+    y = ctx @ wo.astype(np.float64, copy=False).T
+    return y.astype(np.float32).reshape(B, T, d), kv
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> Tensor:
-    """The backward keeps the float64 heads and ctx, and recomputes the
-    (B, H, T, T) attention weights from q and k."""
-    y, _, (q, k, v, ctx) = attention_f(x.data, wq.data, wk.data, wv.data, wo.data,
-                                       n_heads)
-    out = Tensor(y)
-    B, T, d = y.shape
+    """The backward keeps x and the weights only. It rebuilds the float64
+    heads through `_heads`, and the attention weights and ctx one block at a
+    time, as the forward built them."""
+    out = Tensor(attention_f(x.data, wq.data, wk.data, wv.data, wo.data, n_heads)[0])
+    B, T, d = x.data.shape
     hd = d // n_heads
 
     def bwd(g: np.ndarray):
         x2 = x.data.reshape(-1, d).astype(np.float64)
+        q, k, v = (_heads(x2, w.data, B, n_heads) for w in (wq, wk, wv))
         g2 = g.reshape(-1, d).astype(np.float64)
         gctx = (g2 @ wo.data.astype(np.float64)).reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
-        gq, gk, gv = (np.empty((B, n_heads, T, hd)) for _ in range(3))
-        for r in _row_blocks(B, n_heads * T * T):
+        gq, gk, gv, ctx = (np.empty((B, n_heads, T, hd)) for _ in range(4))
+        for r in _row_blocks(B, n_heads, T * T):
             p = _probs(q[r], k[r], 0)
+            ctx[r] = p @ v[r]
             gp = gctx[r] @ v[r].transpose(0, 1, 3, 2)
             gv[r] = p.transpose(0, 1, 3, 2) @ gctx[r]
             # gs = p * (gp - (gp * p).sum(-1)) / sqrt(hd), in place in gp
@@ -219,11 +243,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads
             gp /= np.sqrt(hd)
             gq[r] = gp @ k[r]
             gk[r] = gp.transpose(0, 1, 3, 2) @ q[r]
-
-        def unheads(h):
-            return h.transpose(0, 2, 1, 3).reshape(-1, d)
-
-        gq2, gk2, gv2 = unheads(gq), unheads(gk), unheads(gv)
+            del p, gp
+        del q, k, v, gctx
+        ctx = _unheads(ctx)
+        gq2, gk2, gv2 = _unheads(gq), _unheads(gk), _unheads(gv)
         gx64 = (
             gq2 @ wq.data.astype(np.float64)
             + gk2 @ wk.data.astype(np.float64)

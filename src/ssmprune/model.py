@@ -204,7 +204,7 @@ def _array_ops() -> SimpleNamespace:
         scan=lambda x, p, h: scan_f(x, p, h, w64)[:2],
         attention=lambda x, mha, kv: attention_f(
             x, w64(mha.q.weight), w64(mha.k.weight), w64(mha.v.weight),
-            w64(mha.o.weight), mha.n_heads, kv)[:2],
+            w64(mha.o.weight), mha.n_heads, kv),
     )
 
 
@@ -721,7 +721,7 @@ class DecodeSession:
         cap = max(self.capacity_hint, T + 1)
         self._state = [b.empty_state(self._batch, cap) for b in self.model.blocks]
         self._ops = _array_ops()
-        return self._advance(x)[:, -1].copy()
+        return self._advance(x)
 
     def step(self, tokens: np.ndarray) -> np.ndarray:
         """tokens (B,) -> next-position logits (B, vocab)."""
@@ -730,12 +730,14 @@ class DecodeSession:
         tokens = np.asarray(tokens)
         if tokens.shape != (self._batch,):
             raise ShapeError(f"step: tokens shape {tokens.shape}, expected ({self._batch},)")
-        return self._advance(self.model._embed(tokens[:, None]).data)[:, 0]
+        return self._advance(self.model._embed(tokens[:, None]).data)
 
     def _advance(self, x: np.ndarray) -> np.ndarray:
-        """x (B, T, d) -> logits (B, T, vocab); moves every live block's state past x."""
+        """x (B, T, d) -> the logits of its last position (B, vocab); moves
+        every live block's state past x. Only that position reaches the
+        final norm and the head."""
         m, ops = self.model, self._ops
         for i, b in enumerate(m.blocks):
             if b.alive:
                 x, self._state[i] = b.decode_step(x, self._state[i], ops)
-        return ops.linear(ops.rmsnorm(x, m.final_norm), m.head)
+        return ops.linear(ops.rmsnorm(x[:, -1], m.final_norm), m.head)

@@ -20,9 +20,10 @@ exp(dt*A) and input term (dt*x) outer B, runs the float64 recurrence over
 them and reads y out at once from its states rounded to float32; the
 (B, T, c, N) decay, input terms and per-token states are never whole. Under
 an active tape the scan also keeps the float64 state at the start of each
-backward segment, a few chunks long, and no per-token state. Of the
-per-token pieces the backward keeps dtp, B and C, and recomputes dt and
-dt*x from dtp. It walks the segments in reverse: it fills one segment's
+backward segment, a few chunks long, and no per-token state. The backward
+keeps x and those starts only: it rebuilds dtp, B and C from x through
+`_project`, the forward's own call, and dt and dt*x from dtp, to the same
+bytes. It walks the segments in reverse: it fills one segment's
 time-major float64 copies of what the chunk terms read (g, C, B, x, dt,
 dt*x), recomputes the segment's states from its start state, then walks
 its chunks in reverse with the decay computed there. These working arrays
@@ -113,7 +114,9 @@ def _cast64(t: Tensor) -> np.ndarray:
 
 def _project(p: SsmParams, x: np.ndarray,
              w64: Callable[[Tensor], np.ndarray] = _cast64) -> Tuple[np.ndarray, ...]:
-    """Input-dependent projections of x (..., c): dtp, B, C as float32."""
+    """Input-dependent projections of x (..., c): dtp, B, C as float32. The
+    forward computes them, and the backward computes them again from the x
+    it keeps, to the same bytes."""
     lead = x.shape[:-1]
     x2 = x.reshape(-1, p.channels).astype(np.float64)
     dtp = f32((x2 @ w64(p.x_to_dt.weight).T + w64(p.dt_bias)).reshape(lead + (p.channels,)))
@@ -125,7 +128,7 @@ def _project(p: SsmParams, x: np.ndarray,
 def _steps(dtp: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The step sizes dt = softplus(dtp) and the input scale dt*x, float32.
     The forward computes them, and the backward computes them again from the
-    dtp it keeps, to the same bytes."""
+    dtp it rebuilds, to the same bytes."""
     dt = softplus_f(dtp)
     return dt, dt * x
 
@@ -213,11 +216,11 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     D_skip); a decode session passes the copies it keeps. A_log is read as
     it is, float32.
 
-    -> (y (B, T, c) float32, the float64 state after x, and the pieces the
-    backward reuses: dtp, Bm, Cm and, only under an active tape, the float64
-    states at each segment start (None otherwise)). No call keeps the
-    per-token states: each chunk's are read out at once, into a float64
-    buffer one segment long, and no call holds a whole-sequence float64 y.
+    -> (y (B, T, c) float32, the float64 state after x, and, only under an
+    active tape, the float64 states at each segment start, which the backward
+    reads (None otherwise)). No call keeps the per-token states: each chunk's
+    are read out at once, into a float64 buffer one segment long, and no call
+    holds a whole-sequence float64 y.
     """
     if x.ndim != 3 or x.shape[-1] != p.channels:
         raise ShapeError(f"selective_scan: input {x.shape}, expected (B, T, {p.channels})")
@@ -243,7 +246,7 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
         y = np.einsum("bcn,bn->bc", hc.astype(np.float32), Cm[:, 0],
                       dtype=np.float64)[:, None]
         y += w64(p.D_skip) * x
-        return y.astype(np.float32), hc, (dtp, Bm, Cm, starts)
+        return y.astype(np.float32), hc, starts
     L = _chunk_len(B_, c, N)
     k = _Chunks(A, dt, dtx, Bm, L)
     del dt, dtx                                            # k holds time-major copies
@@ -268,7 +271,7 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
             out = seg[:, :j + len(hc)]
             out += D * x[:, r]
             np.copyto(y[:, r], out)
-    return y, h.copy(), (dtp, Bm, Cm, starts)              # h: not a view of a chunk buffer
+    return y, h.copy(), starts                             # h: not a view of a chunk buffer
 
 
 def _adjoint(p: SsmParams, x: np.ndarray, g: np.ndarray, dtp: np.ndarray,
@@ -358,9 +361,10 @@ def _adjoint(p: SsmParams, x: np.ndarray, g: np.ndarray, dtp: np.ndarray,
 
 
 def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
-    """`scan_f` from a zero state, on the tape. The backward keeps dtp, B, C
-    and the segment starts, and recomputes dt and dt*x from dtp."""
-    y, _, (dtp, Bm, Cm, starts) = scan_f(x.data, p)
+    """`scan_f` from a zero state, on the tape. The backward keeps x and the
+    segment starts, rebuilds dtp, B and C through `_project`, and recomputes
+    dt and dt*x from dtp."""
+    y, _, starts = scan_f(x.data, p)
     out = Tensor(y)
     B_, T, c = y.shape
     N = p.n_state
@@ -370,7 +374,9 @@ def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
         dD = (g64 * x.data).sum(axis=(0, 1))
         dx = g64 * p.D_skip.data.astype(np.float64)
         del g64
+        dtp, Bm, Cm = _project(p, x.data)
         d_dt, dBm, dCm, dA = _adjoint(p, x.data, g, dtp, Bm, Cm, starts, dx)
+        del Bm, Cm
         d_dtp = _time_major(d_dt)
         del d_dt
         d_dtp *= sigmoid_f(dtp).astype(np.float64)

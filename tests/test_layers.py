@@ -1,5 +1,7 @@
 """Layer forwards vs float64 oracles; layer backwards vs finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,7 @@ def test_attention_mask_matches_frozen_to_the_byte(B, T):
     x = rnd(rng, B, T, 8, scale=0.5)
     ws = [rnd(rng, 8, 8, scale=0.4) for _ in range(4)]
     out = ly.attention(tn.Tensor(x), *[tn.Tensor(w) for w in ws], n_heads=2)
-    _, (ks, vs, n), _ = ly.attention_f(x, *ws, n_heads=2)
+    _, (ks, vs, n) = ly.attention_f(x, *ws, n_heads=2)
     y, k, v = frozen_attention(x, *ws, n_heads=2)
     assert out.data.tobytes() == np.asarray(y, dtype=np.float32).tobytes()
     assert n == T
@@ -174,14 +176,26 @@ def test_attention_backward_matches_frozen_to_the_byte(B, T):
     assert got[0] == got[1]
 
 
-@pytest.mark.parametrize("rows", [1, 2])
-def test_attention_in_row_blocks_matches_frozen_to_the_byte(rows, monkeypatch):
-    # forward and backward walk the batch rows in blocks of `rows` (3 rows:
-    # blocks of 1, 1, 1 or 2, 1); per-row matmuls give the batched bytes
+def _block_cells(blocks, B, H):
+    """The (row, head) pairs of _row_blocks' blocks, in their order."""
+    return [(b, h) for r, hs in blocks for b in range(B)[r] for h in range(H)[hs]]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 8, None])
+def test_attention_in_row_blocks_matches_frozen_to_the_byte(budget, monkeypatch):
+    # forward, backward and a key/value-prefix decode walk (row, head) blocks
+    # of at most budget * T * T weights: one row's heads in blocks of 1, 2 or
+    # 3 (3: blocks of 3, 1), or whole rows, 1 or 2 at a time (2: blocks of 2,
+    # 1), or all 3 rows at the default budget; every block gives the bytes of
+    # one batched matmul
     rng = np.random.default_rng(26)
-    B, H, T, d = 3, 2, 17, 8
-    monkeypatch.setattr(ly, "_WEIGHT_ELEMS", rows * H * T * T)
-    assert len(ly._row_blocks(B, H * T * T)) == -(-B // rows)
+    B, H, T, d = 3, 4, 17, 8
+    if budget is not None:
+        monkeypatch.setattr(ly, "_WEIGHT_ELEMS", budget * T * T)
+    blocks = ly._row_blocks(B, H, T * T)
+    assert _block_cells(blocks, B, H) == [(b, h) for b in range(B) for h in range(H)]
+    sizes = [len(range(B)[r]) * len(range(H)[hs]) for r, hs in blocks]
+    assert max(sizes) == (budget or B * H)
     x = rnd(rng, B, T, d, scale=0.5)
     ws = [rnd(rng, d, d, scale=0.4) for _ in range(4)]
     g = rnd(rng, B, T, d)
@@ -192,20 +206,61 @@ def test_attention_in_row_blocks_matches_frozen_to_the_byte(rows, monkeypatch):
         (node,) = graph._nodes
         got.append([out.data.tobytes()] + [a.tobytes() for a in node.bwd(g)])
     assert got[0] == got[1]
+    # decode: a 5-token prefill into a one-position buffer, a 6-token chunk
+    # after it, then one token at a time; the buffers grow
+    empty = np.zeros((B, H, 1, d // H))
+    kv, ys = (empty, empty.copy(), 0), []
+    for a, b in [(0, 5), (5, 11)] + [(t, t + 1) for t in range(11, T)]:
+        y, kv = ly.attention_f(x[:, a:b], *ws, n_heads=H, kv=kv)
+        ys.append(y)
+    assert kv[2] == T and kv[0].shape[2] >= T
+    assert np.concatenate(ys, axis=1).tobytes() == got[1][0]
 
 
 def test_attention_keeps_no_attention_weights():
-    # the float64 heads and ctx stay; no (B, H, T, T) array does
+    # the backward rebuilds the float64 heads, the weights and ctx; it keeps
+    # no (B, H, T, T) and no (B, H, T, hd) array
     rng = np.random.default_rng(25)
     B, H, T, d = 2, 2, 16, 8
+    x = tn.Tensor(rnd(rng, B, T, d))
+    ws = [tn.Tensor(rnd(rng, d, d), requires_grad=True) for _ in range(4)]
     with tn.tape() as graph:
-        ly.attention(tn.Tensor(rnd(rng, B, T, d)),
-                     *[tn.Tensor(rnd(rng, d, d), requires_grad=True) for _ in range(4)],
-                     n_heads=H)
+        ly.attention(x, *ws, n_heads=H)
     (node,) = graph._nodes
-    shapes = [a.shape for a in kept_arrays(node.bwd)]
-    assert (B, H, T, T) not in shapes
-    assert shapes.count((B, H, T, d // H)) == 3
+    kept = kept_arrays(node.bwd)
+    assert sorted(map(id, kept)) == sorted(id(t.data) for t in [x] + ws)
+    shapes = [a.shape for a in kept]
+    assert (B, H, T, T) not in shapes and (B, H, T, d // H) not in shapes
+
+
+def test_attention_at_a_long_window_builds_one_head_at_a_time():
+    # B=1, H=4, T=416 (generate's check window): one row's weights are 5.5 MB,
+    # over the 2 MB budget, so forward and backward walk its heads one at a
+    # time. Traced peaks above the start: 2.4 MB forward and 6.0 MB backward,
+    # against 6.6 and 17.1 MB with whole-row blocks and kept heads.
+    rng = np.random.default_rng(27)
+    B, H, T, d = 1, 4, 416, 64
+    assert ly._row_blocks(B, H, T * T) == [(slice(0, 1), slice(h, h + 1)) for h in range(H)]
+    x = tn.Tensor(rnd(rng, B, T, d, scale=0.5))
+    ws = [tn.Tensor(rnd(rng, d, d, scale=0.2), requires_grad=True) for _ in range(4)]
+    g = rnd(rng, B, T, d)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ly.attention_f(x.data, *[w.data for w in ws], H)
+        fwd = tracemalloc.get_traced_memory()[1] - before
+        with tn.tape() as graph:
+            ly.attention(x, *ws, n_heads=H)
+        (node,) = graph._nodes
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        node.bwd(g)
+        bwd = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    mb = 1 << 20
+    assert fwd < 3 * mb, f"forward peak {fwd / mb:.1f} MB"
+    assert bwd < 8 * mb, f"backward peak {bwd / mb:.1f} MB"
 
 
 def test_attention_gradients():
@@ -402,9 +457,9 @@ def test_kernels_give_the_same_bytes_for_float64_weights():
     assert ly.linear_f(x, w.astype(np.float64)).tobytes() == ly.linear_f(x, w).tobytes()
     assert (ly.rmsnorm_f(x, scale.astype(np.float64)).tobytes()
             == ly.rmsnorm_f(x, scale).tobytes())
-    y32, (k32, v32, _), _ = ly.attention_f(x, *ws, n_heads=2)
-    y64, (k64, v64, _), _ = ly.attention_f(x, *[w.astype(np.float64) for w in ws],
-                                           n_heads=2)
+    y32, (k32, v32, _) = ly.attention_f(x, *ws, n_heads=2)
+    y64, (k64, v64, _) = ly.attention_f(x, *[w.astype(np.float64) for w in ws],
+                                        n_heads=2)
     assert y64.tobytes() == y32.tobytes()
     assert k64.tobytes() == k32.tobytes() and v64.tobytes() == v32.tobytes()
 

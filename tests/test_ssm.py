@@ -194,13 +194,13 @@ def test_untaped_scan_keeps_no_per_token_states(variant, steps):
     T = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[steps]
     p = build_params(rng, variant, c, N, hot_dt=True)
     x = rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32)
-    y, h, pieces = ssm.scan_f(x, p)
+    y, h, starts = ssm.scan_f(x, p)
     untaped = ssm.selective_scan(tn.Tensor(x, requires_grad=True), p)
-    assert all(np.shape(a) != (B, T, c, N) for a in (y, h) + pieces)
+    assert starts is None and y.shape == (B, T, c) and h.shape == (B, c, N)
     with tn.tape():
         taped = ssm.selective_scan(tn.Tensor(x, requires_grad=True), p)
-        y_t, h_t, pieces_t = ssm.scan_f(x, p)
-    assert pieces_t[-1].shape == (-(-T // ssm._segment_len(B, c, N)), B, c, N)
+        y_t, h_t, starts_t = ssm.scan_f(x, p)
+    assert starts_t.shape == (-(-T // ssm._segment_len(B, c, N)), B, c, N)
     assert untaped.data.tobytes() == y.tobytes()
     assert taped.data.tobytes() == y_t.tobytes() == y.tobytes()
     assert h_t.tobytes() == h.tobytes()
@@ -243,14 +243,14 @@ def test_taped_scan_keeps_no_per_token_states(variant, B):
         before = tracemalloc.get_traced_memory()[0]
         with tn.tape() as graph:
             out = ssm.selective_scan(x, p)
-            _, _, pieces = ssm.scan_f(x.data, p)
+            _, _, starts = ssm.scan_f(x.data, p)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     (node,) = graph._nodes
     kept = [cell.cell_contents for cell in node.bwd.__closure__]
     arrays = [a.data if isinstance(a, tn.Tensor) else a
-              for a in kept + list(pieces) + [out]]
+              for a in kept + [starts, out]]
     assert all(np.size(a) < per_token for a in arrays if isinstance(a, np.ndarray))
     assert held < 4 * per_token, f"{held} bytes held, states are {4 * per_token}"
 
@@ -285,7 +285,8 @@ def test_scan_backward_works_one_segment_at_a_time(variant):
 
 @pytest.mark.parametrize("T", [1, 5])
 def test_taped_scan_keeps_no_step_sizes(T):
-    # of the (B, T, c) arrays, the backward keeps its input and dtp only and
+    # of the (B, T, c) arrays the backward keeps its input only, and no
+    # (B, T, N) array: it rebuilds dtp, B and C from x through _project and
     # recomputes dt and dt*x from dtp
     rng = np.random.default_rng(53)
     B, c, N = 3, 32, 16
@@ -294,10 +295,9 @@ def test_taped_scan_keeps_no_step_sizes(T):
     with tn.tape() as graph:
         ssm.selective_scan(x, p)
     (node,) = graph._nodes
-    kept = [a for a in kept_arrays(node.bwd) if a.shape == (B, T, c)]
-    others = [a for a in kept if a is not x.data]
-    assert len(kept) == 2 and len(others) == 1
-    assert others[0].tobytes() == ssm._project(p, x.data)[0].tobytes()  # dtp
+    kept = kept_arrays(node.bwd)
+    per_token = [a for a in kept if a.shape[:2] == (B, T)]
+    assert len(per_token) == 1 and per_token[0] is x.data
 
 
 @pytest.mark.parametrize("variant", ssm.VARIANTS)
