@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import CapacityError, ShapeError, TokenError
-from .tensor import Tensor, f32, record
+from .tensor import Tensor, f32, hand_over, record
 
 
 def linear_f(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -221,8 +221,10 @@ def attention_f(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> Tensor:
     """The backward keeps x and the weights only. It rebuilds the float64
     heads through `_heads`, and the attention weights and ctx one block at a
-    time, as the forward built them."""
-    out = Tensor(attention_f(x.data, wq.data, wk.data, wv.data, wo.data, n_heads)[0])
+    time, as the forward built them. y is handed over: a checkpointed
+    block's replay takes it from its first run."""
+    out = Tensor(hand_over(
+        lambda: attention_f(x.data, wq.data, wk.data, wv.data, wo.data, n_heads)[0]))
     B, T, d = x.data.shape
     hd = d // n_heads
 

@@ -9,7 +9,11 @@ copy of the surviving blocks that lets go of every part that does not run.
 Each block class writes its body once, over an ops table: `forward` runs it
 with TAPE (Tensors, backward recorded), `decode_step(x, state, ops)` with a
 decode session's array ops (array kernels that carry the conv tail, scan
-state and key/value prefix).
+state and key/value prefix). Under an active tape `forward` checkpoints the
+block: the body runs with recording paused, one node keeps the block's input
+and the scan's and attention's outputs (and the scan's segment starts), and
+its backward replays the body to rebuild the rest, so a training step holds
+the other activations of one block at a time, in its backward.
 
 Layers and blocks are dataclasses: their fields are what they own, and
 `layers.tensors` walks them for every name -> tensor map. Each block class
@@ -273,7 +277,10 @@ class MambaBlock:
         return ops.add(x, ops.linear(y, self.out)), (tail, h)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self._body(TAPE, x, (None, None))[0]
+        """The body on TAPE from an empty state. Under an active tape, one
+        checkpoint node that keeps x and the scan's y and segment starts;
+        its backward replays the rest of the body."""
+        return _checkpointed(self, x, (None, None))
 
     def decode_step(self, x: np.ndarray, state, ops) -> Tuple[np.ndarray, tuple]:
         """x (B, T, d) float32 after `state` -> (output, state after x), on
@@ -321,7 +328,10 @@ class TransformerBlock:
         return x, kv
 
     def forward(self, x: Tensor) -> Tensor:
-        return self._body(TAPE, x, None)[0]
+        """The body on TAPE from no key/value prefix. Under an active tape,
+        one checkpoint node that keeps x and attention's y; its backward
+        replays the norms, the residual adds and the mlp."""
+        return _checkpointed(self, x, None)
 
     def decode_step(self, x: np.ndarray, kv: tuple, ops) -> Tuple[np.ndarray, tuple]:
         """x (B, T, d) float32 after key/value prefix kv -> (output, kv after
@@ -338,6 +348,26 @@ class TransformerBlock:
         return np.zeros(shape), np.zeros(shape), 0
 
 
+def _checkpointed(block, x: Tensor, state) -> Tensor:
+    """block's body on TAPE from state. Under an active tape it runs as one
+    `tn.checkpoint` node over x and the block's live parameters: the node
+    keeps x and what the scan (y and its segment starts) and attention (y)
+    hand over, and its backward replays the rest. Untaped, it is the body."""
+    def body(x):
+        return block._body(TAPE, x, state)[0]
+
+    if tn.active_graph() is None:
+        return body(x)
+    params = [t for kind in block.PARTS if runs(block, kind)
+              for t in part_tensors(block, kind).values()]
+    return tn.checkpoint(body, x, params)
+
+
+def runs(block, kind: str) -> bool:
+    """The part kind of block runs: it is alive and so is its parent."""
+    return block.alive and getattr(block, ALIVE_FLAG[kind])
+
+
 def part_tensors(block, kind: str) -> Dict[str, Tensor]:
     """The tensors the part `kind` of `block` owns outright: those of its
     PARTS fields, in their order."""
@@ -349,7 +379,7 @@ def let_go_dead_parts(blocks) -> None:
     removed parent) to None; the alive flags stay."""
     for b in blocks:
         for kind, fields in b.PARTS.items():
-            if not (b.alive and getattr(b, ALIVE_FLAG[kind])):
+            if not runs(b, kind):
                 for f in fields:
                     setattr(b, f, None)
 
@@ -468,8 +498,8 @@ class Model:
 
     def is_effective(self, kind: str, i: int) -> bool:
         """Alive, and not shadowed by a removed parent."""
-        b, flag = self._flag(kind, i)
-        return kind in b.PARTS and b.alive and getattr(b, flag)
+        b, _ = self._flag(kind, i)
+        return kind in b.PARTS and runs(b, kind)
 
     def remove(self, kind: str, i: int) -> None:
         """Flip the alive flag; weights stay until compact()."""
@@ -503,7 +533,7 @@ class Model:
         out = layers.tensors(self.embedding)
         for b in self.blocks:
             for kind in b.PARTS:
-                if not live_only or (b.alive and getattr(b, ALIVE_FLAG[kind])):
+                if not live_only or runs(b, kind):
                     out.update(part_tensors(b, kind))
         out.update(layers.tensors(self.final_norm, self.head))
         return out

@@ -19,8 +19,9 @@ step's slice is one contiguous block. Each chunk builds its own decay
 exp(dt*A) and input term (dt*x) outer B, runs the float64 recurrence over
 them and reads y out at once from its states rounded to float32; the
 (B, T, c, N) decay, input terms and per-token states are never whole. Under
-an active tape the scan also keeps the float64 state at the start of each
-backward segment, a few chunks long, and no per-token state. The backward
+a tape (recording, or paused for a checkpointed block's first run) the scan
+also keeps the float64 state at the start of each backward segment, a few
+chunks long, and no per-token state. The backward
 keeps x and those starts only: it rebuilds dtp, B and C from x through
 `_project`, the forward's own call, and dt and dt*x from dtp, to the same
 bytes. It walks the segments in reverse: it fills one segment's
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .layers import Linear
-from .tensor import Tensor, active_graph, f32, record, sigmoid_f, softplus_f
+from .tensor import Tensor, f32, hand_over, record, sigmoid_f, softplus_f, taping
 
 VARIANTS = ("s6", "ssd")
 
@@ -216,9 +217,9 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     D_skip); a decode session passes the copies it keeps. A_log is read as
     it is, float32.
 
-    -> (y (B, T, c) float32, the float64 state after x, and, only under an
-    active tape, the float64 states at each segment start, which the backward
-    reads (None otherwise)). No call keeps the per-token states: each chunk's
+    -> (y (B, T, c) float32, the float64 state after x, and, only under a
+    tape, recording or paused, the float64 states at each segment start,
+    which the backward reads (None otherwise)). No call keeps the per-token states: each chunk's
     are read out at once, into a float64 buffer one segment long, and no call
     holds a whole-sequence float64 y.
     """
@@ -233,8 +234,7 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     A = p.neg_A()
     S = _segment_len(B_, c, N)
     # only a tape's backward reads the segment starts
-    starts = (np.empty((-(-T // S), B_, c, N), dtype=np.float64)
-              if active_graph() is not None else None)
+    starts = np.empty((-(-T // S), B_, c, N), dtype=np.float64) if taping() else None
     h = np.zeros((B_, c, N), dtype=np.float64) if h0 is None else h0
     if T == 1:
         # one step, a decode token: too small for the chunk buffers and the
@@ -363,8 +363,14 @@ def _adjoint(p: SsmParams, x: np.ndarray, g: np.ndarray, dtp: np.ndarray,
 def selective_scan(x: Tensor, p: SsmParams) -> Tensor:
     """`scan_f` from a zero state, on the tape. The backward keeps x and the
     segment starts, rebuilds dtp, B and C through `_project`, and recomputes
-    dt and dt*x from dtp."""
-    y, _, starts = scan_f(x.data, p)
+    dt and dt*x from dtp. y and the starts are handed over: a checkpointed
+    block's replay takes them from its first run."""
+
+    def run():
+        y, _, starts = scan_f(x.data, p)
+        return y, starts
+
+    y, starts = hand_over(run)
     out = Tensor(y)
     B_, T, c = y.shape
     N = p.n_state

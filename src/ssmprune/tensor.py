@@ -6,14 +6,22 @@ primitive ops here are `add`, `gate` and `silu`; every other op is fused in
 Storage is float32 throughout. Elementwise ops take same-shape operands
 only -- anything richer has to live inside a fused op.
 
+`checkpoint` records a whole body (a model block) as one node: the body runs
+with recording paused, and the node keeps its input and what the body's
+costly ops pass to `hand_over` (the scan's output and segment starts,
+attention's output). Its backward replays the body on an inner graph, the
+handed-over results standing in for those ops' forwards, and walks that
+graph from the output grad with the walk `Graph.backward` runs.
+
 Decode runs the same block bodies untaped, on the fused ops' array kernels,
 which return their state (conv tail, scan state, key/value prefix).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +73,12 @@ class _Node:
 
 
 class Graph:
-    """Tape of recorded ops. Backward walks the tape in reverse record order."""
+    """Tape of recorded ops. Backward walks the tape in reverse record order.
+
+    A checkpointed block (see `checkpoint`) is one node here: its ops are
+    recorded on an inner graph of its own only while its backward replays
+    them, and that graph is walked by the same `_walk`, seeded with the
+    block's output grad."""
 
     def __init__(self):
         self._nodes: List[_Node] = []
@@ -91,8 +104,15 @@ class Graph:
         if id(loss) not in self._produced:
             raise StateError("backward: loss was not produced under this tape")
         self._spent = True
+        self._walk(loss, np.ones_like(loss.data))
+
+    def _walk(self, out: Tensor, gout: np.ndarray) -> Dict[int, np.ndarray]:
+        """Runs every node in reverse from out's grad gout, popping each.
+        Grads of produced tensors add up in a dict by id, those of leaves
+        that require grad onto their .grad. -> the grads left in the dict:
+        those of produced tensors that no node made."""
         nodes, produced = self._nodes, self._produced
-        grads = {id(loss): np.ones_like(loss.data)}
+        grads = {id(out): gout}
         while nodes:
             node = nodes.pop()
             produced.discard(id(node.out))  # no earlier node reads it
@@ -114,24 +134,99 @@ class Graph:
                     if t.grad is None:
                         t.grad = np.zeros_like(t.data)
                     t.grad += g
+        return grads
 
 
-_STACK: List[Graph] = []
+class _Handover:
+    """What the costly ops of one checkpointed block hand from its first run
+    to its replay, in call order."""
+
+    __slots__ = ("results", "replay")
+
+    def __init__(self):
+        self.results: deque = deque()
+        self.replay = False
+
+
+# One frame per tape or checkpointed pass in progress, innermost last: the
+# graph ops record onto (None while recording is paused) and the handover of
+# a checkpointed block's pass (None on a plain tape).
+_STACK: List[Tuple[Optional[Graph], Optional[_Handover]]] = []
 
 
 def active_graph() -> Optional[Graph]:
-    return _STACK[-1] if _STACK else None
+    """The graph ops record onto: None with no tape, and while a
+    checkpointed block's first run has recording paused."""
+    return _STACK[-1][0] if _STACK else None
+
+
+def taping() -> bool:
+    """A tape is active, recording or paused: a backward will read what the
+    ops keep for it."""
+    return bool(_STACK)
 
 
 @contextmanager
-def tape():
-    """Record ops executed in the body onto a fresh Graph."""
-    g = Graph()
-    _STACK.append(g)
+def _frame(graph: Optional[Graph], handover: Optional[_Handover]):
+    _STACK.append((graph, handover))
     try:
-        yield g
+        yield graph
     finally:
         _STACK.pop()
+
+
+def tape():
+    """Record ops executed in the body onto a fresh Graph."""
+    return _frame(Graph(), None)
+
+
+def hand_over(compute: Callable[[], Any]) -> Any:
+    """compute(), run once per checkpointed block: its first run keeps the
+    result, and its replay takes it back in the same order instead of
+    computing it again. Outside a checkpointed block, just compute()."""
+    h = _STACK[-1][1] if _STACK else None
+    if h is None:
+        return compute()
+    if h.replay:
+        return h.results.popleft()
+    out = compute()
+    h.results.append(out)
+    return out
+
+
+def checkpoint(body: Callable[[Tensor], Tensor], x: Tensor,
+               params: Sequence[Tensor]) -> Tensor:
+    """body(x) under an active tape, recorded as one node over x and params,
+    every parameter the body reads (each read once).
+
+    The body runs with recording paused, so no op keeps anything for a
+    backward but what it passes to `hand_over`. The node keeps x and those
+    results. Its backward replays the body on an inner graph, from a copy of
+    x that the walk treats as a produced tensor, with each `hand_over`
+    answered from the first run. It walks that graph from the output grad
+    and returns the grads of x and params as they added up there: x's
+    readers' grads are summed as a produced tensor's are (g1, then g1 + g2),
+    and a parameter's single grad reaches .grad in the outer walk, so every
+    grad has the bytes of the body recorded op by op. A body that returns
+    its input records nothing."""
+    h = _Handover()
+    with _frame(None, h):
+        out = body(x)
+    if out is x:
+        return x
+
+    def bwd(g: np.ndarray):
+        inner = Graph()
+        xr = Tensor(x.data, requires_grad=True)
+        h.replay = True
+        with _frame(inner, h):
+            res = body(xr)
+        inner._produced.update(id(t) for t in (xr, *params))
+        grads = inner._walk(res, g)
+        return tuple(grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+                     for t in (xr, *params))
+
+    return record(out, (x, *params), bwd)
 
 
 def record(out: Tensor, inputs: Sequence[Tensor], bwd: Callable) -> Tensor:

@@ -19,7 +19,7 @@ from ssmprune.errors import CheckpointError, ConfigError, ShapeError, StateError
 from ssmprune.model import ArchDescriptor, DecodeSession, Model, toy_descriptor
 
 from oracles import (frozen_attention_op, frozen_cross_entropy, frozen_scan_op, frozen_silu,
-                     rel_err)
+                     rel_err, tape_sum)
 
 
 def tiny_desc(**kw):
@@ -896,20 +896,21 @@ def test_grads_match_frozen_backwards_on_a_pruned_model(monkeypatch, variant, T)
 
 def test_taped_blocks_hold_no_rebuildable_arrays():
     # Bytes one taped block holds after its forward, in units of one
-    # (B, T, d) float32 activation. The outputs the backward reads are 15
-    # units in a mamba block (c = 2d) and 18 in a transformer block (hidden
-    # 4d); the scan adds its segment starts and attention nothing: 16.4 and
-    # 18.2 units. Keeping the scan's dtp, B and C and attention's float64
-    # q, k, v and ctx came to 19.4 and 26.3 units; keeping silu(z) for the
-    # gate's product too, to 21.4 and 30.3; keeping the sigmoids of silu,
-    # the scan's dt and dt*x and attention's (B, H, T, T) weights as well,
-    # to 29 and 50.
+    # (B, T, d) float32 activation. A checkpointed block keeps its output
+    # (1 unit) and what the scan and attention hand over: the scan's y (2
+    # units at c = 2d) and its segment starts (one float64 (B, c, N) state
+    # here, 1 unit), and attention's y (1 unit); 4.3 and 2.1 units with
+    # the node itself. Recorded op by op, the outputs the backward reads
+    # came to 15 units in a mamba block and 18 in a transformer block
+    # (hidden 4d), 16.4 and 18.2 with the scan's starts; keeping the scan's
+    # dtp, B and C and attention's float64 q, k, v and ctx too, to 19.4 and
+    # 26.3.
     B, T, d = 4, 64, 32
     m = Model.build(tiny_desc(n_blocks=2, transformer_at=(1,), d_model=d, d_state=16,
                               mlp_hidden=4 * d, n_heads=4), 17)
     x = tn.Tensor(np.random.default_rng(17).normal(size=(B, T, d)), requires_grad=True)
     unit = 4 * B * T * d
-    for blk, bound in zip(m.blocks, (17, 19)):
+    for blk, bound in zip(m.blocks, (5, 3)):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -920,6 +921,72 @@ def test_taped_blocks_hold_no_rebuildable_arrays():
             tracemalloc.stop()
         assert out.data.shape == (B, T, d)
         assert held < bound * unit, f"{type(blk).__name__} holds {held / unit:.1f} units"
+
+
+def _block_grads(blk, x, w, forward):
+    """Bytes of the grads of sum(forward(x) * w) by x and by every tensor
+    blk owns (None where none reached it), and the graph's node count after
+    the forward."""
+    owned = list(ly.tensors(blk).values())
+    for t in (x, *owned):
+        t.zero_grad()
+    with tn.tape() as g:
+        out = forward(x)
+        nodes = len(g)
+        g.backward(tape_sum(tn.mul(out, w)))
+    return nodes, {t.name: None if t.grad is None else t.grad.tobytes() for t in (x, *owned)}
+
+
+@pytest.mark.parametrize("kind,dead", [("mamba1", None), ("mamba1", "ssm"), ("mamba2", None),
+                                       ("mamba2", "ssm"), ("transformer", None),
+                                       ("transformer", "mha"), ("transformer", "mlp")])
+@pytest.mark.parametrize("T", [1, 9])
+@pytest.mark.parametrize("x_kind", ["leaf", "constant", "produced"])
+def test_checkpointed_block_grads_equal_the_body_recorded_op_by_op(kind, dead, T, x_kind):
+    # The taped forward records one node; its replay must give x and every
+    # live parameter the bytes of the body recorded op by op. x is a leaf
+    # that needs a grad, one that does not, or a produced tensor.
+    m = Model.build(tiny_desc(n_blocks=2, transformer_at=(1,),
+                              variant="mamba1" if kind == "transformer" else kind), 18)
+    i = 1 if kind == "transformer" else 0
+    blk = m.blocks[i]
+    if dead is not None:
+        m.remove(dead, i)
+    state = None if kind == "transformer" else (None, None)
+    rng = np.random.default_rng(18)
+    x0 = tn.Tensor(rng.normal(size=(2, T, m.desc.d_model)), requires_grad=x_kind != "constant",
+                   name="x")
+    w = tn.Tensor(rng.normal(size=x0.data.shape))
+    lift = (lambda x: tn.add(x, tn.Tensor(np.zeros_like(x.data)))) if x_kind == "produced" \
+        else (lambda x: x)
+    nodes, got = _block_grads(blk, x0, w, lambda x: blk.forward(lift(x)))
+    want_nodes, want = _block_grads(blk, x0, w,
+                                    lambda x: blk._body(md.TAPE, lift(x), state)[0])
+    assert nodes == (2 if x_kind == "produced" else 1) < want_nodes
+    assert got == want
+    dead_names = set(ly.tensors(blk)) - {t.name for t in m.parameters()}
+    assert all(got[n] is None for n in dead_names)
+    assert (got["x"] is None) == (x_kind == "constant")
+
+
+@pytest.mark.parametrize("kind", ["mamba1", "transformer"])
+def test_a_body_that_raises_in_its_replay_leaves_the_tape_as_it_was(monkeypatch, kind):
+    m = Model.build(tiny_desc(n_blocks=2, transformer_at=(1,)), 19)
+    blk = m.blocks[1 if kind == "transformer" else 0]
+    x = tn.Tensor(np.random.default_rng(19).normal(size=(2, 5, m.desc.d_model)),
+                  requires_grad=True)
+
+    def broken(x, scale):
+        raise ShapeError("rmsnorm broke in the replay")
+
+    with tn.tape() as g:
+        loss = tape_sum(blk.forward(x))
+        monkeypatch.setattr(ly, "rmsnorm", broken)
+        with pytest.raises(ShapeError, match="replay"):
+            g.backward(loss)
+        assert tn.active_graph() is g and tn.taping()
+    assert tn.active_graph() is None and not tn.taping()
+    assert tn.hand_over(lambda: "computed") == "computed"
 
 
 @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])

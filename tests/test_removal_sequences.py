@@ -6,7 +6,8 @@ compactions and checkpoint reloads in between. After every step the
 overlay, its compaction, the compaction compacted again and both reloaded
 from checkpoints must agree to the byte, and so must prefill and decode
 with the forward. Attention's weight budget is drawn per sequence, so
-prefill and decode also walk one head of one row at a time.
+prefill and decode also walk one head of one row at a time. Some sequences
+end with one recovery training step on the model and on its compaction.
 """
 
 import random
@@ -16,8 +17,11 @@ import numpy as np
 from ssmprune import layers as ly
 from ssmprune import model as md
 from ssmprune.model import DecodeSession, Model, toy_descriptor
+from ssmprune.training import CHARSET, Corpus, TrainConfig, train
 
 SEQUENCES = 60
+# every RECOVER_EVERY-th sequence ends with one recovery step
+RECOVER_EVERY = 4
 # non-removable tensors: embedding, final norm, head
 _FIXED = ("embedding.", "final_norm.", "head.")
 
@@ -111,11 +115,33 @@ def _check_step(m: Model, toks, path: str, rnd: random.Random) -> Model:
     return rnd.choice([m, m, *models])
 
 
+def _check_recovery(m: Model, corpus: Corpus, seed: int) -> int:
+    """One `train` step on m and on its compaction: every tensor that does
+    not run keeps its bytes and gets no grad, every live grad is finite, and
+    the two take the same step. -> the number of such dead tensors."""
+    c = m.compact()
+    live = {t.name for t in m.parameters()}
+    dead = {n: t.data.tobytes() for n, t in m.named_tensors().items() if n not in live}
+    cfg = TrainConfig(steps=1, batch_size=2, seq_len=6, warmup=0, seed=seed)
+    for x in (m, c):
+        train(x, corpus, cfg)
+        assert all(t.grad is not None and np.isfinite(t.grad).all() for t in x.parameters())
+    now = m.named_tensors()
+    assert {n: now[n].data.tobytes() for n in dead} == dead
+    assert all(now[n].grad is None for n in dead)
+    assert {n: t.data.tobytes() for n, t in m.compact().named_tensors().items()} == \
+        {n: t.data.tobytes() for n, t in c.named_tensors().items()}
+    return len(dead)
+
+
 def test_random_removal_sequences_keep_every_invariant(tmp_path, monkeypatch):
     rnd = random.Random(2501)
     path = str(tmp_path / "m.ckpt")
-    steps = 0
-    for _ in range(SEQUENCES):
+    # ids 0..22 only, the hybrids' vocab
+    text = random.Random(7)
+    corpus = Corpus("".join(CHARSET[text.randrange(23)] for _ in range(400)))
+    steps = dead = 0
+    for seq in range(SEQUENCES):
         # 1: every block one head of one row; 64: a few heads or rows
         monkeypatch.setattr(ly, "_WEIGHT_ELEMS", rnd.choice([1, 64, 1 << 18]))
         m = _hybrid(rnd)
@@ -127,4 +153,6 @@ def test_random_removal_sequences_keep_every_invariant(tmp_path, monkeypatch):
                 break
             m = _check_step(m, toks, path, rnd)
             steps += 1
-    assert steps > SEQUENCES
+        if seq % RECOVER_EVERY == 0:
+            dead += _check_recovery(m, corpus, seq)
+    assert steps > SEQUENCES and dead

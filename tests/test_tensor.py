@@ -261,3 +261,68 @@ def test_gate_keeps_only_its_inputs():
     (node,) = graph._nodes
     kept = kept_arrays(node.bwd)
     assert {id(k) for k in kept} == {id(a.data), id(b.data)}
+
+
+# -- checkpointed bodies -----------------------------------------------------
+
+def _signed_zeros_shown(x):
+    """x as a produced tensor, whose grads the walk adds as any produced
+    tensor's. Its backward passes them on with each signed zero made 1 or
+    -1: a leaf's grad starts from +0.0, and 0.0 + -0.0 is +0.0."""
+    return tn.record(tn.Tensor(x.data), (x,),
+                     lambda g: (np.where(g == 0, np.copysign(1.0, g), g),))
+
+
+def test_checkpoint_adds_its_input_grads_as_a_produced_tensor():
+    # body(x) = x + x*p reads x twice. Under an output grad of -0.0 both of
+    # x's grads are -0.0 where p > 0, and only a produced tensor's sum,
+    # g1 + g2, keeps that sign; a leaf's would be (0.0 + g1) + g2 = +0.0
+    rng = np.random.default_rng(30)
+    x0 = tn.Tensor(rnd(rng, 3, 4), requires_grad=True)
+    p = tn.Tensor(rnd(rng, 3, 4), requires_grad=True)
+    w = tn.Tensor(np.where(rng.random((3, 4)) < 0.5, -0.0, rnd(rng, 3, 4)))
+
+    def body(x):
+        return tn.add(x, tn.mul(x, p))
+
+    def grads(forward):
+        x0.zero_grad()
+        p.zero_grad()
+        with tn.tape() as g:
+            out = forward(_signed_zeros_shown(x0))
+            nodes = len(g)
+            g.backward(tape_sum(tn.mul(out, w)))
+        return nodes, x0.grad.tobytes(), p.grad.tobytes()
+
+    got = grads(lambda x: tn.checkpoint(body, x, (p,)))
+    want = grads(body)
+    assert (got[0], want[0]) == (2, 3)
+    assert got[1:] == want[1:]
+    assert (np.frombuffer(want[1], dtype=np.float32) == -1.0).any()
+
+
+def test_checkpoint_hands_over_once_and_records_one_node():
+    rng = np.random.default_rng(31)
+    x = tn.Tensor(rnd(rng, 2, 3), requires_grad=True)
+    computed, seen = [], []
+
+    def body(x):
+        seen.append((tn.active_graph(), tn.taping()))
+        kept = tn.hand_over(lambda: computed.append(1) or tn.Tensor(x.data * 2.0))
+        return tn.add(x, kept)
+
+    with tn.tape() as g:
+        out = tn.checkpoint(body, x, ())
+        assert len(g) == 1 and seen == [(None, True)]
+        g.backward(tape_sum(out))
+    assert computed == [1]
+    assert seen[1][0] is not None and seen[1][0] is not g and seen[1][1]
+    assert x.grad.tolist() == np.ones((2, 3)).tolist()
+    assert tn.hand_over(lambda: "computed") == "computed"
+
+
+def test_checkpoint_of_a_body_that_returns_its_input_records_nothing():
+    x = tn.Tensor(np.ones((2, 2)), requires_grad=True)
+    with tn.tape() as g:
+        assert tn.checkpoint(lambda x: x, x, ()) is x
+    assert len(g) == 0
