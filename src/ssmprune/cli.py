@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .bench import BenchConfig, bench, write_bench_csv
-from .config import load_config, write_resolved
+from .config import SCHEMA, load_config, write_resolved
 from .errors import (CapacityError, CheckpointError, ConfigError,
                      DivergenceError, ScheduleError, ShapeError, StateError,
                      TokenError, read_text)
@@ -55,6 +55,21 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _section(args, name: str) -> dict:
+    """Config section name, with the --seed or --threads value the
+    subcommand took in place of its INI key, through that key's converter;
+    a bad value is one ConfigError naming the flag."""
+    cfg = load_config(args.config)[name]
+    for key in ("seed", "threads"):
+        raw = getattr(args, key, None)
+        if raw is not None:
+            try:
+                cfg[key] = SCHEMA[name][key](raw)
+            except ValueError as e:
+                raise ConfigError(f"bad value for --{key}: {raw!r} ({e})") from None
+    return cfg
+
+
 def _fields(cls, cfg: dict) -> dict:
     """The entries of cfg that name a field of the dataclass cls."""
     return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
@@ -65,9 +80,7 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)["train"]
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _section(args, "train")
     desc = toy_descriptor(
         n_blocks=cfg["n_blocks"], variant=cfg["variant"],
         transformer_at=cfg["transformer_at"], vocab=VOCAB,
@@ -104,9 +117,7 @@ def _check_compact(overlay: Model, compacted: Model) -> None:
 
 
 def cmd_prune(args) -> int:
-    cfg = load_config(args.config)["prune"]
-    if args.threads is not None:
-        cfg["threads"] = args.threads
+    cfg = _section(args, "prune")
     if args.emit_trace:
         cfg["emit_trace"] = True
     if args.plan_only:
@@ -146,7 +157,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)["eval"]
+    cfg = _section(args, "eval")
     _need(cfg["checkpoint"], "eval.checkpoint")
     model, _ = load_model(cfg["checkpoint"])
     corpus = _corpus(cfg["corpus"])
@@ -165,9 +176,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config)["bench"]
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _section(args, "bench")
     _need(cfg["dense_checkpoint"], "bench.dense_checkpoint")
     _need(cfg["pruned_checkpoint"], "bench.pruned_checkpoint")
     out = _outdir(args)
@@ -248,6 +257,8 @@ def cmd_report(args) -> int:
     if os.path.exists(loss_path):
         lines = read_text(loss_path).split("\n")
         rows = [(n, r) for n, r in enumerate(csv.reader(lines), 1) if r]
+        if not rows or rows[0] != (1, list(LOSS_COLUMNS)):
+            raise ConfigError(f"{loss_path}: line 1 is not the header {','.join(LOSS_COLUMNS)}")
         for n, r in rows:
             if len(r) != len(LOSS_COLUMNS):
                 raise ConfigError(f"{loss_path}: line {n} has {len(r)} fields, "
@@ -288,9 +299,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = load_config(args.config)["study"]
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _section(args, "study")
     out = _outdir(args)
     corpus = _corpus(cfg["corpus"])
     scfg = StudyConfig(**_fields(StudyConfig, cfg), train=_train_config(cfg))
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", metavar="PATH", default=None,
                             help="INI config; missing keys take defaults")
         if seed:
-            sp.add_argument("--seed", type=int, default=None, metavar="N",
+            sp.add_argument("--seed", default=None, metavar="N",
                             help="override the configured seed")
         sp.add_argument("--out", metavar="DIR", default=None,
                         help="output directory")
@@ -332,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("train", cmd_train, "train a model and write a checkpoint")
     sp = add("prune", cmd_prune, "greedy calibration-scored structure removal",
              seed=False)
-    sp.add_argument("--threads", type=int, default=None, metavar="N",
+    sp.add_argument("--threads", default=None, metavar="N",
                     help="parallel scorer width")
     sp.add_argument("--emit-trace", action="store_true",
                     help="write every scored candidate to trace.jsonl")

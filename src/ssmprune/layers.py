@@ -17,12 +17,15 @@ by the helpers the forward calls, to the same bytes. Attention builds its
 weights one (batch rows, heads) block at a time, forward and backward:
 whole rows while one row's H * T * (n + T) weights fit in `_WEIGHT_ELEMS`,
 else one row's heads in blocks of at least one head.
+
+The layer classes are dataclasses whose fields are what they own. `tensors`
+walks them and names each tensor by its field path; no tensor stores a name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -331,9 +334,9 @@ def per_token_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# layer classes: dataclasses whose fields are the named parameter tensors or
-# layers they own; `tensors` walks them. Their builds take rng None for a
-# skeleton that a checkpoint then overwrites.
+# layer classes: dataclasses whose fields are the parameter tensors or layers
+# they own; `tensors` walks them. Their builds take rng None for a skeleton
+# that a checkpoint then overwrites.
 
 
 def _draw(rng: Optional[np.random.Generator], dist: str, a: float, b: float,
@@ -345,24 +348,27 @@ def _draw(rng: Optional[np.random.Generator], dist: str, a: float, b: float,
     return getattr(rng, dist)(a, b, shape)
 
 
-def tensors(*objs) -> Dict[str, Tensor]:
-    """Name -> tensor for everything objs own, in order. A Tensor owns
-    itself; a layer, scan or block dataclass owns what its fields own, in
-    field order; None, a str or an int owns nothing."""
+def tensors(o, fields: Optional[Sequence[str]] = None,
+            prefix: str = "") -> Dict[str, Tensor]:
+    """Name -> tensor for everything the fields of o own (all its dataclass
+    fields by default), in field order. A tensor's name is prefix, then its
+    field path from o, dotted: "blocks.3." + "mha.q.weight". A layer, scan or
+    block dataclass owns what its fields own; None, a str or an int owns
+    nothing. The walk is the one place that names a tensor."""
     out: Dict[str, Tensor] = {}
-    for o in objs:
-        _walk(o, out)
+    _walk(o, o.__dataclass_fields__ if fields is None else fields, prefix, out)
     return out
 
 
-def _walk(o, out: Dict[str, Tensor]) -> None:
-    if isinstance(o, Tensor):
-        out[o.name] = o
-    elif o is not None and not isinstance(o, (str, int)):
-        # the class's field table: dataclasses.fields() per call costs more
-        # than the walk itself
-        for f in o.__dataclass_fields__:
-            _walk(getattr(o, f), out)
+def _walk(o, fields, path: str, out: Dict[str, Tensor]) -> None:
+    for f in fields:
+        v = getattr(o, f)
+        if isinstance(v, Tensor):
+            out[path + f] = v
+        elif v is not None and not isinstance(v, (str, int)):
+            # the class's field table: dataclasses.fields() per call costs
+            # more than the walk itself
+            _walk(v, v.__dataclass_fields__, f"{path}{f}.", out)
 
 
 @dataclass(eq=False)
@@ -372,10 +378,9 @@ class Linear:
     weight: Tensor
 
     @staticmethod
-    def build(rng: Optional[np.random.Generator], d_in: int, d_out: int,
-              prefix: str) -> "Linear":
+    def build(rng: Optional[np.random.Generator], d_in: int, d_out: int) -> "Linear":
         return Linear(Tensor(_draw(rng, "normal", 0.0, d_in ** -0.5, (d_out, d_in)),
-                             requires_grad=True, name=f"{prefix}.weight"))
+                             requires_grad=True))
 
 
 @dataclass(eq=False)
@@ -383,8 +388,8 @@ class RmsNorm:
     scale: Tensor
 
     @staticmethod
-    def build(d: int, prefix: str) -> "RmsNorm":
-        return RmsNorm(Tensor(np.ones(d), requires_grad=True, name=f"{prefix}.scale"))
+    def build(d: int) -> "RmsNorm":
+        return RmsNorm(Tensor(np.ones(d), requires_grad=True))
 
 
 @dataclass(eq=False)
@@ -394,12 +399,11 @@ class CausalConv1d:
     kernel: Tensor
 
     @staticmethod
-    def build(rng: Optional[np.random.Generator], channels: int, width: int,
-              prefix: str) -> "CausalConv1d":
+    def build(rng: Optional[np.random.Generator], channels: int,
+              width: int) -> "CausalConv1d":
         s = width ** -0.5
-        k = Tensor(_draw(rng, "uniform", -s, s, (channels, width)),
-                   requires_grad=True, name=f"{prefix}.kernel")
-        return CausalConv1d(k)
+        return CausalConv1d(Tensor(_draw(rng, "uniform", -s, s, (channels, width)),
+                                   requires_grad=True))
 
 
 @dataclass(eq=False)
@@ -411,10 +415,10 @@ class MultiHeadAttention:
     n_heads: int
 
     @staticmethod
-    def build(rng: Optional[np.random.Generator], d: int, n_heads: int,
-              prefix: str) -> "MultiHeadAttention":
-        mk = lambda nm: Linear.build(rng, d, d, f"{prefix}.{nm}")
-        return MultiHeadAttention(mk("q"), mk("k"), mk("v"), mk("o"), n_heads)
+    def build(rng: Optional[np.random.Generator], d: int,
+              n_heads: int) -> "MultiHeadAttention":
+        q, k, v, o = (Linear.build(rng, d, d) for _ in range(4))
+        return MultiHeadAttention(q, k, v, o, n_heads)
 
 
 @dataclass(eq=False)
@@ -430,13 +434,9 @@ class GatedMlp:
     down: Linear
 
     @staticmethod
-    def build(rng: Optional[np.random.Generator], d: int, hidden: int,
-              prefix: str) -> "GatedMlp":
-        return GatedMlp(
-            Linear.build(rng, d, hidden, f"{prefix}.up"),
-            Linear.build(rng, d, hidden, f"{prefix}.gate"),
-            Linear.build(rng, hidden, d, f"{prefix}.down"),
-        )
+    def build(rng: Optional[np.random.Generator], d: int, hidden: int) -> "GatedMlp":
+        return GatedMlp(Linear.build(rng, d, hidden), Linear.build(rng, d, hidden),
+                        Linear.build(rng, hidden, d))
 
     @property
     def hidden(self) -> int:
@@ -464,11 +464,9 @@ class Embedding:
     table: Tensor
 
     @staticmethod
-    def build(rng: Optional[np.random.Generator], vocab: int, d: int,
-              prefix: str) -> "Embedding":
-        t = Tensor(_draw(rng, "normal", 0.0, 0.02, (vocab, d)), requires_grad=True,
-                   name=f"{prefix}.table")
-        return Embedding(t)
+    def build(rng: Optional[np.random.Generator], vocab: int, d: int) -> "Embedding":
+        return Embedding(Tensor(_draw(rng, "normal", 0.0, 0.02, (vocab, d)),
+                                requires_grad=True))
 
     def __call__(self, tokens: np.ndarray) -> Tensor:
         return embedding(tokens, self.table)

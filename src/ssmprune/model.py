@@ -16,14 +16,16 @@ its backward replays the body to rebuild the rest, so a training step holds
 the other activations of one block at a time, in its backward.
 
 Layers and blocks are dataclasses: their fields are what they own, and
-`layers.tensors` walks them for every name -> tensor map. Each block class
-declares its removable parts once, in its PARTS table: registry kind -> the
-fields that part owns outright, parent block first (mamba: mamba_block, ssm;
-transformer: transformer_block, mha, mlp). A field that is None, such as
-mamba1's inner norm, owns nothing. ALIVE_FLAG names the block attribute each
-kind flips. The registry, removal, parameter traversal, compaction and the
-checkpoint's removal rows and payload all loop over these two tables, in their
-order.
+`layers.tensors` walks them for every name -> tensor map, naming each tensor
+by its field path ("blocks.{i}." + its path in the block). No tensor
+stores a name, so a compacted model's survivors take the names of their new
+places. Each block class declares its removable parts once, in its PARTS
+table: registry kind -> the fields that part owns outright, parent block
+first (mamba: mamba_block, ssm; transformer: transformer_block, mha, mlp). A
+field that is None, such as mamba1's inner norm, owns nothing. ALIVE_FLAG
+names the block attribute each kind flips. The registry, removal, parameter
+traversal, compaction and the checkpoint's removal rows and payload all loop
+over these two tables, in their order.
 """
 
 from __future__ import annotations
@@ -241,16 +243,12 @@ class MambaBlock:
         d = desc.d_model
         di = 2 * d
         variant = desc.block_kinds[i]
-        px = f"blocks.{i}"
-        ssm = SsmParams.build(rng, "s6" if variant == "mamba1" else "ssd",
-                              di, desc.d_state, f"{px}.ssm")
-        inner = RmsNorm.build(di, f"{px}.inner_norm") if variant == "mamba2" else None
+        ssm = SsmParams.build(rng, "s6" if variant == "mamba1" else "ssd", di, desc.d_state)
+        inner = RmsNorm.build(di) if variant == "mamba2" else None
         return MambaBlock(
-            variant=variant, norm=RmsNorm.build(d, f"{px}.norm"),
-            in_x=Linear.build(rng, d, di, f"{px}.in_x"),
-            in_z=Linear.build(rng, d, di, f"{px}.in_z"),
-            conv=CausalConv1d.build(rng, di, desc.conv_width, f"{px}.conv"),
-            ssm=ssm, inner_norm=inner, out=Linear.build(rng, di, d, f"{px}.out"),
+            variant=variant, norm=RmsNorm.build(d), in_x=Linear.build(rng, d, di),
+            in_z=Linear.build(rng, d, di), conv=CausalConv1d.build(rng, di, desc.conv_width),
+            ssm=ssm, inner_norm=inner, out=Linear.build(rng, di, d),
         )
 
     def _body(self, ops, x, state):
@@ -311,13 +309,8 @@ class TransformerBlock:
     def build(rng: Optional[np.random.Generator], desc: ArchDescriptor,
               i: int) -> "TransformerBlock":
         d = desc.d_model
-        px = f"blocks.{i}"
-        return TransformerBlock(
-            RmsNorm.build(d, f"{px}.norm1"),
-            MultiHeadAttention.build(rng, d, desc.n_heads, f"{px}.mha"),
-            RmsNorm.build(d, f"{px}.norm2"),
-            GatedMlp.build(rng, d, desc.mlp_hidden[i], f"{px}.mlp"),
-        )
+        return TransformerBlock(RmsNorm.build(d), MultiHeadAttention.build(rng, d, desc.n_heads),
+                                RmsNorm.build(d), GatedMlp.build(rng, d, desc.mlp_hidden[i]))
 
     def _body(self, ops, x, kv):
         if self.mha_alive:
@@ -368,10 +361,10 @@ def runs(block, kind: str) -> bool:
     return block.alive and getattr(block, ALIVE_FLAG[kind])
 
 
-def part_tensors(block, kind: str) -> Dict[str, Tensor]:
+def part_tensors(block, kind: str, prefix: str = "") -> Dict[str, Tensor]:
     """The tensors the part `kind` of `block` owns outright: those of its
-    PARTS fields, in their order."""
-    return layers.tensors(*(getattr(block, f) for f in block.PARTS[kind]))
+    PARTS fields, in their order, each named prefix + its field path."""
+    return layers.tensors(block, block.PARTS[kind], prefix)
 
 
 def let_go_dead_parts(blocks) -> None:
@@ -434,13 +427,13 @@ class Model:
     def _assemble(desc: ArchDescriptor, rng: Optional[np.random.Generator]) -> "Model":
         """The one construction traversal. rng None draws nothing: weights
         are left undrawn (np.empty) or constant, for a loader to overwrite."""
-        emb = Embedding.build(rng, desc.vocab, desc.d_model, "embedding")
+        emb = Embedding.build(rng, desc.vocab, desc.d_model)
         blocks: List[object] = []
         for i, kind in enumerate(desc.block_kinds):
             block = TransformerBlock if kind == "transformer" else MambaBlock
             blocks.append(block.build(rng, desc, i))
-        fin = RmsNorm.build(desc.d_model, "final_norm")
-        head = Linear.build(rng, desc.d_model, desc.vocab, "head")
+        fin = RmsNorm.build(desc.d_model)
+        head = Linear.build(rng, desc.d_model, desc.vocab)
         return Model(desc, emb, blocks, fin, head)
 
     def clone(self) -> "Model":
@@ -527,15 +520,16 @@ class Model:
         return 1.0 - self.live_param_count() / self.dense_params
 
     def _tensors(self, live_only: bool) -> Dict[str, Tensor]:
-        """Name -> tensor in the fixed traversal order: the embedding, each
-        block's parts in PARTS order, the final norm and the head. With
-        live_only, a removed or shadowed part contributes nothing."""
-        out = layers.tensors(self.embedding)
-        for b in self.blocks:
+        """Field path -> tensor in the fixed traversal order: the embedding,
+        each block's parts in PARTS order (named "blocks.{i}." + the path
+        in the block), the final norm and the head. With live_only, a
+        removed or shadowed part contributes nothing."""
+        out = layers.tensors(self, ("embedding",))
+        for i, b in enumerate(self.blocks):
             for kind in b.PARTS:
                 if not live_only or runs(b, kind):
-                    out.update(part_tensors(b, kind))
-        out.update(layers.tensors(self.final_norm, self.head))
+                    out.update(part_tensors(b, kind, f"blocks.{i}."))
+        out.update(layers.tensors(self, ("final_norm", "head")))
         return out
 
     def named_tensors(self) -> Dict[str, Tensor]:
@@ -557,9 +551,6 @@ class Model:
         keep = [i for i, b in enumerate(self.blocks) if b.alive]
         emb, blocks, fin, head = _copy.deepcopy(
             (self.embedding, [self.blocks[i] for i in keep], self.final_norm, self.head))
-        for new, (old, b) in enumerate(zip(keep, blocks)):
-            for t in layers.tensors(b).values():
-                t.name = f"blocks.{new}." + t.name[len(f"blocks.{old}."):]
         desc = replace(self.desc, n_blocks=len(keep),
                        block_kinds=tuple(self.desc.block_kinds[i] for i in keep),
                        mlp_hidden=tuple(self.desc.mlp_hidden[old]

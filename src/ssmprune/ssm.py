@@ -71,7 +71,7 @@ class SsmParams:
 
     @staticmethod
     def build(rng: Optional[np.random.Generator], variant: str, channels: int,
-              n_state: int, prefix: str) -> "SsmParams":
+              n_state: int) -> "SsmParams":
         if rng is None:  # a skeleton for a checkpoint to overwrite: nothing drawn
             a_log = np.empty((channels, n_state) if variant == "s6" else channels,
                              dtype=np.float32)
@@ -87,12 +87,12 @@ class SsmParams:
             dt_bias = np.log(np.expm1(rng.uniform(1e-3, 1e-1, channels)))
         return SsmParams(
             variant=variant,
-            A_log=Tensor(a_log, requires_grad=True, name=f"{prefix}.A_log"),
-            dt_bias=Tensor(dt_bias, requires_grad=True, name=f"{prefix}.dt_bias"),
-            D_skip=Tensor(np.ones(channels), requires_grad=True, name=f"{prefix}.D_skip"),
-            x_to_B=Linear.build(rng, channels, n_state, f"{prefix}.x_to_B"),
-            x_to_C=Linear.build(rng, channels, n_state, f"{prefix}.x_to_C"),
-            x_to_dt=Linear.build(rng, channels, channels, f"{prefix}.x_to_dt"),
+            A_log=Tensor(a_log, requires_grad=True),
+            dt_bias=Tensor(dt_bias, requires_grad=True),
+            D_skip=Tensor(np.ones(channels), requires_grad=True),
+            x_to_B=Linear.build(rng, channels, n_state),
+            x_to_C=Linear.build(rng, channels, n_state),
+            x_to_dt=Linear.build(rng, channels, channels),
         )
 
     @property

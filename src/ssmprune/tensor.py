@@ -4,7 +4,8 @@ Ops run under `tape()` record a backward closure through `record`. The
 primitive ops here are `add`, `gate` and `silu`; every other op is fused in
 `layers` or `ssm` and records its own backward through the same hook.
 Storage is float32 throughout. Elementwise ops take same-shape operands
-only -- anything richer has to live inside a fused op.
+only -- anything richer has to live inside a fused op. A Tensor holds no
+name; `layers.tensors` names a model's tensors by their field paths.
 
 `checkpoint` records a whole body (a model block) as one node: the body runs
 with recording paused, and the node keeps its input and what the body's
@@ -29,18 +30,18 @@ from .errors import ShapeError, StateError
 
 
 class Tensor:
-    """A float32 array, an optional grad buffer, and a name for checkpoints."""
+    """A float32 array and an optional grad buffer. It holds no name: a
+    model's walk names each tensor by its field path (`layers.tensors`)."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "hi")
+    __slots__ = ("data", "grad", "requires_grad", "hi")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
         if arr.ndim:  # ascontiguousarray would promote 0-d to (1,)
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self.name = name
         # float64 readout for scalar reductions; oracles and loss logging use
         # it because the float32 copy quantizes away ~1e-7 of signal.
         self.hi: Optional[float] = None
@@ -58,8 +59,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 

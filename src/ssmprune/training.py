@@ -224,9 +224,6 @@ def train(model, corpus: Corpus, cfg: TrainConfig, out_dir: Optional[str] = None
         with tape() as g:
             loss = cross_entropy(model.forward(toks), targ)
             g.backward(loss)
-        # the tape holds the step's activations; free them before the
-        # optimizer and the evaluation run
-        del g
         lv = loss.scalar()
         if not math.isfinite(lv):
             raise DivergenceError(step, f"loss went non-finite ({lv!r}) at step {step}")

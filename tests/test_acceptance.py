@@ -60,7 +60,7 @@ def test_criterion_1_scan_correctness():
         c = int(rng.integers(1, 9))
         N = int(rng.integers(1, 17))
         T = int(rng.integers(1, 65))
-        p = ssm_mod.SsmParams.build(rng, variant, c, N, "ssm")
+        p = ssm_mod.SsmParams.build(rng, variant, c, N)
         x = rnd(rng, 2, T, c)
         want = scan_oracle(p, x)
         got = ssm_mod.selective_scan(tn.Tensor(x), p).data
@@ -81,7 +81,7 @@ def test_criterion_1_scan_correctness():
 
 
 def _grad_cases(rng):
-    """(name, loss builder, trainable tensors, fd step) per layer family.
+    """(name, loss builder, name -> trainable tensor, fd step) per layer family.
 
     The scan cases use a wider step: their float32 forwards are long
     products, so at h=1e-3 rounding noise in the difference quotient is
@@ -97,28 +97,28 @@ def _grad_cases(rng):
     r = tn.Tensor(rnd(rng, 4, 3))
     cases.append(("linear",
                   lambda: tape_sum(tn.mul(ly.linear(x, w), r)),
-                  [x, w], 1e-3))
+                  {"x": x, "weight": w}, 1e-3))
 
     xc = rt(2, 6, 3, scale=0.5)
     k = rt(3, 4, scale=0.5)
     rc = tn.Tensor(rnd(rng, 2, 6, 3))
     cases.append(("conv",
                   lambda: tape_sum(tn.mul(ly.causal_conv1d(xc, k), rc)),
-                  [xc, k], 1e-3))
+                  {"x": xc, "kernel": k}, 1e-3))
 
     xn = rt(5, 6)
     s = rt(6, scale=0.5)
     rn = tn.Tensor(rnd(rng, 5, 6))
     cases.append(("rmsnorm",
                   lambda: tape_sum(tn.mul(ly.rmsnorm(xn, s), rn)),
-                  [xn, s], 1e-3))
+                  {"x": xn, "scale": s}, 1e-3))
 
-    mlp = ly.GatedMlp.build(rng, 5, 8, "mlp")
+    mlp = ly.GatedMlp.build(rng, 5, 8)
     xm = rt(1, 4, 5, scale=0.5)
     rm = tn.Tensor(rnd(rng, 1, 4, 5))
     cases.append(("gated_mlp",
                   lambda: tape_sum(tn.mul(mlp.body(TAPE, xm), rm)),
-                  [xm] + list(ly.tensors(mlp).values()), 1e-3))
+                  {"x": xm, **ly.tensors(mlp)}, 1e-3))
 
     xa = rt(1, 5, 8, scale=0.5)
     ws = [rt(8, 8, scale=0.4) for _ in range(4)]
@@ -126,10 +126,10 @@ def _grad_cases(rng):
     cases.append(("mha",
                   lambda: tape_sum(tn.mul(
                       ly.attention(xa, *ws, n_heads=2), ra)),
-                  [xa] + ws, 1e-3))
+                  {"x": xa, **dict(zip("qkvo", ws))}, 1e-3))
 
     for variant in ("s6", "ssd"):
-        p = ssm_mod.SsmParams.build(rng, variant, 3, 4, "ssm")
+        p = ssm_mod.SsmParams.build(rng, variant, 3, 4)
         # hot dt so the decay path carries visible gradient signal; keep the
         # decay rates moderate or exp(dt*A) underflows past what central
         # differences can resolve in float32
@@ -144,7 +144,7 @@ def _grad_cases(rng):
             return tape_sum(tn.mul(ssm_mod.selective_scan(xs, p), rs))
 
         cases.append((variant, build,
-                      [xs] + list(ly.tensors(p).values()), 5e-3))
+                      {"x": xs, **ly.tensors(p)}, 5e-3))
     return cases
 
 
@@ -156,12 +156,12 @@ def test_criterion_2_gradient_suite():
         with tn.tape() as g:
             loss = build()
         g.backward(loss)
-        fds = finite_diff(lambda: build().scalar(), [p.data for p in params],
+        fds = finite_diff(lambda: build().scalar(), [p.data for p in params.values()],
                           h=h)
-        for p, fd in zip(params, fds):
+        for (pname, p), fd in zip(params.items(), fds):
             err = rel_err(p.grad, fd)
             if err > worst:
-                worst, worst_name = err, f"{name}:{p.name or 'tensor'}"
+                worst, worst_name = err, f"{name}:{pname}"
     dt = time.perf_counter() - t0
     record(2, "central finite differences confirm every layer's gradients "
               f"within 1e-3 (worst {worst:.1e} at {worst_name}, "
@@ -201,8 +201,8 @@ def test_criterion_3_greedy_vs_exhaustive(hybrid6, corpus):
 def test_criterion_4_slice_equals_mask():
     rng = np.random.default_rng(1004)
     d, D, g = 6, 96, 16
-    mlp = ly.GatedMlp.build(rng, d, D, "mlp")
-    masked = ly.GatedMlp.build(rng, d, D, "masked")
+    mlp = ly.GatedMlp.build(rng, d, D)
+    masked = ly.GatedMlp.build(rng, d, D)
     for a, b in zip(ly.tensors(masked).values(), ly.tensors(mlp).values()):
         a.data = b.data.copy()
     masked.up.weight.data[D - g:] = 0.0

@@ -228,6 +228,23 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1"],
+    ["study-sensitivity", "--seed", "-1"],
+    ["bench", "--seed", "-1"],
+    ["train", "--seed", "x"],
+    ["prune", "--threads", "0"],
+    ["prune", "--threads", "-3"],
+])
+def test_bad_seed_or_threads_flag_is_one_error_line_naming_it(tmp_path, capsys, argv):
+    # a flag goes through the converter of its INI key, as [train] seed = -1 does
+    out = tmp_path / "out"
+    assert cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and argv[1] in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["prune", "--seed", "1"],
     ["eval", "--seed", "1"],
     ["report", "--config", "/nonexistent.ini"],
@@ -357,8 +374,12 @@ def test_report_corrupt_artifact_is_one_error_line(tmp_path, capsys, name,
      "row 1 lacks ['stage']"),
     ("bench_report.json", '{"decode_speedup": 1.2}\n', "lacks ['prefill_speedup']"),
     ("curves.csv", "kind,steps,ratio\nmamba1:block,0,0.0\n", "line 2 lacks 'PPL'"),
+    ("loss.csv", "0,0.001,4.5,1.0,\n1,0.001,4.4,1.0,\n2,0.001,4.3,1.0,\n",
+     "line 1 is not the header step,lr,loss,grad_norm,val_ppl"),
+    ("loss.csv", "a,b,c,d,e\n0,0.001,4.5,1.0,\n", "line 1 is not the header"),
+    ("loss.csv", "", "line 1 is not the header"),
 ], ids=["plan-not-object", "plan-no-ratio", "trace-no-stage", "bench-no-speedup",
-        "curves-no-ppl"])
+        "curves-no-ppl", "loss-no-header", "loss-other-header", "loss-empty"])
 def test_report_malformed_artifact_is_one_error_line(tmp_path, capsys, name, text,
                                                      where):
     (tmp_path / name).write_text(text)

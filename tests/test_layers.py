@@ -35,13 +35,14 @@ def fd_loss(build):
 
 
 def check_grads(build, params, tol=1e-3):
+    """params: name -> tensor; the names label the failures."""
     with tn.tape() as g:
         loss = build()
     g.backward(loss)
-    fds = finite_diff(fd_loss(build), [p.data for p in params])
-    for p, fd in zip(params, fds):
+    fds = finite_diff(fd_loss(build), [p.data for p in params.values()])
+    for (name, p), fd in zip(params.items(), fds):
         err = rel_err(p.grad, fd)
-        assert err < tol, f"{p.name or 'tensor'}: rel err {err:.2e}"
+        assert err < tol, f"{name}: rel err {err:.2e}"
 
 
 # -- linear -----------------------------------------------------------------
@@ -57,10 +58,10 @@ def test_linear_forward_matches_oracle():
 
 def test_linear_gradients():
     rng = np.random.default_rng(11)
-    x = tn.Tensor(rnd(rng, 5, 4), requires_grad=True, name="x")
-    w = tn.Tensor(rnd(rng, 3, 4, scale=0.5), requires_grad=True, name="w")
+    x = tn.Tensor(rnd(rng, 5, 4), requires_grad=True)
+    w = tn.Tensor(rnd(rng, 3, 4, scale=0.5), requires_grad=True)
     r = tn.Tensor(rnd(rng, 5, 3))
-    check_grads(lambda: tape_sum(tn.mul(ly.linear(x, w), r)), [x, w])
+    check_grads(lambda: tape_sum(tn.mul(ly.linear(x, w), r)), {"x": x, "w": w})
 
 
 def test_linear_shape_error():
@@ -87,10 +88,10 @@ def test_rmsnorm_zero_input_is_finite():
 
 def test_rmsnorm_gradients():
     rng = np.random.default_rng(13)
-    x = tn.Tensor(rnd(rng, 4, 6), requires_grad=True, name="x")
-    s = tn.Tensor(rnd(rng, 6, scale=0.5), requires_grad=True, name="scale")
+    x = tn.Tensor(rnd(rng, 4, 6), requires_grad=True)
+    s = tn.Tensor(rnd(rng, 6, scale=0.5), requires_grad=True)
     r = tn.Tensor(rnd(rng, 4, 6))
-    check_grads(lambda: tape_sum(tn.mul(ly.rmsnorm(x, s), r)), [x, s])
+    check_grads(lambda: tape_sum(tn.mul(ly.rmsnorm(x, s), r)), {"x": x, "scale": s})
 
 
 # -- causal conv ------------------------------------------------------------
@@ -117,10 +118,10 @@ def test_conv_is_causal():
 
 def test_conv_gradients():
     rng = np.random.default_rng(16)
-    x = tn.Tensor(rnd(rng, 2, 6, 3), requires_grad=True, name="x")
-    k = tn.Tensor(rnd(rng, 3, 4, scale=0.5), requires_grad=True, name="kernel")
+    x = tn.Tensor(rnd(rng, 2, 6, 3), requires_grad=True)
+    k = tn.Tensor(rnd(rng, 3, 4, scale=0.5), requires_grad=True)
     r = tn.Tensor(rnd(rng, 2, 6, 3))
-    check_grads(lambda: tape_sum(tn.mul(ly.causal_conv1d(x, k), r)), [x, k])
+    check_grads(lambda: tape_sum(tn.mul(ly.causal_conv1d(x, k), r)), {"x": x, "kernel": k})
 
 
 # -- attention --------------------------------------------------------------
@@ -265,12 +266,13 @@ def test_attention_at_a_long_window_builds_one_head_at_a_time():
 
 def test_attention_gradients():
     rng = np.random.default_rng(19)
-    x = tn.Tensor(rnd(rng, 1, 5, 8, scale=0.5), requires_grad=True, name="x")
+    x = tn.Tensor(rnd(rng, 1, 5, 8, scale=0.5), requires_grad=True)
     names = ["wq", "wk", "wv", "wo"]
-    ws = [tn.Tensor(rnd(rng, 8, 8, scale=0.4), requires_grad=True, name=n) for n in names]
+    ws = [tn.Tensor(rnd(rng, 8, 8, scale=0.4), requires_grad=True) for _ in names]
     r = tn.Tensor(rnd(rng, 1, 5, 8))
     check_grads(
-        lambda: tape_sum(tn.mul(ly.attention(x, *ws, n_heads=2), r)), [x] + ws
+        lambda: tape_sum(tn.mul(ly.attention(x, *ws, n_heads=2), r)),
+        {"x": x, **dict(zip(names, ws))}
     )
 
 
@@ -284,7 +286,7 @@ def test_attention_rejects_bad_head_split():
 # -- gated mlp --------------------------------------------------------------
 
 def make_mlp(rng, d=6, hidden=10):
-    mlp = ly.GatedMlp.build(rng, d, hidden, "mlp")
+    mlp = ly.GatedMlp.build(rng, d, hidden)
     return mlp
 
 
@@ -301,9 +303,9 @@ def test_gated_mlp_forward_matches_oracle():
 def test_gated_mlp_gradients():
     rng = np.random.default_rng(21)
     mlp = make_mlp(rng, d=5, hidden=7)
-    x = tn.Tensor(rnd(rng, 1, 4, 5), requires_grad=True, name="x")
+    x = tn.Tensor(rnd(rng, 1, 4, 5), requires_grad=True)
     r = tn.Tensor(rnd(rng, 1, 4, 5))
-    params = [x, mlp.up.weight, mlp.gate.weight, mlp.down.weight]
+    params = {"x": x, "up": mlp.up.weight, "gate": mlp.gate.weight, "down": mlp.down.weight}
     check_grads(lambda: tape_sum(tn.mul(mlp.body(TAPE, x), r)), params)
 
 
@@ -357,7 +359,7 @@ def test_slice_beyond_capacity_raises():
 
 def test_embedding_lookup_and_grad_scatter():
     rng = np.random.default_rng(26)
-    emb = ly.Embedding.build(rng, 7, 4, "emb")
+    emb = ly.Embedding.build(rng, 7, 4)
     toks = np.array([[0, 3, 3, 6, 1, 3]])
     out = emb(toks)
     np.testing.assert_array_equal(out.data[0, 1], emb.table.data[3])
@@ -374,7 +376,7 @@ def test_embedding_lookup_and_grad_scatter():
 
 def test_embedding_rejects_out_of_range_token():
     rng = np.random.default_rng(27)
-    emb = ly.Embedding.build(rng, 7, 4, "emb")
+    emb = ly.Embedding.build(rng, 7, 4)
     with pytest.raises(TokenError) as e:
         emb(np.array([[1, 2, 9]]))
     assert "9" in str(e.value) and "(0, 2)" in str(e.value)
@@ -398,9 +400,9 @@ def test_cross_entropy_uniform_logits_is_log_vocab():
 
 def test_cross_entropy_gradients():
     rng = np.random.default_rng(29)
-    logits = tn.Tensor(rnd(rng, 5, 7), requires_grad=True, name="logits")
+    logits = tn.Tensor(rnd(rng, 5, 7), requires_grad=True)
     targets = rng.integers(0, 7, size=5)
-    check_grads(lambda: ly.cross_entropy(logits, targets), [logits])
+    check_grads(lambda: ly.cross_entropy(logits, targets), {"logits": logits})
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 5), (3, 7, 11)])
@@ -466,7 +468,7 @@ def test_kernels_give_the_same_bytes_for_float64_weights():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
 def test_non_integer_ids_are_one_token_error(dtype):
-    emb = ly.Embedding.build(np.random.default_rng(32), 7, 4, "emb")
+    emb = ly.Embedding.build(np.random.default_rng(32), 7, 4)
     with pytest.raises(TokenError, match=f"dtype {np.dtype(dtype)}") as e:
         emb(np.ones((1, 3), dtype=dtype))
     assert "\n" not in str(e.value)

@@ -1,5 +1,6 @@
 """Registry, removal semantics, accounting, checkpoints, compaction, decode."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -76,14 +77,17 @@ def test_analytic_counts_match_allocation():
 
 def test_registry_partitions_all_tensors():
     m = Model.build(tiny_desc(), 1)
-    seen = {}
-    groups = [md.part_tensors(b, kind) for b in m.blocks for kind in b.PARTS]
-    groups += [ly.tensors(m.embedding), ly.tensors(m.final_norm), ly.tensors(m.head)]
+    seen, owned = {}, set()
+    groups = [md.part_tensors(b, kind, f"blocks.{i}.")
+              for i, b in enumerate(m.blocks) for kind in b.PARTS]
+    groups += [ly.tensors(m.embedding, prefix="embedding."),
+               ly.tensors(m.final_norm, prefix="final_norm."), ly.tensors(m.head, prefix="head.")]
     for g in groups:
-        for name in g:
-            assert name not in seen, f"{name} owned twice"
-            seen[name] = True
-    assert set(seen) == set(m.named_tensors())
+        for name, t in g.items():
+            assert name not in seen and id(t) not in owned, f"{name} owned twice"
+            seen[name] = t
+            owned.add(id(t))
+    assert seen == m.named_tensors()
 
 
 @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
@@ -95,11 +99,11 @@ def test_parts_partition_the_tensors_of_every_field(variant):
         named = [f for fields in b.PARTS.values() for f in fields]
         assert len(named) == len(set(named)), f"{type(b).__name__}: a field in two parts"
         assert set(named) <= set(b.__dataclass_fields__)
-        owners = {f for f in b.__dataclass_fields__ if ly.tensors(getattr(b, f))}
+        owners = {f for f in b.__dataclass_fields__ if ly.tensors(b, (f,))}
         assert owners <= set(named), f"{type(b).__name__}: {owners - set(named)} in no part"
-        parts = [n for kind in b.PARTS for n in md.part_tensors(b, kind)]
-        assert len(parts) == len(set(parts))
-        assert sorted(parts) == sorted(ly.tensors(b))
+        parts = [t for kind in b.PARTS for t in md.part_tensors(b, kind).values()]
+        assert len(set(map(id, parts))) == len(parts)
+        assert sorted(map(id, parts)) == sorted(map(id, ly.tensors(b).values()))
 
 
 def test_named_tensors_order_is_pinned():
@@ -215,9 +219,10 @@ def test_dead_weights_do_not_touch_forward():
     m.remove("mamba_block", 3)
     want = m.forward(toks).data.copy()
     rng = np.random.default_rng(99)
-    scram = {**md.part_tensors(m.blocks[0], "ssm"), **md.part_tensors(m.blocks[1], "mha"),
-             **md.part_tensors(m.blocks[3], "mamba_block"),
-             **md.part_tensors(m.blocks[3], "ssm")}
+    scram = {**md.part_tensors(m.blocks[0], "ssm", "blocks.0."),
+             **md.part_tensors(m.blocks[1], "mha", "blocks.1."),
+             **md.part_tensors(m.blocks[3], "mamba_block", "blocks.3."),
+             **md.part_tensors(m.blocks[3], "ssm", "blocks.3.")}
     for t in scram.values():
         t.data = rng.normal(size=t.data.shape).astype(np.float32)
     got = m.forward(toks).data
@@ -369,14 +374,15 @@ def test_compact_shares_nothing_with_the_overlay():
         {n: t.data.shape for n, t in fresh.named_tensors().items()}
     assert len(fresh.named_tensors()) < len(Model.build(c.desc, 0).named_tensors())
     assert all(t.grad is None for t in c.named_tensors().values())
+    assert not set(map(id, c.named_tensors().values())) & \
+        set(map(id, m.named_tensors().values()))
     for t in c.named_tensors().values():
         t.data[...] = 7.0
-        t.name = "edited." + t.name
     for b in c.blocks:
         for kind in b.PARTS:
             setattr(b, md.ALIVE_FLAG[kind], not getattr(b, md.ALIVE_FLAG[kind]))
     assert {n: t.data.tobytes() for n, t in m.named_tensors().items()} == names
-    assert all(n == t.name for n, t in m.named_tensors().items())
+    assert list(m.named_tensors()) == list(names)
     assert m.structures() == flags
     assert all(t.grad is not None for t in m.named_tensors().values())
 
@@ -387,7 +393,7 @@ BODY = len(md.MAGIC) + md.PREFIX.size  # where the crc-covered bytes start
 
 
 def _live_bytes(m):
-    return {t.name: t.data.tobytes() for t in m.parameters()}
+    return {n: t.data.tobytes() for n, t in m._tensors(live_only=True).items()}
 
 
 def test_checkpoint_round_trip_bit_identical(tmp_path):
@@ -443,12 +449,13 @@ def test_loaded_and_compacted_models_own_only_what_runs(tmp_path, variant):
     md.save_model(m, p)
     loaded, _ = md.load_model(p)
     for model in (loaded, m.compact(), loaded.compact()):
-        assert list(model.named_tensors()) == [t.name for t in model.parameters()]
+        assert list(model.named_tensors().items()) == \
+            list(model._tensors(live_only=True).items())
         for i, b in enumerate(model.blocks):
             for kind, fields in b.PARTS.items():
                 if not model.is_effective(kind, i):
                     assert all(getattr(b, f) is None for f in fields), (i, kind)
-    assert list(loaded.named_tensors()) == [t.name for t in m.parameters()]
+    assert list(loaded.named_tensors()) == list(m._tensors(live_only=True))
     # the in-memory overlay keeps every dead tensor
     assert list(m.named_tensors()) == overlay_names
     assert len(overlay_names) > len(loaded.named_tensors())
@@ -456,6 +463,74 @@ def test_loaded_and_compacted_models_own_only_what_runs(tmp_path, variant):
     want = m.forward(toks).data.tobytes()
     assert loaded.forward(toks).data.tobytes() == want
     assert loaded.compact().forward(toks).data.tobytes() == want
+
+
+# sha256 of save_model's bytes for naming_case's models, so that a change to
+# a tensor's name, its order or its payload shows; a reload re-saves the same
+# bytes
+NAMED_SHA256 = {
+    ("mamba1", "built"): "b25f42ac9612722bcd84fb7793bee139c9cd389779061f710d674d64ef840fe0",
+    ("mamba1", "overlay"): "beaadeb9f0e05e738e6c3b8e6b26ced500c51a7cd917f4db6860081bf122de1b",
+    ("mamba1", "compacted"): "8a0775cf72d63459dcd2d79585559fa27fa639772ba40b7baa26a53e429e183b",
+    ("mamba2", "built"): "4b181f701b1acacca6de52ab5d3825cb2e120bd9583afed30d7092a6162bdbd1",
+    ("mamba2", "overlay"): "890626adcda56e7ffa4bd6a11e1f0cb2711cfa8f28c673e57b0ecc6bc5f1e62c",
+    ("mamba2", "compacted"): "b04c67b8f4ca02d2f7e696359b444950d5b7c5b022bfdbebf24a5734302958cb",
+}
+
+
+def naming_case(variant):
+    """-> {"built", "overlay", "compacted"}: an 8-block hybrid; the same
+    build with an mlp slice and removals of every kind, a shadowed ssm among
+    them; and its compaction."""
+    desc = toy_descriptor(n_blocks=8, variant=variant, transformer_at=(1, 4, 6), vocab=11,
+                          d_model=8, d_state=4, mlp_hidden=12, n_heads=2)
+    ov = Model.build(desc, 5)
+    ov.slice_mlp(1, 5)
+    for kind, i in (("mha", 1), ("ssm", 0), ("mamba_block", 2), ("transformer_block", 4),
+                    ("mlp", 6), ("ssm", 3), ("mamba_block", 3)):
+        ov.remove(kind, i)
+    return {"built": Model.build(desc, 5), "overlay": ov, "compacted": ov.compact()}
+
+
+def _at_path(m, name):
+    """The object at name's dotted field path from m; "blocks.i" indexes
+    the block list."""
+    o = m
+    for f in name.split("."):
+        o = o[int(f)] if isinstance(o, list) else getattr(o, f)
+    return o
+
+
+def _parts_rank(m, name):
+    """Where name falls in PARTS order: embedding, then each block's part
+    fields in PARTS order, then the final norm and the head."""
+    top, *rest = name.split(".")
+    if top != "blocks":
+        return (("embedding", "blocks", "final_norm", "head").index(top),)
+    b = m.blocks[int(rest[0])]
+    return (1, int(rest[0]), [f for fs in b.PARTS.values() for f in fs].index(rest[1]))
+
+
+@pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
+def test_tensor_names_are_field_paths_in_parts_order(tmp_path, variant):
+    # built, overlay, compacted and a load of each: every key of
+    # named_tensors() leads along its field path to the very tensor it maps
+    # to, the keys run in PARTS order, and a save writes the pinned bytes
+    for case, m in naming_case(variant).items():
+        p = tmp_path / f"{case}.ckpt"
+        md.save_model(m, str(p))
+        loaded, _ = md.load_model(str(p))
+        again = tmp_path / f"{case}-again.ckpt"
+        md.save_model(loaded, str(again))
+        for model, path in ((m, p), (loaded, again)):
+            named = model.named_tensors()
+            assert named, case
+            for name, t in named.items():
+                assert _at_path(model, name) is t, (case, name)
+            ranks = [_parts_rank(model, n) for n in named]
+            assert ranks == sorted(ranks), case
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+                NAMED_SHA256[variant, case], (case, path.name)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -862,13 +937,13 @@ def test_clone_is_independent():
 # -- what the tape keeps ----------------------------------------------------
 
 def _loss_and_grads(m, tokens, targets, loss_fn):
-    params = m.parameters()
-    for t in params:
+    params = m._tensors(live_only=True)
+    for t in params.values():
         t.zero_grad()
     with tn.tape() as g:
         loss = loss_fn(m.forward(tokens), targets)
         g.backward(loss)
-    return loss.hi, {t.name: t.grad.tobytes() for t in params if t.grad is not None}
+    return loss.hi, {n: t.grad.tobytes() for n, t in params.items() if t.grad is not None}
 
 
 @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
@@ -925,16 +1000,16 @@ def test_taped_blocks_hold_no_rebuildable_arrays():
 
 def _block_grads(blk, x, w, forward):
     """Bytes of the grads of sum(forward(x) * w) by x and by every tensor
-    blk owns (None where none reached it), and the graph's node count after
-    the forward."""
-    owned = list(ly.tensors(blk).values())
-    for t in (x, *owned):
+    blk owns (None where none reached it), by "x" and field path, and the
+    graph's node count after the forward."""
+    owned = {"x": x, **ly.tensors(blk)}
+    for t in owned.values():
         t.zero_grad()
     with tn.tape() as g:
         out = forward(x)
         nodes = len(g)
         g.backward(tape_sum(tn.mul(out, w)))
-    return nodes, {t.name: None if t.grad is None else t.grad.tobytes() for t in (x, *owned)}
+    return nodes, {n: None if t.grad is None else t.grad.tobytes() for n, t in owned.items()}
 
 
 @pytest.mark.parametrize("kind,dead", [("mamba1", None), ("mamba1", "ssm"), ("mamba2", None),
@@ -954,8 +1029,7 @@ def test_checkpointed_block_grads_equal_the_body_recorded_op_by_op(kind, dead, T
         m.remove(dead, i)
     state = None if kind == "transformer" else (None, None)
     rng = np.random.default_rng(18)
-    x0 = tn.Tensor(rng.normal(size=(2, T, m.desc.d_model)), requires_grad=x_kind != "constant",
-                   name="x")
+    x0 = tn.Tensor(rng.normal(size=(2, T, m.desc.d_model)), requires_grad=x_kind != "constant")
     w = tn.Tensor(rng.normal(size=x0.data.shape))
     lift = (lambda x: tn.add(x, tn.Tensor(np.zeros_like(x.data)))) if x_kind == "produced" \
         else (lambda x: x)
@@ -964,7 +1038,8 @@ def test_checkpointed_block_grads_equal_the_body_recorded_op_by_op(kind, dead, T
                                     lambda x: blk._body(md.TAPE, lift(x), state)[0])
     assert nodes == (2 if x_kind == "produced" else 1) < want_nodes
     assert got == want
-    dead_names = set(ly.tensors(blk)) - {t.name for t in m.parameters()}
+    live = set(m.parameters())
+    dead_names = {n for n, t in ly.tensors(blk).items() if t not in live}
     assert all(got[n] is None for n in dead_names)
     assert (got["x"] is None) == (x_kind == "constant")
 

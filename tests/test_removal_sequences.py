@@ -103,8 +103,8 @@ def _check_step(m: Model, toks, path: str, rnd: random.Random) -> Model:
         assert back.desc == src.desc
         assert [(s.kind, s.block, s.alive) for s in back.structures()] == \
             [(s.kind, s.block, s.alive) for s in src.structures()]
-        assert {t.name: t.data.tobytes() for t in back.parameters()} == \
-            {t.name: t.data.tobytes() for t in src.parameters()}
+        assert {n: t.data.tobytes() for n, t in back._tensors(live_only=True).items()} == \
+            {n: t.data.tobytes() for n, t in src._tensors(live_only=True).items()}
         assert _logits(back, toks) == want
         models.append(back)
     for x in models + [cc]:
@@ -120,7 +120,7 @@ def _check_recovery(m: Model, corpus: Corpus, seed: int) -> int:
     not run keeps its bytes and gets no grad, every live grad is finite, and
     the two take the same step. -> the number of such dead tensors."""
     c = m.compact()
-    live = {t.name for t in m.parameters()}
+    live = m._tensors(live_only=True)
     dead = {n: t.data.tobytes() for n, t in m.named_tensors().items() if n not in live}
     cfg = TrainConfig(steps=1, batch_size=2, seq_len=6, warmup=0, seed=seed)
     for x in (m, c):

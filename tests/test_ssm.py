@@ -15,7 +15,7 @@ from oracles import (finite_diff, frozen_selective_scan, kept_arrays, naive_sele
 
 
 def build_params(rng, variant="s6", c=4, N=3, hot_dt=False):
-    p = ssm.SsmParams.build(rng, variant, c, N, "ssm")
+    p = ssm.SsmParams.build(rng, variant, c, N)
     if hot_dt:
         # larger dt so the decay path carries visible gradient signal
         u = rng.uniform(0.3, 1.0, c)
@@ -71,7 +71,7 @@ def test_ssd_equals_s6_with_tied_rows():
     rng = np.random.default_rng(42)
     c, N, T = 5, 6, 24
     pd = build_params(rng, "ssd", c, N)
-    tied = tn.Tensor(np.tile(pd.A_log.data[:, None], (1, N)), name="tied")
+    tied = tn.Tensor(np.tile(pd.A_log.data[:, None], (1, N)))
     ps = ssm.SsmParams(variant="s6", A_log=tied, dt_bias=pd.dt_bias, D_skip=pd.D_skip,
                        x_to_B=pd.x_to_B, x_to_C=pd.x_to_C, x_to_dt=pd.x_to_dt)
     x = tn.Tensor(rng.uniform(-2.0, 2.0, (2, T, c)).astype(np.float32))
@@ -119,7 +119,7 @@ def test_decay_stays_in_unit_interval():
 
 def test_dt_init_lands_in_declared_range():
     rng = np.random.default_rng(46)
-    p = ssm.SsmParams.build(rng, "s6", 256, 4, "ssm")
+    p = ssm.SsmParams.build(rng, "s6", 256, 4)
     dt0 = np.log1p(np.exp(p.dt_bias.data.astype(np.float64)))
     assert dt0.min() >= 1e-3 - 1e-9
     assert dt0.max() <= 1e-1 + 1e-9
@@ -134,10 +134,9 @@ def test_scan_gradients(variant):
     c, N, T, B = 3, 2, 6, 2
     p = build_params(rng, variant, c, N, hot_dt=True)
     x = tn.Tensor(rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32),
-                  requires_grad=True, name="x")
+                  requires_grad=True)
     r = tn.Tensor(rng.uniform(-2.0, 2.0, (B, T, c)).astype(np.float32))
-    params = [x, p.A_log, p.x_to_B.weight, p.x_to_C.weight, p.x_to_dt.weight,
-              p.dt_bias, p.D_skip]
+    params = {"x": x, **ly.tensors(p)}
 
     def build():
         return tape_sum(tn.mul(ssm.selective_scan(x, p), r))
@@ -145,10 +144,10 @@ def test_scan_gradients(variant):
     with tn.tape() as g:
         loss = build()
     g.backward(loss)
-    fds = finite_diff(lambda: build().scalar(), [q.data for q in params])
-    for q, fd in zip(params, fds):
+    fds = finite_diff(lambda: build().scalar(), [q.data for q in params.values()])
+    for (name, q), fd in zip(params.items(), fds):
         err = rel_err(q.grad, fd)
-        assert err < 1e-3, f"{variant} {q.name}: rel err {err:.2e}"
+        assert err < 1e-3, f"{variant} {name}: rel err {err:.2e}"
 
 
 @pytest.mark.parametrize("variant", ["s6", "ssd"])
@@ -213,17 +212,18 @@ def test_scan_f_gives_the_same_bytes_for_float64_weights(variant):
     p = build_params(rng, variant, c=6, N=3, hot_dt=True)
     x = rng.uniform(-2.0, 2.0, (2, 7, 6)).astype(np.float32)
     h0 = rng.normal(0.0, 1.0, (2, 6, 3))
-    casts = {t: t.data.astype(np.float64) for t in ly.tensors(p).values()}
+    names = {t: n for n, t in ly.tensors(p).items()}
+    casts = {t: t.data.astype(np.float64) for t in names}
     asked = []
 
     def w64(t):
-        asked.append(t.name)
+        asked.append(names[t])
         return casts[t]
 
     y32, h32, _ = ssm.scan_f(x, p, h0.copy())
     y64, h64, _ = ssm.scan_f(x, p, h0.copy(), w64)
     assert y64.tobytes() == y32.tobytes() and h64.tobytes() == h32.tobytes()
-    assert sorted(set(asked)) == sorted(n for n in ly.tensors(p) if n != "ssm.A_log")
+    assert sorted(set(asked)) == sorted(n for n in ly.tensors(p) if n != "A_log")
 
 
 @pytest.mark.parametrize("variant", ssm.VARIANTS)

@@ -222,8 +222,9 @@ def test_training_is_deterministic():
 
 
 def test_step_tape_is_freed_before_the_optimizer(monkeypatch):
-    # the tape holds a step's activations; the optimizer and the evaluation
-    # run after it is gone
+    # the tape holds a step's activations while it records; the optimizer
+    # and the evaluation run once every graph is gone or spent and empty:
+    # no node, no produced tensor
     graphs, seen = [], []
     real_tape, real_step, real_ppl = tr.tape, tr.Adam.step, tr.split_perplexity
 
@@ -233,8 +234,12 @@ def test_step_tape_is_freed_before_the_optimizer(monkeypatch):
             graphs.append(weakref.ref(g))
             yield g
 
+    def holds_nothing(ref):
+        g = ref()
+        return g is None or (g._spent and len(g) == 0 and not g._produced)
+
     def check(where):
-        seen.append((where, len(graphs), [r() is None for r in graphs]))
+        seen.append((where, len(graphs), [holds_nothing(r) for r in graphs]))
 
     def step(self, lr):
         check("Adam.step")
