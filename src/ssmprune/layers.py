@@ -6,9 +6,11 @@ registers a single backward closure on the tape, instead of decomposing into
 primitive ops. Linear, rmsnorm, conv and attention split in two: an array
 kernel (`linear_f`, ...) that decode runs directly, and the tape wrapper,
 which calls it and records the backward. The stateful kernels take what came
-before their input: conv the last inputs, attention a key/value prefix. The
-gated mlp is one body over an ops table, the blocks' tape or array ops, and
-needs no backward of its own.
+before their input: conv the last inputs, attention a key/value prefix. They
+give one token (a decode step) a shorter path with the same bytes: conv sums
+its one row's taps in one reduce, and attention masks nothing for a single
+query. The gated mlp is one body over an ops table, the blocks' tape or
+array ops, and needs no backward of its own.
 
 A backward closure keeps its inputs and what no cheap pass rebuilds.
 Attention keeps only x and its weights: its backward rebuilds the float64
@@ -94,7 +96,9 @@ def causal_conv1d_f(x: np.ndarray, kernel: np.ndarray,
                     tail: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Depthwise causal conv. x (B, T, c) float32, kernel (c, w); position t
     sees x[t-w+1 .. t] only. tail (B, w-1, c) holds the inputs before x, most
-    recent last; None means zeros. -> (y (B, T, c), the tail after x)."""
+    recent last; None means zeros. -> (y (B, T, c), the tail after x).
+    One token (a decode step) sums its one row's w products in one reduce,
+    in the loop's order from 0, so to the loop's bytes."""
     if x.ndim != 3:
         raise ShapeError(f"causal_conv1d: expected (B, T, c), got {x.shape}")
     B, T, c = x.shape
@@ -104,6 +108,9 @@ def causal_conv1d_f(x: np.ndarray, kernel: np.ndarray,
     if tail is None:
         tail = np.zeros((B, w - 1, c), dtype=np.float32)
     xp = np.concatenate([tail, x], axis=1)
+    if T == 1:
+        # (B, w, c) products reduced over w, the outer axis: one add per tap
+        return np.add.reduce(xp * kernel.T, axis=1, keepdims=True, initial=0.0), xp[:, 1:]
     y = np.zeros((B, T, c), dtype=np.float32)
     for j in range(w):
         y += kernel[:, j] * xp[:, j:j + T, :]
@@ -167,12 +174,14 @@ def _probs(q: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     """Causal softmax of the scaled scores of queries q (B, H, T, hd) at
     positions n .. n+T-1 against keys k (B, H, n + T, hd): float64 (B, H, T,
     n + T). The forward computes it, and the backward computes it again from
-    the q and k it rebuilds, to the same bytes."""
+    the q and k it rebuilds, to the same bytes. A single query (a decode
+    token) is the last position, so no key follows it and no mask is built."""
     T, hd = q.shape[2:]
     scores = q @ k.transpose(0, 1, 3, 2)
     scores /= np.sqrt(hd)
-    later = np.arange(n + T) > np.arange(n, n + T)[:, None]  # key after query
-    np.copyto(scores, -np.inf, where=later)
+    if T > 1:
+        later = np.arange(n + T) > np.arange(n, n + T)[:, None]  # key after query
+        np.copyto(scores, -np.inf, where=later)
     scores -= scores.max(axis=-1, keepdims=True)
     # in place: a second (B, H, T, n + T) float64 block freed per call makes
     # glibc trim its heap and fault it back in on the next forward

@@ -188,17 +188,25 @@ TAPE = SimpleNamespace(
 def _array_ops() -> SimpleNamespace:
     """A decode session's ops: on float32 arrays, no tape. The stateful ops
     carry the conv tail, the scan state and the key/value prefix from one
-    call to the next. The table keeps the float64 copy of each weight a
-    kernel casts (linear weights, rmsnorm scales, dt_bias, D_skip), made at
-    its first read and passed again at every later one. The conv kernel and
-    A_log are passed as they are, since their ops run in float32."""
-    cache: Dict[Tensor, np.ndarray] = {}
+    call to the next. The table prepares each array a kernel derives from a
+    weight once, at its first read (in the session's prefill), and passes it
+    again at every later one: the float64 copy of each weight a kernel casts
+    (linear weights, rmsnorm scales, dt_bias, D_skip) and each scan's
+    A = -exp(A_log). The conv kernel is passed as it is, since conv runs in
+    float32."""
+    cache: Dict[object, np.ndarray] = {}
 
     def w64(t: Tensor) -> np.ndarray:
         w = cache.get(t)
         if w is None:
             w = cache[t] = t.data.astype(np.float64)
         return w
+
+    def neg_A(p: SsmParams) -> np.ndarray:
+        A = cache.get(p)
+        if A is None:
+            A = cache[p] = p.neg_A()
+        return A
 
     return SimpleNamespace(
         add=np.add,
@@ -207,7 +215,7 @@ def _array_ops() -> SimpleNamespace:
         linear=lambda x, lin: linear_f(x, w64(lin.weight)),
         rmsnorm=lambda x, norm: rmsnorm_f(x, w64(norm.scale)),
         conv=lambda x, conv, tail: causal_conv1d_f(x, conv.kernel.data, tail),
-        scan=lambda x, p, h: scan_f(x, p, h, w64)[:2],
+        scan=lambda x, p, h: scan_f(x, p, h, w64, neg_A(p))[:2],
         attention=lambda x, mha, kv: attention_f(
             x, w64(mha.q.weight), w64(mha.k.weight), w64(mha.v.weight),
             w64(mha.o.weight), mha.n_heads, kv),
@@ -719,18 +727,25 @@ class DecodeSession:
     """Generation on the blocks' `decode_step`, the body `Model.forward` runs,
     on array kernels. prefill() runs the prompt from an empty state, so its
     logits are the bytes of the forward's last position; step() is the
-    one-token case. capacity_hint presizes the key/value buffers, which
-    grow past it.
+    one-token case, and runs the kernels' one-token paths (the scan's single
+    step, attention with no mask, the conv's one-row reduce). capacity_hint,
+    a nonnegative integer, presizes the key/value buffers, which grow past
+    it; anything else is a ConfigError at construction.
 
-    Weights are read at prefill. The float64 copy of each weight the kernels
-    cast (linear weights, rmsnorm scales, dt_bias, D_skip) is made there, at
-    its first use, and every step() until the next prefill reuses it; the
-    conv kernels and A_log are read as they are. An edit to the model's
-    weights shows from the next prefill on."""
+    Weights are read at prefill. It prepares every array the kernels derive
+    from a weight: the float64 copy of each weight a kernel casts (linear
+    weights, rmsnorm scales, dt_bias, D_skip) and each scan's
+    A = -exp(A_log), made there at their first use, and every step() until
+    the next prefill reuses them; the conv kernels are read as they are. An
+    edit to the model's weights shows from the next prefill on."""
 
     def __init__(self, model: Model, capacity_hint: int = 0):
+        whole = _is_int(capacity_hint) or isinstance(capacity_hint, np.integer)
+        if not whole or capacity_hint < 0:
+            raise ConfigError(f"DecodeSession: capacity_hint {capacity_hint!r} "
+                              "is not a nonnegative integer")
         self.model = model
-        self.capacity_hint = capacity_hint
+        self.capacity_hint = int(capacity_hint)
         self._state: Optional[list] = None
         self._batch = 0
         self._ops: Optional[SimpleNamespace] = None

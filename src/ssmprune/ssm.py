@@ -12,7 +12,8 @@ states rounded to float32, and the readout contraction accumulates in float64.
 
 `scan_f` runs the scan on arrays from a given state and returns the state
 after it; `selective_scan` is its taped call from zero, a decode step its
-T=1 call.
+T=1 call, which runs one step on the token's row with the weight arrays a
+decode session prepared.
 
 The scan runs time in chunks of a fixed element budget, time-major, so each
 step's slice is one contiguous block. Each chunk builds its own decay
@@ -117,13 +118,15 @@ def _project(p: SsmParams, x: np.ndarray,
              w64: Callable[[Tensor], np.ndarray] = _cast64) -> Tuple[np.ndarray, ...]:
     """Input-dependent projections of x (..., c): dtp, B, C as float32. The
     forward computes them, and the backward computes them again from the x
-    it keeps, to the same bytes."""
+    it keeps, to the same bytes; a decode token passes its (B, c) row."""
     lead = x.shape[:-1]
-    x2 = x.reshape(-1, p.channels).astype(np.float64)
-    dtp = f32((x2 @ w64(p.x_to_dt.weight).T + w64(p.dt_bias)).reshape(lead + (p.channels,)))
-    Bm = f32((x2 @ w64(p.x_to_B.weight).T).reshape(lead + (p.n_state,)))
-    Cm = f32((x2 @ w64(p.x_to_C.weight).T).reshape(lead + (p.n_state,)))
-    return dtp, Bm, Cm
+    c, N = p.channels, p.n_state
+    x2 = x.reshape(-1, c).astype(np.float64)
+    # astype keeps the product's C order: f32's contiguity pass is not needed
+    dtp = (x2 @ w64(p.x_to_dt.weight).T + w64(p.dt_bias)).astype(np.float32)
+    Bm = (x2 @ w64(p.x_to_B.weight).T).astype(np.float32)
+    Cm = (x2 @ w64(p.x_to_C.weight).T).astype(np.float32)
+    return dtp.reshape(lead + (c,)), Bm.reshape(lead + (N,)), Cm.reshape(lead + (N,))
 
 
 def _steps(dtp: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -210,18 +213,24 @@ class _Chunks:
 
 
 def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
-           w64: Callable[[Tensor], np.ndarray] = _cast64):
+           w64: Callable[[Tensor], np.ndarray] = _cast64,
+           A: Optional[np.ndarray] = None):
     """Run the scan over a batch of sequences. x (B, T, c) float32, h0 the
     (B, c, N) float64 state before x (None: zeros), left unmodified. w64(t)
     is the float64 array read for weight t (the projections, dt_bias and
-    D_skip); a decode session passes the copies it keeps. A_log is read as
-    it is, float32.
+    D_skip), and A is -exp(A_log) as `SsmParams.neg_A` gives it (None:
+    computed here); a decode session passes the copies and the A it
+    prepared at prefill.
 
     -> (y (B, T, c) float32, the float64 state after x, and, only under a
     tape, recording or paused, the float64 states at each segment start,
     which the backward reads (None otherwise)). No call keeps the per-token states: each chunk's
     are read out at once, into a float64 buffer one segment long, and no call
     holds a whole-sequence float64 y.
+
+    One token (T == 1, a decode step) runs one step on its (B, c) row, with
+    no chunk buffers, einsum products or segment bookkeeping: the same
+    operations on the same values, so the same bytes.
     """
     if x.ndim != 3 or x.shape[-1] != p.channels:
         raise ShapeError(f"selective_scan: input {x.shape}, expected (B, T, {p.channels})")
@@ -229,24 +238,24 @@ def scan_f(x: np.ndarray, p: SsmParams, h0: Optional[np.ndarray] = None,
     N = p.n_state
     if h0 is not None and h0.shape != (B_, c, N):
         raise ShapeError(f"selective_scan: state {h0.shape}, expected {(B_, c, N)}")
+    if A is None:
+        A = p.neg_A()
+    h = np.zeros((B_, c, N), dtype=np.float64) if h0 is None else h0
+    if T == 1:
+        x1 = x[:, 0]
+        dtp, Bm, Cm = _project(p, x1, w64)                 # (B, c), (B, N)
+        dt, dtx = _steps(dtp, x1)
+        hc = (dtx[:, :, None] * Bm[:, None, :]).astype(np.float64)
+        hc += _decay(A, dt) * h                            # h = abar*h + input term
+        y = np.einsum("bcn,bn->bc", hc.astype(np.float32), Cm, dtype=np.float64)
+        y += w64(p.D_skip) * x1
+        # only a tape's backward reads the segment starts: one, the state before
+        return y.astype(np.float32)[:, None], hc, h[None].copy() if taping() else None
     dtp, Bm, Cm = _project(p, x, w64)
     dt, dtx = _steps(dtp, x)                               # (B,T,c)
-    A = p.neg_A()
     S = _segment_len(B_, c, N)
     # only a tape's backward reads the segment starts
     starts = np.empty((-(-T // S), B_, c, N), dtype=np.float64) if taping() else None
-    h = np.zeros((B_, c, N), dtype=np.float64) if h0 is None else h0
-    if T == 1:
-        # one step, a decode token: too small for the chunk buffers and the
-        # einsum products to pay for themselves
-        if starts is not None:
-            starts[0] = h
-        hc = (dtx[:, 0, :, None] * Bm[:, 0, None, :]).astype(np.float64)
-        hc += _decay(A, dt[:, 0]) * h                      # h = abar*h + input term
-        y = np.einsum("bcn,bn->bc", hc.astype(np.float32), Cm[:, 0],
-                      dtype=np.float64)[:, None]
-        y += w64(p.D_skip) * x
-        return y.astype(np.float32), hc, starts
     L = _chunk_len(B_, c, N)
     k = _Chunks(A, dt, dtx, Bm, L)
     del dt, dtx                                            # k holds time-major copies

@@ -248,14 +248,16 @@ def sigmoid_f(x: np.ndarray) -> np.ndarray:
     """Numerically stable sigmoid on a raw ndarray (keeps caller's dtype).
 
     With e = exp(-|x|) and d = 1 + e this is 1/d where x >= 0 and e/d elsewhere,
-    so exp never overflows. Both branches are computed on the whole array and
-    picked by multiplying with the sign mask: the numerator is exactly 1 or e,
-    so every element rounds as if its own branch alone had run. min(x, -x)
-    stands in for -|x| because it keeps a NaN's sign bit.
+    so exp never overflows. Both branches are computed on the whole array:
+    the numerator max(e, x >= 0) is exactly 1 where x >= 0 (e <= 1 there) and
+    e elsewhere (e >= 0 against a mask of 0; a NaN's e is NaN, which maximum
+    keeps), so every element rounds as if its own branch alone had run. One
+    maximum makes the numerator, so a decode token's silu and gate, on one
+    row, spend few calls on it. min(x, -x) stands in for -|x| because it
+    keeps a NaN's sign bit.
     """
-    pos = x >= 0
     e = np.exp(np.minimum(x, -x))
-    return (pos + e * ~pos) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def f32(x: np.ndarray) -> np.ndarray:

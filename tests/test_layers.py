@@ -1,5 +1,6 @@
 """Layer forwards vs float64 oracles; layer backwards vs finite differences."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,32 @@ def test_conv_is_causal():
     out = ly.causal_conv1d(tn.Tensor(x_mut), tn.Tensor(k)).data
     np.testing.assert_array_equal(out[0, :8], base[0, :8])
     assert np.abs(out[0, 8:] - base[0, 8:]).max() > 0
+
+
+@pytest.mark.parametrize("chunks", [(1,), (2,), (5,), (1, 2, 5)])
+def test_conv_resumes_from_its_tail_to_the_byte(chunks):
+    # calls over chunks of the sequence, each from the previous chunk's tail,
+    # give the bytes of one call over it: a one-token call sums its taps in
+    # the loop's order from 0, so signed zeros and cancellations agree
+    rng = np.random.default_rng(33)
+    B, T, c, w = 2, 13, 6, 4
+    x = rnd(rng, B, T, c)
+    x[:, :, 0] = -0.0                          # every product -0.0: the sum is +0.0
+    x[0, 5:9, 1] = [1e30, 1.0, -1e30, 3.0]     # the order decides what survives
+    k = rnd(rng, c, w)
+    k[0] = np.abs(k[0])
+    k[1] = 1.0
+    y, tail = ly.causal_conv1d_f(x, k)
+    parts, t, t0 = [], None, 0
+    for n in itertools.cycle(chunks):
+        if t0 == T:
+            break
+        n = min(n, T - t0)
+        yi, t = ly.causal_conv1d_f(x[:, t0:t0 + n], k, t)
+        parts.append(yi)
+        t0 += n
+    assert np.concatenate(parts, axis=1).tobytes() == y.tobytes()
+    assert t.tobytes() == tail.tobytes()
 
 
 def test_conv_gradients():

@@ -866,16 +866,18 @@ def test_decode_grows_kv_buffers_past_the_capacity_hint():
     assert min(caps) == 4 and len(caps) > 2 and sess._state[0][2] == 30
 
 
-# one weight of each kind a decode session keeps a float64 copy of
+# one weight of each kind a decode session prepares an array from: the
+# float64 copy of a linear weight, an rmsnorm scale, dt_bias and D_skip, and
+# a scan's -exp(A_log)
 CAST_WEIGHTS = ("blocks.0.in_x.weight", "blocks.0.norm.scale", "blocks.0.ssm.dt_bias",
-                "blocks.0.ssm.D_skip", "blocks.0.ssm.x_to_dt.weight",
+                "blocks.0.ssm.D_skip", "blocks.0.ssm.x_to_dt.weight", "blocks.0.ssm.A_log",
                 "blocks.1.mha.q.weight", "blocks.1.mlp.down.weight",
                 "final_norm.scale", "head.weight")
 
 
 @pytest.mark.parametrize("name", CAST_WEIGHTS)
 def test_weight_edit_shows_in_the_next_prefill(name):
-    # the float64 weights a session keeps are read at its prefill: an edit in
+    # the arrays a session prepares are read at its prefill: an edit in
     # place reaches a new session, and the old one once it prefills again
     m = Model.build(tiny_desc(), 22)
     toks = np.random.default_rng(22).integers(0, m.desc.vocab, size=(2, 7))
@@ -889,6 +891,21 @@ def test_weight_edit_shows_in_the_next_prefill(name):
         assert got.tobytes() == full[:, 5].tobytes()
         assert got.tobytes() != before.tobytes()
         assert sess.step(toks[:, 6]).tobytes() == full[:, 6].tobytes()
+
+
+@pytest.mark.parametrize("hint", [10.0, "8", -1, True, None, 2.5])
+def test_bad_capacity_hint_is_one_config_error(hint):
+    # refused at construction, before a float reaches np.zeros at prefill
+    m = Model.build(tiny_desc(), 14)
+    with pytest.raises(ConfigError, match=re.escape(repr(hint))) as e:
+        DecodeSession(m, capacity_hint=hint)
+    assert "\n" not in str(e.value)
+
+
+def test_capacity_hint_takes_a_numpy_integer():
+    m = Model.build(tiny_desc(), 14)
+    toks = np.random.default_rng(14).integers(0, m.desc.vocab, size=(1, 4))
+    assert DecodeSession(m, capacity_hint=np.int64(9)).prefill(toks).shape == (1, m.desc.vocab)
 
 
 @pytest.mark.parametrize("shape", [(1, 0), (0, 3)])

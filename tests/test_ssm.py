@@ -207,11 +207,11 @@ def test_untaped_scan_keeps_no_per_token_states(variant, steps):
 
 @pytest.mark.parametrize("variant", ssm.VARIANTS)
 def test_scan_f_gives_the_same_bytes_for_float64_weights(variant):
-    # a decode session passes w64 its float64 copies; A_log stays float32
+    # a decode session passes w64 its float64 copies and A = -exp(A_log),
+    # both prepared at its prefill, over a prompt and over one token; A_log
+    # itself is never cast
     rng = np.random.default_rng(49)
     p = build_params(rng, variant, c=6, N=3, hot_dt=True)
-    x = rng.uniform(-2.0, 2.0, (2, 7, 6)).astype(np.float32)
-    h0 = rng.normal(0.0, 1.0, (2, 6, 3))
     names = {t: n for n, t in ly.tensors(p).items()}
     casts = {t: t.data.astype(np.float64) for t in names}
     asked = []
@@ -220,10 +220,16 @@ def test_scan_f_gives_the_same_bytes_for_float64_weights(variant):
         asked.append(names[t])
         return casts[t]
 
-    y32, h32, _ = ssm.scan_f(x, p, h0.copy())
-    y64, h64, _ = ssm.scan_f(x, p, h0.copy(), w64)
-    assert y64.tobytes() == y32.tobytes() and h64.tobytes() == h32.tobytes()
-    assert sorted(set(asked)) == sorted(n for n in ly.tensors(p) if n != "A_log")
+    for T in (7, 1):
+        asked.clear()
+        x = rng.uniform(-2.0, 2.0, (2, T, 6)).astype(np.float32)
+        h0 = rng.normal(0.0, 1.0, (2, 6, 3))
+        y32, h32, _ = ssm.scan_f(x, p, h0.copy())
+        y64, h64, _ = ssm.scan_f(x, p, h0.copy(), w64)
+        assert y64.tobytes() == y32.tobytes() and h64.tobytes() == h32.tobytes()
+        assert sorted(set(asked)) == sorted(n for n in ly.tensors(p) if n != "A_log")
+        yA, hA, _ = ssm.scan_f(x, p, h0.copy(), w64, p.neg_A())
+        assert yA.tobytes() == y32.tobytes() and hA.tobytes() == h32.tobytes()
 
 
 @pytest.mark.parametrize("variant", ssm.VARIANTS)
