@@ -1,11 +1,11 @@
 """Prefill and decode throughput measurement, dense vs pruned.
 
-Each batch runs one decode session per model and times the session's
+Each batch runs one decode session per model and times each session's
 prefill of the prompt, then its token-by-token cached steps (decode,
-prefill excluded). Medians over the timed batches give the headline
-numbers; every raw timing is kept so any emitted speedup can be
-recomputed from the same report. The report also records the environment
-it was measured in, so two reports can be compared.
+prefill excluded), the sessions taking turns (see `_time`). Medians over
+the timed batches give the headline numbers; every raw timing is kept so
+any emitted speedup can be recomputed from the same report, which also
+records the environment it was measured in, so two can be compared.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import statistics
 import subprocess
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .model import DecodeSession, Model
 
 # (max - min) / median of any timing series above this flags a report unstable
 UNSTABLE_SPREAD = 0.25
+# the keys of bench_report.json that `ssmprune report` reads, with their kinds
+REPORT_KEYS = {"prefill_speedup": "a number", "decode_speedup": "a number"}
 
 
 @dataclass
@@ -101,16 +103,27 @@ def environment() -> dict:
 _SERIES = ("dense.prefill", "dense.decode", "pruned.prefill", "pruned.decode")
 
 
-def _time(model: Model, tokens: np.ndarray, new_tokens: int) -> Tuple[float, float]:
-    """(prefill, decode) seconds of one decode session: its prefill of
-    tokens, then new_tokens cached steps."""
-    session = DecodeSession(model, capacity_hint=tokens.shape[1] + new_tokens + 1)
-    t0 = time.perf_counter()
-    nxt = session.prefill(tokens).argmax(axis=-1)
-    t1 = time.perf_counter()
-    for _ in range(new_tokens):
-        nxt = session.step(nxt).argmax(axis=-1)
-    return t1 - t0, time.perf_counter() - t1
+def _time(models: Dict[str, Model], tokens: np.ndarray, new_tokens: int,
+          first: int) -> Dict[str, float]:
+    """Seconds of one decode session per model, by series: the sessions
+    prefill tokens in turn from the one at index `first`, then take
+    new_tokens cached steps in turn, the order flipped at every token, so
+    that load which shifts within a batch falls on every model alike."""
+    names = list(models)
+    order = names[first:] + names[:first]
+    sessions = {n: DecodeSession(models[n], capacity_hint=tokens.shape[1] + new_tokens + 1)
+                for n in names}
+    nxt, secs = {}, {f"{n}.decode": 0.0 for n in names}
+    for n in order:
+        t0 = time.perf_counter()
+        nxt[n] = sessions[n].prefill(tokens).argmax(axis=-1)
+        secs[f"{n}.prefill"] = time.perf_counter() - t0
+    for k in range(new_tokens):
+        for n in order[::-1] if k % 2 else order:
+            t0 = time.perf_counter()
+            nxt[n] = sessions[n].step(nxt[n]).argmax(axis=-1)
+            secs[f"{n}.decode"] += time.perf_counter() - t0
+    return secs
 
 
 def _spread(series: List[float]) -> float:
@@ -134,14 +147,9 @@ def bench(dense: Model, pruned: Model, cfg: BenchConfig, seed: int = 0,
     rng = np.random.default_rng(seed)
     vocab = dense.desc.vocab
     tokens = rng.integers(0, vocab, size=(1, cfg.prompt))
-    raw: Dict[str, List[float]] = {k: [] for k in _SERIES}
-    for i in range(cfg.warmup + cfg.batches):
-        keep = i >= cfg.warmup
-        for name, model in (("dense", dense), ("pruned", pruned)):
-            tp, td = _time(model, tokens, cfg.new_tokens)
-            if keep:
-                raw[f"{name}.prefill"].append(tp)
-                raw[f"{name}.decode"].append(td)
+    batches = [_time({"dense": dense, "pruned": pruned}, tokens, cfg.new_tokens, i % 2)
+               for i in range(cfg.warmup + cfg.batches)][cfg.warmup:]
+    raw = {k: [b[k] for b in batches] for k in _SERIES}
     medians = {k: statistics.median(v) for k, v in raw.items()}
     spreads = {k: _spread(v) for k, v in raw.items()}
     work = {"prefill": cfg.prompt, "decode": cfg.new_tokens}

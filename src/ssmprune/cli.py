@@ -15,22 +15,22 @@ for _v in THREAD_PINS:
     os.environ.setdefault(_v, "1")
 
 import argparse
-import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
 
-from .bench import BenchConfig, bench, write_bench_csv
+from .bench import REPORT_KEYS, BenchConfig, bench, write_bench_csv
 from .config import SCHEMA, load_config, write_resolved
 from .errors import (CapacityError, CheckpointError, ConfigError,
                      DivergenceError, ScheduleError, ShapeError, StateError,
-                     TokenError, read_text)
+                     TokenError, check_rows, is_a, read_csv_rows, read_text)
 from .model import Model, load_model, save_model, toy_descriptor
-from .pruning import (CalibrationSet, check_rows, is_a, parse_schedule, read_jsonl,
-                      run_schedule)
+from .pruning import (PLAN_ROW, TIMINGS_ROW, TRACE_ROW, CalibrationSet, parse_schedule,
+                      read_jsonl, run_schedule)
 from .study import StudyConfig, read_curves_csv, study_sensitivity
 from .training import (LOSS_COLUMNS, VOCAB, Corpus, TrainConfig,
                        split_perplexity, train)
@@ -56,17 +56,17 @@ def _outdir(args) -> str:
 
 
 def _section(args, name: str) -> dict:
-    """Config section name, with the --seed or --threads value the
-    subcommand took in place of its INI key, through that key's converter;
+    """Config section name, with each flag the subcommand took that names a
+    key of the section in place of that key, through the key's converter;
     a bad value is one ConfigError naming the flag."""
     cfg = load_config(args.config)[name]
-    for key in ("seed", "threads"):
-        raw = getattr(args, key, None)
-        if raw is not None:
+    for key, raw in vars(args).items():
+        if key in SCHEMA[name] and raw is not None:
             try:
                 cfg[key] = SCHEMA[name][key](raw)
             except ValueError as e:
-                raise ConfigError(f"bad value for --{key}: {raw!r} ({e})") from None
+                flag = key.replace("_", "-")
+                raise ConfigError(f"bad value for --{flag}: {raw!r} ({e})") from None
     return cfg
 
 
@@ -118,10 +118,6 @@ def _check_compact(overlay: Model, compacted: Model) -> None:
 
 def cmd_prune(args) -> int:
     cfg = _section(args, "prune")
-    if args.emit_trace:
-        cfg["emit_trace"] = True
-    if args.plan_only:
-        cfg["plan_only"] = True
     _need(cfg["checkpoint"], "prune.checkpoint")
     _need(cfg["schedule"], "prune.schedule")
     stages = parse_schedule(cfg["schedule"])
@@ -211,90 +207,67 @@ def cmd_bench(args) -> int:
     return 0
 
 
+_ARTIFACTS = ("plan.jsonl", "trace.jsonl", "timings.jsonl", "loss.csv",
+              "bench_report.json", "curves.csv")
+
+
 def cmd_report(args) -> int:
     out = args.out
     if not out or not os.path.isdir(out):
         raise ConfigError("--out DIR must name an existing run directory")
-    found = False
+    if not any(os.path.exists(os.path.join(out, name)) for name in _ARTIFACTS):
+        raise ConfigError(f"no run artifacts found in {out!r}")
     plan_path = os.path.join(out, "plan.jsonl")
     if os.path.exists(plan_path):
         plan = read_jsonl(plan_path)
-        check_rows(plan, {"kind": "a string", "ratio": "a number"}, plan_path)
-        kinds: dict = {}
-        for r in plan:
-            kinds[r["kind"]] = kinds.get(r["kind"], 0) + 1
+        check_rows(plan, PLAN_ROW, plan_path)
+        kinds = Counter(r["kind"] for r in plan)
         by = ", ".join(f"{k} x{n}" for k, n in sorted(kinds.items()))
         tail = f"; final ratio {plan[-1]['ratio']:.4f}" if plan else ""
         print(f"plan: {len(plan)} actions ({by}){tail}")
-        found = True
     trace_path = os.path.join(out, "trace.jsonl")
     if os.path.exists(trace_path):
         rows = read_jsonl(trace_path)
-        check_rows(rows, {"iter": "an integer", "stage": "an integer", "kind": "a string",
-                          "block": "an integer", "score": "a number"}, trace_path)
+        check_rows(rows, TRACE_ROW, trace_path)
         csv_path = os.path.join(out, "trace.csv")
         with open(csv_path, "w") as f:
             f.write("iter,stage,kind,block,g,score\n")
-            for r in rows:
-                g = r.get("g", "")
-                f.write(f"{r['iter']},{r['stage']},{r['kind']},{r['block']},"
-                        f"{g},{r['score']!r}\n")
+            f.writelines(f"{r['iter']},{r['stage']},{r['kind']},{r['block']},"
+                         f"{r.get('g', '')},{r['score']!r}\n" for r in rows)
         print(f"trace: {len(rows)} scored candidates -> {csv_path}")
-        found = True
     timings_path = os.path.join(out, "timings.jsonl")
     if os.path.exists(timings_path):
         rows = read_jsonl(timings_path)
         if not rows or not isinstance(rows[-1], dict) \
                 or not is_a(rows[-1].get("peak_rss_mb"), "a number"):
             raise ScheduleError(f"{timings_path}: last row holds no peak_rss_mb number")
-        check_rows(rows[:-1], {"iter": "an integer", "seconds": "a number"}, timings_path)
+        check_rows(rows[:-1], TIMINGS_ROW, timings_path)
         iters = [r for r in rows[:-1] if "candidates" in r]
         wall = sum(r["seconds"] for r in iters)
         print(f"timings: {len(iters)} iterations, {len(rows) - 1 - len(iters)} "
               f"candidates in {wall:.2f} s; peak RSS {rows[-1]['peak_rss_mb']:.1f} MB")
-        found = True
     loss_path = os.path.join(out, "loss.csv")
     if os.path.exists(loss_path):
-        lines = read_text(loss_path).split("\n")
-        rows = [(n, r) for n, r in enumerate(csv.reader(lines), 1) if r]
-        if not rows or rows[0] != (1, list(LOSS_COLUMNS)):
-            raise ConfigError(f"{loss_path}: line 1 is not the header {','.join(LOSS_COLUMNS)}")
-        for n, r in rows:
-            if len(r) != len(LOSS_COLUMNS):
-                raise ConfigError(f"{loss_path}: line {n} has {len(r)} fields, "
-                                  f"expected {len(LOSS_COLUMNS)}")
-        steps = rows[1:]
-        tail = f", last loss {steps[-1][1][2]}" if steps else ""
+        steps = read_csv_rows(loss_path, LOSS_COLUMNS)
+        tail = f", last loss {steps[-1]['loss']:.8g}" if steps else ""
         print(f"loss curve: {len(steps)} steps{tail}")
-        found = True
     bench_path = os.path.join(out, "bench_report.json")
     if os.path.exists(bench_path):
         try:
             rep = json.loads(read_text(bench_path))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{bench_path}: not JSON ({e.msg})") from None
-        missing = [k for k in ("prefill_speedup", "decode_speedup")
-                   if not isinstance(rep, dict) or k not in rep]
-        if missing:
-            raise ConfigError(f"{bench_path}: lacks {missing}")
-        for k in ("prefill_speedup", "decode_speedup"):
-            if not is_a(rep[k], "a number"):
-                raise ConfigError(f"{bench_path}: {k} {rep[k]!r} is not a number")
+        check_rows([rep], REPORT_KEYS, bench_path)
         flag = "  UNSTABLE" if rep.get("unstable") else ""
         print(f"bench: prefill speedup {rep['prefill_speedup']:.3f}x, "
               f"decode speedup {rep['decode_speedup']:.3f}x{flag}")
-        found = True
     curves_path = os.path.join(out, "curves.csv")
     if os.path.exists(curves_path):
         curves = read_curves_csv(curves_path)
-        names = sorted({r["kind"] for r in curves})
-        for kind in names:
+        for kind in sorted({r["kind"] for r in curves}):
             pts = [r for r in curves if r["kind"] == kind]
             print(f"curve {kind}: ppl {pts[0]['PPL']:.3f} -> {pts[-1]['PPL']:.3f} "
                   f"over {pts[-1]['steps']} removals")
-        found = True
-    if not found:
-        raise ConfigError(f"no run artifacts found in {out!r}")
     return 0
 
 
@@ -304,7 +277,7 @@ def cmd_study(args) -> int:
     corpus = _corpus(cfg["corpus"])
     scfg = StudyConfig(**_fields(StudyConfig, cfg), train=_train_config(cfg))
     write_resolved(os.path.join(out, "resolved.ini"), "study", cfg)
-    summary = study_sensitivity(corpus, scfg, out_dir=out, seed=cfg["seed"],
+    summary = study_sensitivity(corpus, scfg, out_dir=out,
                                 log_every=max(cfg["steps"] // 5, 1))
     ordering = summary["ordering"]
     for key, deg in sorted(ordering["degradation"].items()):
@@ -343,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
              seed=False)
     sp.add_argument("--threads", default=None, metavar="N",
                     help="parallel scorer width")
-    sp.add_argument("--emit-trace", action="store_true",
+    sp.add_argument("--emit-trace", action="store_const", const="true",
                     help="write every scored candidate to trace.jsonl")
-    sp.add_argument("--plan-only", action="store_true",
+    sp.add_argument("--plan-only", action="store_const", const="true",
                     help="search and write the plan, but no checkpoint")
     add("eval", cmd_eval, "perplexity of a checkpoint on one split", seed=False)
     add("bench", cmd_bench, "prefill/decode throughput, dense vs pruned")

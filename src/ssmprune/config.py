@@ -180,7 +180,8 @@ def load_config(path: Optional[str] = None) -> Dict[str, Dict[str, object]]:
     try:
         read = cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as e:
-        raise ConfigError(f"config file {path!r} is unreadable: {e}") from None
+        raise ConfigError(f"config file {path!r} is unreadable: "
+                          f"{' '.join(str(e).split())}") from None
     if not read:
         raise ConfigError(f"config file {path!r} is unreadable or missing")
     for sec in cp.sections():

@@ -1,5 +1,8 @@
 """Shared exception types so callers can tell failure modes apart, and the
-text-file reader that turns bytes that are not UTF-8 into one of them."""
+one check of bytes from outside: the text reader and the artifact row checks."""
+
+import csv
+from typing import Dict, List, Sequence
 
 
 class ShapeError(ValueError):
@@ -46,3 +49,57 @@ def read_text(path: str) -> str:
             return f.read()
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
+
+
+# A kind is "a string", "an integer" or "a number", or one of them + " or absent"
+# (a JSON key may be missing) or + " or empty" (a CSV cell may be empty: None).
+_TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float)}
+_PARSE = {"a string": str, "an integer": int, "a number": float}
+
+
+def is_a(value, what: str) -> bool:
+    """Whether value is of the kind `what`; a bool is no integer or number."""
+    return isinstance(value, _TYPES[what.split(" or ")[0]]) and not isinstance(value, bool)
+
+
+def check_rows(rows: Sequence, types: Dict[str, str], where: str) -> None:
+    """ScheduleError naming the first row (counted from 1) that is not an
+    object holding every key of `types` with a value of its kind; a key of
+    an " or absent" kind may be missing."""
+    for n, row in enumerate(rows, 1):
+        if not isinstance(row, dict):
+            raise ScheduleError(f"{where}: row {n} is not an object: {row!r}")
+        missing = [k for k, what in types.items()
+                   if k not in row and not what.endswith(" or absent")]
+        if missing:
+            raise ScheduleError(f"{where}: row {n} lacks {missing}")
+        for k, what in types.items():
+            if k in row and not is_a(row[k], what):
+                raise ScheduleError(f"{where}: row {n} has {k} {row[k]!r}, expected {what}")
+
+
+def read_csv_rows(path: str, columns: Dict[str, str]) -> List[dict]:
+    """The rows of the CSV file at path, whose line 1 is the header naming
+    the keys of `columns` in order, each cell parsed to its column's kind;
+    ConfigError naming the file and the first line that does not fit."""
+    reader = csv.reader(read_text(path).split("\n"))
+    try:
+        if next(reader) != list(columns):
+            raise ConfigError(f"{path}: line 1 is not the header {','.join(columns)}")
+        return [_cells(f"{path}: line {reader.line_num}", cells, columns)
+                for cells in reader if cells]
+    except csv.Error as e:
+        raise ConfigError(f"{path}: line {reader.line_num} is not CSV ({e})") from None
+
+
+def _cells(where: str, cells: List[str], columns: Dict[str, str]) -> dict:
+    if len(cells) != len(columns):
+        raise ConfigError(f"{where} has {len(cells)} fields, expected {len(columns)}")
+    row = {}
+    for (k, what), raw in zip(columns.items(), cells):
+        try:
+            row[k] = (None if raw == "" and what.endswith(" or empty")
+                      else _PARSE[what.split(" or ")[0]](raw))
+        except ValueError:
+            raise ConfigError(f"{where} has {k} {raw!r}, expected {what}") from None
+    return row

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import layers
 from . import tensor as tn
-from .errors import CapacityError, CheckpointError, ConfigError, ShapeError, StateError
+from .errors import CapacityError, CheckpointError, ConfigError, ShapeError, StateError, is_a
 from .layers import (CausalConv1d, Embedding, GatedMlp, Linear, MultiHeadAttention,
                      RmsNorm, attention_f, causal_conv1d_f, linear, linear_f, rmsnorm, rmsnorm_f)
 # scan_step is unused here; perfbench/tracing.py patches it under this name too
@@ -113,12 +113,12 @@ class ArchDescriptor:
         if missing:
             raise ConfigError(f"descriptor: lacks {missing}")
         for k in _DESC_INTS:
-            if not _is_int(d[k]):
+            if not is_a(d[k], "an integer"):
                 raise ConfigError(f"descriptor: {k} {d[k]!r} is not an integer")
         kinds, hidden = d["block_kinds"], d["mlp_hidden"]
         if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
             raise ConfigError(f"descriptor: block_kinds {kinds!r} is not a list of strings")
-        if not isinstance(hidden, list) or not all(_is_int(h) for h in hidden):
+        if not isinstance(hidden, list) or not all(is_a(h, "an integer") for h in hidden):
             raise ConfigError(f"descriptor: mlp_hidden {hidden!r} is not a list of integers")
         return ArchDescriptor(block_kinds=tuple(kinds), mlp_hidden=tuple(hidden),
                               **{k: d[k] for k in _DESC_INTS})
@@ -618,10 +618,6 @@ def save_model(model: Model, path: str, meta: Optional[dict] = None) -> None:
 _HEADER_KEYS = ("descriptor", "removed", "tensors", "meta")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_tensor_rows(path: str, rows) -> None:
     """One-line CheckpointError for a tensors row that is not
     [name, [int, ...]] or names a tensor an earlier row named."""
@@ -630,7 +626,7 @@ def _check_tensor_rows(path: str, rows) -> None:
     names = set()
     for row in rows:
         if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
-                and isinstance(row[1], list) and all(_is_int(n) for n in row[1])):
+                and isinstance(row[1], list) and all(is_a(n, "an integer") for n in row[1])):
             raise CheckpointError(f"{path}: tensors row {row!r} is not [name, shape]")
         if row[0] in names:
             raise CheckpointError(f"{path}: tensors rows name {row[0]} twice")
@@ -740,7 +736,7 @@ class DecodeSession:
     edit to the model's weights shows from the next prefill on."""
 
     def __init__(self, model: Model, capacity_hint: int = 0):
-        whole = _is_int(capacity_hint) or isinstance(capacity_hint, np.integer)
+        whole = is_a(capacity_hint, "an integer") or isinstance(capacity_hint, np.integer)
         if not whole or capacity_hint < 0:
             raise ConfigError(f"DecodeSession: capacity_hint {capacity_hint!r} "
                               "is not a nonnegative integer")

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ScheduleError, StateError, read_text
+from .errors import ScheduleError, StateError, check_rows, read_text
 from .model import KIND_ORDER, Model
 from .tensor import Tensor
 from .training import Corpus, perplexity
@@ -335,6 +335,14 @@ def read_jsonl(path: str) -> List[dict]:
     return rows
 
 
+# The kind of each key of an action and of the plan, trace and timings rows
+# _greedy writes (see errors.check_rows); timings end with a peak_rss_mb row.
+ACTION_ROW = {"kind": "a string", "block": "an integer", "g": "an integer or absent"}
+PLAN_ROW = {**ACTION_ROW, "ratio": "a number"}
+TRACE_ROW = {"iter": "an integer", "stage": "an integer", **ACTION_ROW, "score": "a number"}
+TIMINGS_ROW = {"iter": "an integer", "seconds": "a number", "candidates": "an integer or absent"}
+
+
 def _row(it: int, si: int, c: Candidate, score: float) -> dict:
     row = {"iter": it, "stage": si, "kind": c.kind, "block": c.block,
            "score": score}
@@ -438,34 +446,8 @@ def run_schedule(model: Model, schedule: Union[str, Sequence[Stage]],
     return summary
 
 
-_TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float)}
-
-
-def is_a(value, what: str) -> bool:
-    """Whether value is `what`, a key of _TYPES; a bool is neither an
-    integer nor a number."""
-    return isinstance(value, _TYPES[what]) and not isinstance(value, bool)
-
-
-def check_rows(rows: Sequence, types: Dict[str, str], where: str) -> None:
-    """ScheduleError naming the first row (counted from 1) that is not an
-    object holding every key of `types` with a value of its type."""
-    for n, row in enumerate(rows, 1):
-        if not isinstance(row, dict):
-            raise ScheduleError(f"{where}: row {n} is not an object: {row!r}")
-        missing = [k for k in types if k not in row]
-        if missing:
-            raise ScheduleError(f"{where}: row {n} lacks {missing}")
-        for k, what in types.items():
-            if not is_a(row[k], what):
-                raise ScheduleError(f"{where}: row {n} has {k} {row[k]!r}, expected {what}")
-
-
 def replay_plan(model: Model, plan: Sequence[dict]) -> None:
     """Apply recorded actions in order; nothing is rescored."""
-    check_rows(plan, {"kind": "a string", "block": "an integer"}, "plan")
-    for n, row in enumerate(plan, 1):
-        g = row.get("g", 0)
-        if not is_a(g, "an integer"):
-            raise ScheduleError(f"plan: row {n} has g {g!r}, expected an integer")
+    check_rows(plan, ACTION_ROW, "plan")
+    for row in plan:
         apply_action(model, row["kind"], row["block"], row.get("g"))

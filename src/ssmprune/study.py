@@ -13,15 +13,17 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .errors import ConfigError, read_text
+from .errors import ConfigError, read_csv_rows
 from .model import Model, toy_descriptor
 from .pruning import CalibrationSet, run_schedule
 from .training import Corpus, TrainConfig, train
 
-CURVE_COLUMNS = ("kind", "steps", "PPL", "ratio")
+# curves.csv's header and each column's kind (see errors.read_csv_rows)
+CURVE_COLUMNS = {"kind": "a string", "steps": "an integer", "PPL": "a number",
+                 "ratio": "a number"}
 
 _VARIANTS = ("mamba1", "mamba2")
 _CURVES = (("block", "mamba_block"), ("ssm", "ssm"))
@@ -54,14 +56,15 @@ def _curve_rows(label: str, dense_ppl: float, plan: Sequence[dict]) -> List[dict
 
 
 def study_sensitivity(corpus: Corpus, cfg: StudyConfig,
-                      out_dir: Optional[str] = None, seed: int = 0,
-                      log_every: int = 0) -> dict:
+                      out_dir: Optional[str] = None, log_every: int = 0) -> dict:
     """Train both variants, prune both ways, and tabulate the curves.
 
-    Whether the large-scale ordering (variant one more tolerant of
-    whole-block removal, variant two more tolerant of scan-module removal)
-    shows up at this scale is recorded in the summary, not enforced.
+    Both variants build and train from cfg.train.seed. Whether the
+    large-scale ordering (variant one more tolerant of whole-block removal,
+    variant two more tolerant of scan-module removal) shows up at this
+    scale is recorded in the summary, not enforced.
     """
+    seed = cfg.train.seed
     curves: List[dict] = []
     runs: List[dict] = []
     for variant in _VARIANTS:
@@ -69,8 +72,7 @@ def study_sensitivity(corpus: Corpus, cfg: StudyConfig,
             n_blocks=cfg.n_blocks, variant=variant, transformer_at=(),
             d_model=cfg.d_model, d_state=cfg.d_state)
         model = Model.build(desc, seed)
-        tcfg = replace(cfg.train, seed=seed)
-        train(model, corpus, tcfg, log_every=log_every)
+        train(model, corpus, cfg.train, log_every=log_every)
         cal = CalibrationSet(corpus, cfg.cal_count, cfg.cal_length)
         dense_ppl = cal.ppl(model)
         for label, kind in _CURVES:
@@ -89,15 +91,11 @@ def study_sensitivity(corpus: Corpus, cfg: StudyConfig,
     return summary
 
 
-def _final_degradation(curves: Sequence[dict], kind: str, t: int) -> float:
-    by = {(r["kind"], r["steps"]): r["PPL"] for r in curves}
-    return by[(kind, t)] / by[(kind, 0)]
-
-
 def _ordering(curves: Sequence[dict], removals: int) -> dict:
     """Degradation factors at the last curve point, and whether the
     large-scale ordering holds here. Reported, never asserted."""
-    deg = {f"{v}:{lab}": _final_degradation(curves, f"{v}:{lab}", removals)
+    by = {(r["kind"], r["steps"]): r["PPL"] for r in curves}
+    deg = {f"{v}:{lab}": by[(f"{v}:{lab}", removals)] / by[(f"{v}:{lab}", 0)]
            for v in _VARIANTS for lab, _ in _CURVES}
     return {
         "degradation": deg,
@@ -115,25 +113,7 @@ def write_curves_csv(path: str, curves: Sequence[dict]) -> None:
                         f"{r['ratio']:.8g}"])
 
 
-_CURVE_TYPES = dict(zip(CURVE_COLUMNS, (str, int, float, float)))
-
-
 def read_curves_csv(path: str) -> List[dict]:
-    """The rows of a curves.csv; ConfigError naming the file, line and field
-    of a missing or malformed value."""
-    out: List[dict] = []
-    reader = csv.DictReader(read_text(path).split("\n"))
-    for row in reader:
-        rec = {}
-        for key, conv in _CURVE_TYPES.items():
-            raw = row.get(key)
-            if raw is None:
-                raise ConfigError(f"{path}: line {reader.line_num} lacks {key!r}")
-            try:
-                rec[key] = conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {reader.line_num} has {key} {raw!r}, expected "
-                    f"{'an integer' if conv is int else 'a number'}") from None
-        out.append(rec)
-    return out
+    """The rows of a curves.csv; ConfigError naming the file, line and
+    column of a malformed value."""
+    return read_csv_rows(path, CURVE_COLUMNS)

@@ -245,7 +245,9 @@ def train(model, corpus: Corpus, cfg: TrainConfig, out_dir: Optional[str] = None
     return rows
 
 
-LOSS_COLUMNS = ("step", "lr", "loss", "grad_norm", "val_ppl")
+# loss.csv's header and each column's kind (see errors.read_csv_rows)
+LOSS_COLUMNS = {"step": "an integer", "lr": "a number", "loss": "a number",
+                "grad_norm": "a number", "val_ppl": "a number or empty"}
 
 
 def write_loss_csv(path: str, rows: Sequence[dict]) -> None:

@@ -61,8 +61,12 @@ def test_same_model_speedup_near_one():
 
 def test_fixed_timers_give_exact_speedups(monkeypatch):
     dense, pruned = tiny_model(0), tiny_model(1)
-    monkeypatch.setattr(bench_mod, "_time",
-                        lambda m, t, n: (0.010, 0.009) if m is dense else (0.005, 0.003))
+    def fixed(ms, t, n, first):
+        assert ms == {"dense": dense, "pruned": pruned}
+        return {"dense.prefill": 0.010, "dense.decode": 0.009,
+                "pruned.prefill": 0.005, "pruned.decode": 0.003}
+
+    monkeypatch.setattr(bench_mod, "_time", fixed)
     rep = bench(dense, pruned, small_cfg(), seed=0)
     assert rep.prefill_speedup == pytest.approx(2.0)
     assert rep.decode_speedup == pytest.approx(3.0)
@@ -75,9 +79,11 @@ def test_unstable_flag_survives_with_full_report(monkeypatch):
     dense, pruned = tiny_model(0), tiny_model(1)
     calls = {"n": 0}
 
-    def spiky(m, t, n):
+    def spiky(ms, t, n, first):
         calls["n"] += 1
-        return 0.100 if calls["n"] == 4 else 0.010, 0.004
+        return {f"{m}.{phase}": 0.100 if (calls["n"], m, phase) == (2, "pruned", "prefill")
+                else 0.010 if phase == "prefill" else 0.004
+                for m in ms for phase in ("prefill", "decode")}
 
     monkeypatch.setattr(bench_mod, "_time", spiky)
     rep = bench(dense, pruned, small_cfg(warmup=0), seed=0)
@@ -92,13 +98,14 @@ def test_warmup_batches_excluded(monkeypatch):
     dense, pruned = tiny_model(0), tiny_model(1)
     seen = []
 
-    def tagging(m, t, n):
+    def tagging(ms, t, n, first):
         seen.append(len(seen))
-        return 1.0 if len(seen) <= 4 else 0.010, 0.004
+        return {f"{m}.{phase}": (1.0 if len(seen) <= 2 else 0.010) if phase == "prefill"
+                else 0.004 for m in ms for phase in ("prefill", "decode")}
 
     monkeypatch.setattr(bench_mod, "_time", tagging)
     rep = bench(dense, pruned, small_cfg(warmup=2, batches=3), seed=0)
-    # two warmup iterations x two models hit the timer first
+    # the two warmup batches, each timing both models, hit the timer first
     assert all(s == 0.010 for s in rep.raw["dense.prefill"])
     assert all(s == 0.010 for s in rep.raw["pruned.prefill"])
     assert rep.unstable is False
@@ -163,21 +170,30 @@ def test_decode_only_times_steps():
 
 def test_each_batch_runs_one_prefill_per_model(monkeypatch):
     """The prefill timed is the decode session's own: one per model per
-    batch, warmup included, and no separate full forward."""
+    batch, warmup included, and no separate full forward. The prefills take
+    turns, the first flipping at every batch, and so do the steps, the
+    first flipping at every token."""
     dense, pruned = tiny_model(0), tiny_model(1)
-    prefills, forwards = [], []
-    prefill, forward = DecodeSession.prefill, Model.forward
+    prefills, steps, forwards = [], [], []
+    prefill, step, forward = DecodeSession.prefill, DecodeSession.step, Model.forward
 
     def counted_prefill(self, tokens):
         prefills.append(self.model)
         return prefill(self, tokens)
+
+    def counted_step(self, token):
+        steps.append(self.model)
+        return step(self, token)
 
     def counted_forward(self, tokens):
         forwards.append(self)
         return forward(self, tokens)
 
     monkeypatch.setattr(DecodeSession, "prefill", counted_prefill)
+    monkeypatch.setattr(DecodeSession, "step", counted_step)
     monkeypatch.setattr(Model, "forward", counted_forward)
-    bench(dense, pruned, small_cfg(prompt=16, new_tokens=2, batches=2, warmup=1))
-    assert list(map(id, prefills)) == [id(dense), id(pruned)] * 3  # 1 warmup + 2
+    bench(dense, pruned, small_cfg(prompt=16, new_tokens=3, batches=2, warmup=1))
+    d, p = id(dense), id(pruned)
+    assert list(map(id, prefills)) == [d, p, p, d, d, p]  # 1 warmup + 2
+    assert list(map(id, steps)) == [d, p, p, d, d, p,  p, d, d, p, p, d,  d, p, p, d, d, p]
     assert forwards == []

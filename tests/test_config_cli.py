@@ -331,6 +331,13 @@ def test_report_header_only_loss_csv(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "loss curve: 0 steps"
 
 
+def test_report_reads_loss_csv_with_and_without_val_ppl(tmp_path, capsys):
+    (tmp_path / "loss.csv").write_text("step,lr,loss,grad_norm,val_ppl\n"
+                                       "0,0.001,4.5,1.0,90.25\n1,0.001,4.4375,1.0,\n")
+    assert cli(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "loss curve: 2 steps, last loss 4.4375\n"
+
+
 def test_report_reads_bench_reports_with_and_without_environment(tmp_path, capsys):
     # reports written before they recorded their environment still read
     rep = {"prefill_speedup": 1.25, "decode_speedup": 1.5, "unstable": False}
@@ -373,7 +380,8 @@ def test_report_corrupt_artifact_is_one_error_line(tmp_path, capsys, name,
     ("trace.jsonl", '{"iter": 0, "kind": "ssm", "block": 0, "score": 1.5}\n',
      "row 1 lacks ['stage']"),
     ("bench_report.json", '{"decode_speedup": 1.2}\n', "lacks ['prefill_speedup']"),
-    ("curves.csv", "kind,steps,ratio\nmamba1:block,0,0.0\n", "line 2 lacks 'PPL'"),
+    ("curves.csv", "kind,steps,ratio\nmamba1:block,0,0.0\n",
+     "line 1 is not the header kind,steps,PPL,ratio"),
     ("loss.csv", "0,0.001,4.5,1.0,\n1,0.001,4.4,1.0,\n2,0.001,4.3,1.0,\n",
      "line 1 is not the header step,lr,loss,grad_norm,val_ppl"),
     ("loss.csv", "a,b,c,d,e\n0,0.001,4.5,1.0,\n", "line 1 is not the header"),
@@ -403,18 +411,29 @@ _TRACE_ROW = '{"iter": 0, "stage": 0, "kind": "ssm", "block": 0, "score": 1.5}\n
     ("trace.jsonl", _TRACE_ROW.replace('"block": 0', '"block": true'),
      "row 1 has block True, expected an integer"),
     ("bench_report.json", '{"prefill_speedup": "fast", "decode_speedup": 1.2}\n',
-     "prefill_speedup 'fast' is not a number"),
+     "row 1 has prefill_speedup 'fast', expected a number"),
     ("bench_report.json", '{"prefill_speedup": 1.1, "decode_speedup": "1.2"}\n',
-     "decode_speedup '1.2' is not a number"),
+     "row 1 has decode_speedup '1.2', expected a number"),
     ("curves.csv", "kind,steps,PPL,ratio\nmamba1:block,0,21.5,0\nmamba1:block,x,25,0.125\n",
      "line 3 has steps 'x', expected an integer"),
     ("timings.jsonl", '{"iter": 0, "seconds": 0.5, "candidates": 2}\n{"peak_rss_mb": "big"}\n',
      "last row holds no peak_rss_mb number"),
     ("timings.jsonl", '{"iter": 0, "seconds": "slow", "candidates": 2}\n{"peak_rss_mb": 9}\n',
      "row 1 has seconds 'slow', expected a number"),
+    ("timings.jsonl", '{"iter": 0, "seconds": 0.5, "candidates": "two"}\n{"peak_rss_mb": 9}\n',
+     "row 1 has candidates 'two', expected an integer or absent"),
+    ("trace.jsonl", _TRACE_ROW.replace('"block": 0', '"block": 0, "g": "x"'),
+     "row 1 has g 'x', expected an integer or absent"),
+    ("loss.csv", "step,lr,loss,grad_norm,val_ppl\n0,0.001,4.5,1.0,\n1,0.001,abc,1.0,\n",
+     "line 3 has loss 'abc', expected a number"),
+    ("loss.csv", "step,lr,loss,grad_norm,val_ppl\n0,0.001,4.5,1.0,x\n",
+     "line 2 has val_ppl 'x', expected a number or empty"),
+    ("curves.csv", "kind,steps,PPL,ratio\nmamba1:block,0,21.5,\n",
+     "line 2 has ratio '', expected a number"),
 ], ids=["plan-str-ratio", "plan-int-kind", "trace-str-score", "trace-float-block",
         "trace-bool-block", "bench-str-prefill", "bench-str-decode", "curves-str-steps",
-        "timings-str-peak", "timings-str-seconds"])
+        "timings-str-peak", "timings-str-seconds", "timings-str-candidates", "trace-str-g",
+        "loss-str-loss", "loss-str-val-ppl", "curves-empty-ratio"])
 def test_report_wrongly_typed_value_is_one_error_line(tmp_path, capsys, name, text,
                                                       where):
     (tmp_path / name).write_text(text)

@@ -26,7 +26,7 @@ def tiny_cfg(**kw):
 @pytest.fixture(scope="module")
 def study_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("study"))
-    summary = study_sensitivity(Corpus.bundled(), tiny_cfg(), out_dir=out, seed=0)
+    summary = study_sensitivity(Corpus.bundled(), tiny_cfg(), out_dir=out)
     return out, summary
 
 
