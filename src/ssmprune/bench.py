@@ -35,14 +35,15 @@ REPORT_KEYS = {"prefill_speedup": "a number", "decode_speedup": "a number"}
 @dataclass
 class BenchConfig:
     """Defaults follow the desk-scale methodology: prompt 512, 16 new
-    tokens, batch size 1, medians over 10 timed batches."""
+    tokens, batch size 1, medians over 10 timed batches. ConfigError when
+    made with a count out of range."""
 
     prompt: int = 512
     new_tokens: int = 16
     batches: int = 10
     warmup: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("prompt", "new_tokens", "batches"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"bench {name} must be positive")
@@ -86,12 +87,14 @@ def _git_revision() -> Optional[str]:
 
 def environment() -> dict:
     """What a timing depends on besides the code: interpreter, numpy and its
-    BLAS, the thread pins, the CPUs, and the git revision."""
+    BLAS (the build's configuration names its CPU kernel), the thread pins,
+    the CPUs, and the git revision."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "configuration": blas.get("openblas configuration")},
         "thread_pins": {v: os.environ.get(v) for v in THREAD_PINS},
         "cpu_count": os.cpu_count(),
         "affinity_count": (len(os.sched_getaffinity(0))
@@ -143,7 +146,6 @@ def bench(dense: Model, pruned: Model, cfg: BenchConfig, seed: int = 0,
     above UNSTABLE_SPREAD the report is flagged unstable but still
     returned in full.
     """
-    cfg.validate()
     rng = np.random.default_rng(seed)
     vocab = dense.desc.vocab
     tokens = rng.integers(0, vocab, size=(1, cfg.prompt))

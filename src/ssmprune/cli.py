@@ -31,7 +31,7 @@ from .errors import (CapacityError, CheckpointError, ConfigError,
 from .model import Model, load_model, save_model, toy_descriptor
 from .pruning import (PLAN_ROW, TIMINGS_ROW, TRACE_ROW, CalibrationSet, parse_schedule,
                       read_jsonl, run_schedule)
-from .study import StudyConfig, read_curves_csv, study_sensitivity
+from .study import CURVE_COLUMNS, StudyConfig, study_sensitivity
 from .training import (LOSS_COLUMNS, VOCAB, Corpus, TrainConfig,
                        split_perplexity, train)
 
@@ -48,10 +48,14 @@ def _need(value: str, what: str) -> None:
         raise ConfigError(f"{what} is required; set it in the config file")
 
 
-def _outdir(args) -> str:
+def _run_dir(args, section: str, cfg: dict) -> str:
+    """The run directory --out names, made with the resolved section in it.
+    A command calls this once it has read and checked every input, so an
+    input that fails leaves no directory behind."""
     if not args.out:
         raise ConfigError("--out DIR is required for this command")
     os.makedirs(args.out, exist_ok=True)
+    write_resolved(os.path.join(args.out, "resolved.ini"), section, cfg)
     return args.out
 
 
@@ -86,11 +90,10 @@ def cmd_train(args) -> int:
         transformer_at=cfg["transformer_at"], vocab=VOCAB,
         d_model=cfg["d_model"], d_state=cfg["d_state"],
         mlp_hidden=cfg["mlp_hidden"])
-    corpus = _corpus(cfg["corpus"])
-    out = _outdir(args)
-    model = Model.build(desc, cfg["seed"])
     tcfg = _train_config(cfg)
-    write_resolved(os.path.join(out, "resolved.ini"), "train", cfg)
+    corpus = _corpus(cfg["corpus"])
+    out = _run_dir(args, "train", cfg)
+    model = Model.build(desc, cfg["seed"])
     rows = train(model, corpus, tcfg, out_dir=out,
                  log_every=max(cfg["steps"] // 10, 1))
     val = split_perplexity(model, corpus, "val", cfg["eval_windows"],
@@ -124,8 +127,7 @@ def cmd_prune(args) -> int:
     model, _ = load_model(cfg["checkpoint"])
     cal = CalibrationSet(_corpus(cfg["corpus"]), cfg["cal_count"], cfg["cal_length"],
                          cfg["batch_size"])
-    out = _outdir(args)
-    write_resolved(os.path.join(out, "resolved.ini"), "prune", cfg)
+    out = _run_dir(args, "prune", cfg)
     summary = run_schedule(model, stages, cal, out_dir=out,
                            threads=cfg["threads"],
                            emit_trace=cfg["emit_trace"])
@@ -162,8 +164,7 @@ def cmd_eval(args) -> int:
     print(f"{cfg['split']} ppl {ppl:.6f}  "
           f"(windows={cfg['windows']}, length={cfg['length']})")
     if args.out:
-        out = _outdir(args)
-        write_resolved(os.path.join(out, "resolved.ini"), "eval", cfg)
+        out = _run_dir(args, "eval", cfg)
         with open(os.path.join(out, "eval.json"), "w") as f:
             json.dump({"split": cfg["split"], "ppl": ppl,
                        "windows": cfg["windows"], "length": cfg["length"]},
@@ -175,12 +176,13 @@ def cmd_bench(args) -> int:
     cfg = _section(args, "bench")
     _need(cfg["dense_checkpoint"], "bench.dense_checkpoint")
     _need(cfg["pruned_checkpoint"], "bench.pruned_checkpoint")
-    out = _outdir(args)
+    bcfg = BenchConfig(**_fields(BenchConfig, cfg))
     dense, _ = load_model(cfg["dense_checkpoint"])
     overlay, pmeta = load_model(cfg["pruned_checkpoint"])
     pruned = overlay.compact()
     _check_compact(overlay, pruned)
     corpus = _corpus(cfg["corpus"])
+    out = _run_dir(args, "bench", cfg)
     ppl_before = split_perplexity(dense, corpus, "val",
                                   cfg["ppl_windows"], cfg["ppl_length"])
     ppl_after = split_perplexity(pruned, corpus, "val",
@@ -188,11 +190,9 @@ def cmd_bench(args) -> int:
     plan_summary = {k: pmeta[k] for k in
                     ("schedule", "final_ratio", "final_cal_ppl", "actions")
                     if k in pmeta} or None
-    bcfg = BenchConfig(**_fields(BenchConfig, cfg))
     report = bench(dense, pruned, bcfg, seed=cfg["seed"],
                    plan_summary=plan_summary, ppl_before=ppl_before,
                    ppl_after=ppl_after)
-    write_resolved(os.path.join(out, "resolved.ini"), "bench", cfg)
     write_bench_csv(os.path.join(out, "bench.csv"), report)
     with open(os.path.join(out, "bench_report.json"), "w") as f:
         json.dump(report.to_dict(), f, indent=2, sort_keys=True)
@@ -263,7 +263,7 @@ def cmd_report(args) -> int:
               f"decode speedup {rep['decode_speedup']:.3f}x{flag}")
     curves_path = os.path.join(out, "curves.csv")
     if os.path.exists(curves_path):
-        curves = read_curves_csv(curves_path)
+        curves = read_csv_rows(curves_path, CURVE_COLUMNS)
         for kind in sorted({r["kind"] for r in curves}):
             pts = [r for r in curves if r["kind"] == kind]
             print(f"curve {kind}: ppl {pts[0]['PPL']:.3f} -> {pts[-1]['PPL']:.3f} "
@@ -273,10 +273,9 @@ def cmd_report(args) -> int:
 
 def cmd_study(args) -> int:
     cfg = _section(args, "study")
-    out = _outdir(args)
-    corpus = _corpus(cfg["corpus"])
     scfg = StudyConfig(**_fields(StudyConfig, cfg), train=_train_config(cfg))
-    write_resolved(os.path.join(out, "resolved.ini"), "study", cfg)
+    corpus = _corpus(cfg["corpus"])
+    out = _run_dir(args, "study", cfg)
     summary = study_sensitivity(corpus, scfg, out_dir=out,
                                 log_every=max(cfg["steps"] // 5, 1))
     ordering = summary["ordering"]

@@ -65,7 +65,8 @@ _DESC_INTS = ("vocab", "d_model", "n_blocks", "d_state", "conv_width", "n_heads"
 
 @dataclass(frozen=True)
 class ArchDescriptor:
-    """Everything needed to rebuild a model skeleton."""
+    """Everything needed to rebuild a model skeleton; ConfigError when made
+    with fields that do not fit, naming the first."""
 
     vocab: int
     d_model: int
@@ -76,7 +77,7 @@ class ArchDescriptor:
     conv_width: int = 4
     n_heads: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.vocab < 2:
             raise ConfigError(f"descriptor: vocab={self.vocab}, need at least 2")
         if min(self.d_model, self.d_state, self.conv_width, self.n_heads) < 1:
@@ -428,7 +429,6 @@ class Model:
     @staticmethod
     def build(desc: ArchDescriptor, seed: int) -> "Model":
         """Deterministic: one rng seeded here, consumed in a fixed traversal."""
-        desc.validate()
         return Model._assemble(desc, np.random.default_rng(seed))
 
     @staticmethod
@@ -564,7 +564,6 @@ class Model:
                        mlp_hidden=tuple(self.desc.mlp_hidden[old]
                                         if getattr(b, "mlp", None) is None else b.mlp.hidden
                                         for old, b in zip(keep, blocks)))
-        desc.validate()
         let_go_dead_parts(blocks)
         out = Model(desc, emb, blocks, fin, head)
         for t in out.named_tensors().values():
@@ -685,7 +684,6 @@ def load_model(path: str):
         raise CheckpointError(f"{path}: meta {header['meta']!r} is not an object")
     try:
         desc = ArchDescriptor.from_dict(header["descriptor"])
-        desc.validate()
     except ConfigError as e:
         raise CheckpointError(f"{path}: {e}") from None
     _check_tensor_rows(path, header["tensors"])

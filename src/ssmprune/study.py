@@ -16,8 +16,8 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .errors import ConfigError, read_csv_rows
-from .model import Model, toy_descriptor
+from .errors import ConfigError
+from .model import ArchDescriptor, Model, toy_descriptor
 from .pruning import CalibrationSet, run_schedule
 from .training import Corpus, TrainConfig, train
 
@@ -45,6 +45,13 @@ class StudyConfig:
             raise ConfigError(
                 f"removals must lie in [1, n_blocks), got {self.removals} "
                 f"of {self.n_blocks}")
+        for variant in _VARIANTS:
+            self.descriptor(variant)
+
+    def descriptor(self, variant: str) -> ArchDescriptor:
+        """The pure stack of one variant that the study trains."""
+        return toy_descriptor(n_blocks=self.n_blocks, variant=variant, transformer_at=(),
+                              d_model=self.d_model, d_state=self.d_state)
 
 
 def _curve_rows(label: str, dense_ppl: float, plan: Sequence[dict]) -> List[dict]:
@@ -68,10 +75,7 @@ def study_sensitivity(corpus: Corpus, cfg: StudyConfig,
     curves: List[dict] = []
     runs: List[dict] = []
     for variant in _VARIANTS:
-        desc = toy_descriptor(
-            n_blocks=cfg.n_blocks, variant=variant, transformer_at=(),
-            d_model=cfg.d_model, d_state=cfg.d_state)
-        model = Model.build(desc, seed)
+        model = Model.build(cfg.descriptor(variant), seed)
         train(model, corpus, cfg.train, log_every=log_every)
         cal = CalibrationSet(corpus, cfg.cal_count, cfg.cal_length)
         dense_ppl = cal.ppl(model)
@@ -111,9 +115,3 @@ def write_curves_csv(path: str, curves: Sequence[dict]) -> None:
         for r in curves:
             w.writerow([r["kind"], r["steps"], f"{r['PPL']:.8g}",
                         f"{r['ratio']:.8g}"])
-
-
-def read_curves_csv(path: str) -> List[dict]:
-    """The rows of a curves.csv; ConfigError naming the file, line and
-    column of a malformed value."""
-    return read_csv_rows(path, CURVE_COLUMNS)

@@ -106,7 +106,8 @@ class Corpus:
 
 @dataclass
 class TrainConfig:
-    """Knobs for the Adam loop. Serialized as-is into checkpoint meta."""
+    """Knobs for the Adam loop. Serialized as-is into checkpoint meta.
+    ConfigError when made with a value out of range."""
 
     steps: int = 400
     batch_size: int = 8
@@ -122,7 +123,7 @@ class TrainConfig:
     eval_every: int = 0
     eval_windows: int = 32
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be positive, got {self.steps}")
         if self.batch_size < 1 or self.seq_len < 1:
@@ -212,7 +213,6 @@ def train(model, corpus: Corpus, cfg: TrainConfig, out_dir: Optional[str] = None
     loss or gradient norm goes non-finite; weights keep their last finite
     values.
     """
-    cfg.validate()
     params = model.parameters()
     opt = Adam(params, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)

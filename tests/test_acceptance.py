@@ -19,11 +19,12 @@ from ssmprune import layers as ly
 from ssmprune import ssm as ssm_mod
 from ssmprune import tensor as tn
 from ssmprune.bench import BenchConfig, bench
+from ssmprune.errors import read_csv_rows
 from ssmprune.model import (TAPE, Model, block_param_count, descriptor_param_count,
                             toy_descriptor)
 from ssmprune.pruning import (CalibrationSet, read_jsonl, replay_plan,
                               run_schedule)
-from ssmprune.study import StudyConfig, read_curves_csv, study_sensitivity
+from ssmprune.study import CURVE_COLUMNS, StudyConfig, study_sensitivity
 from ssmprune.training import TrainConfig, split_perplexity, train
 
 
@@ -374,7 +375,7 @@ def test_criterion_10_study_runs(corpus, tmp_path):
     dt = time.perf_counter() - t0
     path = tmp_path / "curves.csv"
     header = open(path).readline().strip()
-    curves = read_curves_csv(str(path))
+    curves = read_csv_rows(str(path), CURVE_COLUMNS)
     kinds = {r["kind"] for r in curves}
     shaped = (header == "kind,steps,PPL,ratio"
               and kinds == {"mamba1:block", "mamba1:ssm",

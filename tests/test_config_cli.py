@@ -257,16 +257,6 @@ def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_train_rejects_transformer_index_past_the_blocks(tmp_path, capsys):
-    ini = write_ini(tmp_path / "t.ini", "[train]\nn_blocks = 2\ntransformer_at = 5\n")
-    out = tmp_path / "o"
-    assert cli(["train", "--config", ini, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "transformer_at index 5" in err and "n_blocks = 2" in err
-    assert not out.exists()
-
-
 def test_train_config_not_utf8_is_one_error_line(tmp_path, capsys):
     ini = tmp_path / "t.ini"
     ini.write_bytes(b"[train]\nsteps = 1\n# \xff\n")
@@ -296,25 +286,50 @@ def test_cli_bad_checkpoint_reports_and_exits(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
-def test_prune_bad_checkpoint_leaves_no_out_dir(tmp_path, capsys):
-    ck = tmp_path / "junk.ckpt"
-    ck.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-    ini = write_ini(tmp_path / "p.ini", f"[prune]\ncheckpoint = {ck}\nschedule = ssm:1\n")
+# (command, config text, what its one error line names), one case per kind of
+# input a command reads; {tmp} is a scratch directory, {ckpt} a trained checkpoint,
+# {junk} a file that is no checkpoint, {corrupt} the checkpoint with a bit flipped
+@pytest.mark.parametrize("command,text,named", [
+    pytest.param("train", "[train]\nn_blocks = 2\ntransformer_at = 5\n",
+                 ["transformer_at index 5", "n_blocks = 2"], id="train-transformer-at"),
+    pytest.param("train", "[train]\nlr = 1.0\nmin_lr = 5.0\n",
+                 ["min_lr must lie in [0, lr], got 5.0"], id="train-min-lr-above-lr"),
+    pytest.param("train", "[train]\nd_model = 6\n",
+                 ["d_model=6 not divisible by n_heads=4"], id="train-d-model"),
+    pytest.param("prune", "[prune]\ncheckpoint = {junk}\nschedule = ssm:1\n",
+                 ["magic"], id="prune-bad-checkpoint"),
+    pytest.param("prune", "[prune]\ncheckpoint = {ckpt}\nschedule = bogus:1\n"
+                 "cal_count = 4\ncal_length = 32\n", ["'bogus'"], id="prune-bad-schedule"),
+    pytest.param("eval", "[eval]\ncheckpoint = {corrupt}\n",
+                 ["corrupt or truncated"], id="eval-corrupt-checkpoint"),
+    pytest.param("study-sensitivity", "[study]\nn_blocks = 8\nremovals = 8\n",
+                 ["removals must lie in [1, n_blocks), got 8 of 8"], id="study-removals"),
+    pytest.param("study-sensitivity", "[study]\nd_model = 6\n",
+                 ["d_model=6 not divisible by n_heads=4"], id="study-d-model"),
+    pytest.param("study-sensitivity", "[study]\ncorpus = {tmp}/missing.txt\n",
+                 ["missing.txt"], id="study-missing-corpus"),
+    pytest.param("bench", "[bench]\ndense_checkpoint = {ckpt}\n"
+                 "pruned_checkpoint = {tmp}/missing.ckpt\n",
+                 ["missing.ckpt"], id="bench-missing-checkpoint"),
+    pytest.param("bench", "[bench]\ndense_checkpoint = {corrupt}\n"
+                 "pruned_checkpoint = {ckpt}\n",
+                 ["corrupt or truncated"], id="bench-corrupt-checkpoint"),
+])
+def test_a_failed_input_is_one_error_line_and_leaves_no_out_dir(
+        run_dir, tmp_path, capsys, command, text, named):
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
+    raw = bytearray(open(run_dir["ckpt"], "rb").read())
+    raw[-1] ^= 1
+    corrupt = tmp_path / "corrupt.ckpt"
+    corrupt.write_bytes(raw)
+    ini = write_ini(tmp_path / "c.ini", text.format(
+        tmp=tmp_path, ckpt=run_dir["ckpt"], junk=junk, corrupt=corrupt))
     out = tmp_path / "o"
-    assert cli(["prune", "--config", ini, "--out", str(out)]) == 2
+    assert cli([command, "--config", ini, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "magic" in err
-    assert not out.exists()
-
-
-def test_prune_bad_schedule_leaves_no_out_dir(run_dir, tmp_path, capsys):
-    ini = write_ini(tmp_path / "p.ini",
-                    f"[prune]\ncheckpoint = {run_dir['ckpt']}\nschedule = bogus:1\n"
-                    "cal_count = 4\ncal_length = 32\n")
-    out = tmp_path / "o"
-    assert cli(["prune", "--config", ini, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "'bogus'" in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(n in err for n in named), err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Registry, removal semantics, accounting, checkpoints, compaction, decode."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -18,6 +19,7 @@ from ssmprune import model as md
 from ssmprune import tensor as tn
 from ssmprune.errors import CheckpointError, ConfigError, ShapeError, StateError, TokenError
 from ssmprune.model import ArchDescriptor, DecodeSession, Model, toy_descriptor
+from ssmprune.training import TrainConfig
 
 from oracles import (frozen_attention_op, frozen_cross_entropy, frozen_scan_op, frozen_silu,
                      rel_err, tape_sum)
@@ -51,15 +53,23 @@ def test_build_is_deterministic_per_seed():
 
 def test_descriptor_validation_names_the_field():
     with pytest.raises(ConfigError, match="vocab"):
-        ArchDescriptor(1, 8, 1, ("mamba1",), 4, (0,)).validate()
+        ArchDescriptor(1, 8, 1, ("mamba1",), 4, (0,))
     with pytest.raises(ConfigError, match="block_kinds"):
-        ArchDescriptor(50, 8, 2, ("mamba1",), 4, (0, 0)).validate()
+        ArchDescriptor(50, 8, 2, ("mamba1",), 4, (0, 0))
     with pytest.raises(ConfigError, match="unknown block kind"):
-        ArchDescriptor(50, 8, 1, ("lstm",), 4, (0,)).validate()
+        ArchDescriptor(50, 8, 1, ("lstm",), 4, (0,))
     with pytest.raises(ConfigError, match="mlp_hidden"):
-        ArchDescriptor(50, 8, 1, ("mamba1",), 4, (64,)).validate()
+        ArchDescriptor(50, 8, 1, ("mamba1",), 4, (64,))
     with pytest.raises(ConfigError, match="n_heads"):
-        ArchDescriptor(50, 9, 1, ("transformer",), 4, (32,), n_heads=2).validate()
+        ArchDescriptor(50, 9, 1, ("transformer",), 4, (32,), n_heads=2)
+
+
+def test_replace_with_a_bad_value_raises():
+    # compact() makes its descriptor by dataclasses.replace, which checks it
+    with pytest.raises(ConfigError, match="n_blocks=3 but 4 block_kinds"):
+        dataclasses.replace(tiny_desc(), n_blocks=3)
+    with pytest.raises(ConfigError, match="min_lr must lie in"):
+        dataclasses.replace(TrainConfig(), min_lr=1.0)
 
 
 def test_analytic_counts_match_allocation():

@@ -6,11 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from ssmprune.errors import ConfigError
+from ssmprune.errors import ConfigError, read_csv_rows
 from ssmprune.model import Model, toy_descriptor
 from ssmprune.pruning import CalibrationSet, replay_plan
-from ssmprune.study import (CURVE_COLUMNS, StudyConfig, read_curves_csv,
-                            study_sensitivity, write_curves_csv)
+from ssmprune.study import (CURVE_COLUMNS, StudyConfig, study_sensitivity,
+                            write_curves_csv)
 from ssmprune.training import Corpus, TrainConfig, train
 
 TINY_TRAIN = TrainConfig(steps=25, batch_size=4, seq_len=48, warmup=5)
@@ -42,7 +42,7 @@ def test_curves_csv_schema(study_run):
     out, _ = study_run
     path = os.path.join(out, "curves.csv")
     assert open(path).readline().strip() == ",".join(CURVE_COLUMNS)
-    curves = read_curves_csv(path)
+    curves = read_csv_rows(path, CURVE_COLUMNS)
     kinds = {r["kind"] for r in curves}
     assert kinds == {"mamba1:block", "mamba1:ssm",
                      "mamba2:block", "mamba2:ssm"}
@@ -108,5 +108,5 @@ def test_curves_csv_round_trip(tmp_path):
     ]
     path = str(tmp_path / "curves.csv")
     write_curves_csv(path, rows)
-    back = read_curves_csv(path)
+    back = read_csv_rows(path, CURVE_COLUMNS)
     assert back == [pytest.approx(r) for r in rows]
